@@ -9,14 +9,9 @@ trajectory; the CI smoke job uploads it):
    faster than the per-query path, with bitwise-identical results.
 2. **Persistent cross-run cache** — re-running the same burst against a
    warm :class:`~repro.ci.store.PersistentCICache` executes *zero* tests.
-
-A third, informational entry records the threaded executor's speedup on a
-continuous (RCIT) batch; thread scaling varies across runners, so it is
-recorded but not asserted.
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -24,9 +19,7 @@ import numpy as np
 import pytest
 
 from repro.ci.base import CIQuery, CITestLedger
-from repro.ci.executor import SerialExecutor, ThreadedExecutor, default_executor
 from repro.ci.gtest import GTestCI
-from repro.ci.rcit import RCIT
 from repro.ci.store import PersistentCICache
 from repro.data.table import Table
 
@@ -149,52 +142,3 @@ def test_persistent_cache_warm_rerun(benchmark, burst, tmp_path_factory):
           f"speedup {speedup:.1f}x")
 
     benchmark.pedantic(lambda: warm_run(), rounds=3, iterations=1)
-
-
-def test_threaded_executor_rcit_shards(benchmark):
-    """Informational: thread-sharded RCIT batch vs serial (recorded, not
-    asserted — thread scaling is runner-dependent)."""
-    rng = np.random.default_rng(1)
-    n = 1200
-    data = {"y": rng.normal(size=n), "z1": rng.normal(size=n),
-            "z2": rng.normal(size=n)}
-    for i in range(16):
-        data[f"c{i}"] = rng.normal(size=n)
-    table = Table(data).warm_cache()
-    queries = [CIQuery.make(f"c{i}", "y", ("z1", "z2")) for i in range(16)]
-    tester = RCIT(seed=0)
-
-    serial = _median_seconds(
-        lambda: SerialExecutor().run(tester, table, queries), repeats=3)
-    threaded_executor = ThreadedExecutor(n_workers=4, min_batch=2)
-    threaded = _median_seconds(
-        lambda: threaded_executor.run(tester, table, queries), repeats=3)
-    assert [r.p_value for r in threaded_executor.run(tester, table, queries)] \
-        == [r.p_value for r in SerialExecutor().run(tester, table, queries)]
-    RESULTS["threaded_rcit_batch"] = {
-        "serial_seconds": serial,
-        "threaded_seconds": threaded,
-        "n_workers": threaded_executor.n_workers,
-        "speedup": serial / threaded,
-        # Regression note: this shard path has measured as slow as 0.37x
-        # serial for RCIT/KCIT on CI runners (the GIL serialises the
-        # numpy-light stretches of the kernel).  It is therefore never a
-        # default: with REPRO_CI_EXECUTOR unset, default_executor picks
-        # threads only when calibration data (repro.ci.autotune) measured
-        # it strictly faster than serial on this machine.
-        "note": "threads measured as slow as 0.37x serial for RCIT/KCIT; "
-                "never chosen by default_executor without calibration "
-                "evidence it beats serial (repro.ci.autotune)",
-    }
-    if not os.environ.get("REPRO_CI_EXECUTOR", "").strip() \
-            and not os.environ.get("REPRO_CI_CALIBRATION", "").strip():
-        # The guard itself: unset env + no measurements -> serial, so the
-        # regression path above cannot be picked by guesswork.
-        assert isinstance(default_executor(tester), SerialExecutor)
-    print(f"\nthreaded RCIT batch of 16: serial {1e3 * serial:.1f} ms, "
-          f"4 workers {1e3 * threaded:.1f} ms, "
-          f"speedup {serial / threaded:.2f}x")
-
-    benchmark.pedantic(
-        lambda: threaded_executor.run(tester, table, queries),
-        rounds=3, iterations=1)

@@ -6,11 +6,11 @@ Quantifies the engine's third execution layer and records it as a
 1. **Process-parallel discrete burst** — a >=150-query phase-2 G-test
    burst through :class:`~repro.ci.executor.ProcessExecutor` (2 workers,
    warm reused pool) versus :class:`SerialExecutor`.  The discrete fused
-   kernel holds the GIL, so this is the configuration threads cannot
-   accelerate.  The speedup is asserted only on multi-core machines —
-   on a single core, true parallelism cannot beat serial by definition —
-   and always recorded; bitwise result parity and count preservation are
-   asserted unconditionally.
+   kernel holds the GIL, so only processes can run it in parallel.  The
+   speedup is asserted only on machines with at least 4 cores — with
+   fewer, the two workers share cores with the parent and anything else
+   running — and always recorded; bitwise result parity and count
+   preservation are asserted unconditionally.
 2. **Warm-pool reuse** — the pool start-up cost is paid once: a second
    burst through the same executor runs without re-spawning workers.
 3. **Warm ExperimentStore rerun** — `table2_row`-shaped check at ledger
@@ -44,7 +44,7 @@ N_WORKERS = 2
 # about steady-state execution, not interpreter boot.
 MP_CONTEXT = "fork" if os.name == "posix" else "spawn"
 
-multi_core = (os.cpu_count() or 1) >= 2
+quad_core = (os.cpu_count() or 1) >= 4
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -92,7 +92,7 @@ def _median_seconds(fn, repeats=5):
 
 def test_process_burst_speedup_and_parity(benchmark, burst):
     """Acceptance: 2 process workers beat serial on a >=150-query discrete
-    burst (multi-core machines), with bitwise-identical results."""
+    burst (machines with >= 4 cores), with bitwise-identical results."""
     table, queries = burst
     tester = GTestCI()
     serial_executor = SerialExecutor()
@@ -121,13 +121,13 @@ def test_process_burst_speedup_and_parity(benchmark, burst):
             "process_seconds_warm_pool": process,
             "process_seconds_first_run": first_run_seconds,
             "speedup": speedup,
-            "asserted": multi_core,
+            "asserted": quad_core,
         }
         print(f"\nprocess burst of {N_CANDIDATES}x{N_ROWS}: serial "
               f"{1e3 * serial:.1f} ms, {N_WORKERS} workers "
               f"{1e3 * process:.1f} ms (first run incl. pool start "
               f"{1e3 * first_run_seconds:.1f} ms), speedup {speedup:.2f}x")
-        if multi_core:
+        if quad_core:
             assert speedup > 1.0, (
                 f"2 process workers did not beat serial: {speedup:.2f}x")
 

@@ -7,8 +7,8 @@ from repro.ci.autotune import (Calibration, active_calibration, run_probe,
                                set_active_calibration)
 from repro.ci.cmi import ClassifierCMI, discrete_cmi, knn_cmi
 from repro.ci.executor import (BatchExecutor, ProcessExecutor,
-                               SerialExecutor, ThreadedExecutor,
-                               default_executor, executor_by_name)
+                               SerialExecutor, default_executor,
+                               executor_by_name)
 from repro.ci.fisher_z import FisherZCI, partial_correlation
 from repro.ci.gtest import ChiSquaredCI, GTestCI
 from repro.ci.kcit import KCIT
@@ -71,7 +71,6 @@ __all__ = [
     "BatchExecutor",
     "ProcessExecutor",
     "SerialExecutor",
-    "ThreadedExecutor",
     "default_executor",
     "default_tester",
     "ENV_TESTER",

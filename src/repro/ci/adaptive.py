@@ -54,9 +54,6 @@ class AdaptiveCI(CITester):
                 ("continuous", self.continuous.method, self.continuous.alpha)
                 + self.continuous.cache_token())
 
-    def process_safe(self) -> bool:
-        return self.discrete.process_safe() and self.continuous.process_safe()
-
     def _backend_for(self, table: Table, query: CIQuery) -> CITester:
         all_discrete = all(
             table.schema.spec(name).kind.is_discrete

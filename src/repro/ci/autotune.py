@@ -1,10 +1,9 @@
 """Measured executor auto-tuning for the CI engine.
 
-``BENCH_multiquery.json`` measured the threaded RCIT shard path at
-~0.4x *serial* — the GIL serialises the numpy-light stretches of the
-kernel, so "more workers" is a pessimisation for some (tester, machine)
-pairs while a genuine win for others (process pools on fused G-test
-bursts).  Guessing is the bug; this module replaces the guess with a
+"More workers" is a pessimisation for some (tester, machine) pairs —
+pool start-up and result shipping can outweigh a small burst — while a
+genuine win for others (process pools on fused G-test bursts).
+Guessing is the bug; this module replaces the guess with a
 measurement:
 
 * :func:`run_probe` times a small synthetic same-``(Y, Z)`` burst — the
@@ -18,9 +17,8 @@ measurement:
 * :meth:`Calibration.choose` picks the executor for a tester by the
   **never-slower-than-serial rule**: a pooled executor is selected only
   when its measured time beats serial's on the same probe; anything
-  unmeasured resolves to serial.  The 0.37x regression is thereby
-  retired *by construction* — a path measured slower than serial cannot
-  be chosen.
+  unmeasured resolves to serial, so a path measured slower than serial
+  cannot be chosen.
 * :func:`~repro.ci.executor.default_executor` consults the active
   calibration (``REPRO_CI_CALIBRATION`` env var, or
   :func:`set_active_calibration`) when ``REPRO_CI_EXECUTOR`` is unset.
@@ -42,6 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro import env
+from repro.ci.executor import EXECUTORS, executor_by_name
 from repro.ci.store import _SAVE_LOCK, _read_document, _write_document
 from repro.rng import as_generator
 
@@ -58,7 +57,7 @@ CALIBRATION_VERSION = 1
 
 #: Executor names the probe always measures, serial first (the baseline
 #: of the never-slower-than-serial rule).
-PROBE_EXECUTORS = ("serial", "threads", "process")
+PROBE_EXECUTORS = ("serial", "process")
 
 
 def probe_executors() -> tuple[str, ...]:
@@ -142,9 +141,11 @@ class Calibration:
 
         Unmeasured configurations resolve to ``"serial"`` — the rule is
         *never slower than serial*, so absence of evidence means the
-        safe baseline, not a guess.  With several probed batch sizes the
-        nearest one wins; with none specified, the per-size choices must
-        agree unanimously for a pooled executor to be returned.
+        safe baseline, not a guess.  So does a recorded choice that names
+        no current executor (a document probed by an older release).
+        With several probed batch sizes the nearest one wins; with none
+        specified, the per-size choices must agree unanimously for a
+        pooled executor to be returned.
         """
         if method is None:
             return "serial"
@@ -158,7 +159,9 @@ class Calibration:
             except (json.JSONDecodeError, ValueError):
                 continue
             if entry_method == method and entry_backend == backend:
-                sized[int(entry_size)] = str(entry.get("chosen", "serial"))
+                chosen = str(entry.get("chosen", "serial"))
+                sized[int(entry_size)] = (chosen if chosen in EXECUTORS
+                                          else "serial")
         if not sized:
             return "serial"
         if batch_size is not None:
@@ -287,13 +290,12 @@ def run_probe(testers: Sequence["CITester"] | None = None,
     """
     from repro.ci import default_tester
     from repro.ci.base import CIQuery
-    from repro.ci.executor import executor_by_name
     from repro.data.backend import default_backend_kind
 
     if executors is None:
         executors = probe_executors()
     if testers is None:
-        testers = [default_tester(name="g-test", seed=seed),
+        testers = [default_tester(name="gtest", seed=seed),
                    default_tester(name="rcit", seed=seed)]
     if calibration is None:
         calibration = Calibration()

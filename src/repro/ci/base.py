@@ -58,10 +58,9 @@ Two further layers are pluggable on the ledger:
   invariant — ``cache_hits``, never ledger entries.
 * ``executor`` (default :class:`~repro.ci.executor.SerialExecutor`)
   decides how the cache-miss remainder of a batch is evaluated;
-  :class:`~repro.ci.executor.ThreadedExecutor` shards it across a thread
-  pool, which pays off for continuous-backend (RCIT) batches.  Executors
-  only ever see queries the ledger already decided to execute, so they
-  cannot change ``n_tests``.
+  :class:`~repro.ci.executor.ProcessExecutor` shards it across worker
+  processes.  Executors only ever see queries the ledger already decided
+  to execute, so they cannot change ``n_tests``.
 """
 
 from __future__ import annotations
@@ -195,23 +194,6 @@ class CITester:
         """
         return ()
 
-    def process_safe(self) -> bool:
-        """Whether shipping a pickled copy to worker processes preserves
-        the serial results bit for bit.
-
-        False for testers seeded with a *live* ``numpy`` ``Generator``:
-        serial execution consumes one evolving stream, while each worker
-        would replay an identical pickled snapshot of it — verdicts
-        diverge.  :class:`~repro.ci.executor.ProcessExecutor` keeps such
-        testers in the calling process, and
-        :class:`~repro.ci.executor.ThreadedExecutor` refuses to shard
-        them for the sibling reason (``Generator`` is not thread-safe, so
-        concurrent shards would draw in scheduling order).  Value seeds
-        (int/None) are safe: every copy derives the same (or an equally
-        fresh) stream per test.
-        """
-        return True
-
     def _check_query(self, table: Table, query: CIQuery) -> None:
         """Validate a normalised query against the table (shared by backends)."""
         for name in query.x + query.y + query.z:
@@ -265,21 +247,6 @@ class CITester:
         return results
 
 
-def _order_invariant(tester: "CITester") -> bool:
-    """Whether ``tester`` returns the same verdict for a query regardless
-    of *when* it executes relative to other queries.
-
-    This is precisely the :meth:`CITester.process_safe` property: value
-    (int/None) seeds derive an independent stream per test, while a live
-    ``Generator`` seed threads one evolving stream through every call —
-    execution order then *is* part of the input, and wave rescheduling
-    (like process sharding) would change it.  Conservatively False for
-    testers predating the protocol.
-    """
-    probe = getattr(tester, "process_safe", None)
-    return bool(probe()) if callable(probe) else False
-
-
 @dataclass
 class LedgerEntry:
     """One recorded CI test."""
@@ -300,10 +267,11 @@ class CITestLedger(CITester):
 
     ``cache`` may also be a :class:`~repro.ci.store.PersistentCICache`
     (or a filesystem path, which opens one): hits are then shared across
-    runs, keyed additionally on the inner tester's ``(method, alpha)``.
-    Only pair a persistent store with deterministic testers (fixed-seed
-    RCIT is fine).  ``executor`` controls how cache-miss batches execute;
-    see :mod:`repro.ci.executor`.
+    runs, keyed additionally on the inner tester's ``(method, alpha,
+    cache_token)``.  An unseeded stochastic tester draws a fresh seed per
+    instance, so its entries only ever serve that instance; seed it with
+    an int to share verdicts across runs.  ``executor`` controls how
+    cache-miss batches execute; see :mod:`repro.ci.executor`.
     """
 
     collects_state = True
@@ -519,13 +487,6 @@ class CITestLedger(CITester):
         never advanced past their deciding verdict, so lazy generators
         are consumed exactly as far as the sequential loop would.
 
-        Testers whose verdicts depend on *execution order* (a live
-        ``Generator`` seed: each test consumes the next stretch of one
-        shared stream — ``process_safe()`` is False) fall back to
-        per-stream sequential evaluation, because rescheduling would
-        hand each query a different draw and flip verdicts relative to
-        the sequential path.
-
         ``max_wave`` caps how many queries one ``test_batch`` submission
         may carry: an over-wide wave is split into consecutive
         sub-batches (the wavefront engine derives the cap from the
@@ -537,11 +498,6 @@ class CITestLedger(CITester):
         """
         iterators = [iter(stream) for stream in streams]
         results: list[list[CIResult]] = [[] for _ in iterators]
-        if not _order_invariant(self.inner):
-            for iterator, prefix in zip(iterators, results):
-                prefix.extend(self.test_batch(table, iterator,
-                                              stop_on_independent=True))
-            return results
         active = list(range(len(iterators)))
         while active:
             wave: list[CIQuery | tuple] = []

@@ -8,20 +8,15 @@ remainder through an executor, which decides *how* the inner tester's
   thread.  Preserves whole-batch kernel fusion (the discrete backends fuse
   same-``(Y, Z)`` queries into one counting pass), so it is the right
   choice for discrete-dominated workloads.
-* :class:`ThreadedExecutor` — shards the batch into contiguous runs and
-  evaluates the shards on a thread pool.  Worthwhile for
-  continuous-backend batches (RCIT/KCIT spend their time in BLAS kernels,
-  which release the GIL), where per-query wall clock dominates and fusion
-  across queries buys nothing.
 * :class:`ProcessExecutor` — shards the batch across worker *processes*.
-  This is the only executor that scales a discrete (G-test) burst past the
-  GIL: the fused counting kernels are pure-numpy integer work that holds
-  the GIL, so threads cannot help them, but two processes each fusing half
-  a burst can.  Workers receive the ``(tester, table)`` pair once at pool
-  start-up (spawn-safe pickling; the table ships without its lazy caches
-  and re-warms its ``discrete_codes`` per worker) and the pool is kept
-  alive across calls for the same pair, so a selection run pays the
-  process start-up cost once, not per burst.
+  This scales a discrete (G-test) burst past the GIL: the fused counting
+  kernels are pure-numpy integer work that holds the GIL, but two
+  processes each fusing half a burst run in parallel.  Workers receive
+  the ``(tester, table)`` pair once at pool start-up (spawn-safe
+  pickling; the table ships without its lazy caches and re-warms its
+  ``discrete_codes`` per worker) and the pool is kept alive across calls
+  for the same pair, so a selection run pays the process start-up cost
+  once, not per burst.
 * :class:`RemoteExecutor` — shards the batch onto a
   :class:`~repro.distributed.queue.WorkQueue` served by external workers
   (``python -m repro worker``), which may live in other processes or on
@@ -41,17 +36,16 @@ the input order, every query is executed exactly once, and cost
 accounting (ledger entries, early exit, caching) stays in the ledger —
 an executor never sees cached queries and cannot change ``n_tests``.
 
-Error contract: a failure inside a :class:`ThreadedExecutor` or
-:class:`ProcessExecutor` worker surfaces as
-:class:`~repro.exceptions.CITestError` with the offending
+Error contract: a failure inside a :class:`ProcessExecutor` worker
+surfaces as :class:`~repro.exceptions.CITestError` with the offending
 :class:`~repro.ci.base.CIQuery` attached as ``error.query`` (``None`` when
 the failure cannot be pinned to one query, e.g. a crashed worker process)
 — never as a bare pool exception.  :class:`SerialExecutor` stays fully
 transparent: the caller's thread sees the original exception.
 
 The process-wide default executor is configurable through the
-``REPRO_CI_EXECUTOR`` environment variable (``serial`` / ``threads`` /
-``process``; worker count via ``REPRO_CI_JOBS``, multiprocessing start
+``REPRO_CI_EXECUTOR`` environment variable (``serial`` / ``process`` /
+``remote``; worker count via ``REPRO_CI_JOBS``, multiprocessing start
 method via ``REPRO_CI_MP_CONTEXT``), which is how the CI matrix runs the
 whole test suite under process execution to enforce the equivalence
 contract.
@@ -64,7 +58,6 @@ import os
 import pickle
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Sequence
@@ -82,30 +75,17 @@ ENV_JOBS = env.CI_JOBS.name
 ENV_MP_CONTEXT = env.CI_MP_CONTEXT.name
 
 
-def _replay_safe(tester: "CITester") -> bool:
-    """Whether re-executing queries on ``tester`` is observable-state-free.
-
-    The error-path replay below re-runs a failed shard per query; on a
-    state-collecting tester (an injected ledger) that would append
-    duplicate entries — corrupting the very counts the invariant suite
-    locks — and on a live-``Generator``-seeded tester it would burn extra
-    draws from the shared stream.  Both skip the replay and report
-    ``query=None`` instead.
-    """
-    return (not getattr(tester, "collects_state", False)
-            and _process_safe(tester))
-
-
 def _find_offending_query(tester: "CITester", table: "Table",
                           shard: Sequence["CIQuery"]) -> "CIQuery | None":
     """Replay a failed shard per query to pin down which one raised.
 
-    Only runs on the error path, and only for :func:`_replay_safe`
-    testers (pure functions of their input).  Returns ``None`` when no
-    single query reproduces the failure (e.g. a batch-only resource
-    error).
+    Only runs on the error path.  Returns ``None`` when no single query
+    reproduces the failure (e.g. a batch-only resource error), and for a
+    state-collecting tester (an injected ledger), where a replay would
+    append duplicate entries — corrupting the very counts the invariant
+    suite locks.
     """
-    if not _replay_safe(tester):
+    if getattr(tester, "collects_state", False):
         return None
     for query in shard:
         try:
@@ -168,67 +148,6 @@ class SerialExecutor(BatchExecutor):
         return tester.test_batch(table, queries)
 
 
-class ThreadedExecutor(BatchExecutor):
-    """Shard the batch across a thread pool.
-
-    ``n_workers`` defaults to ``min(8, cpu_count)``.  Batches smaller than
-    ``min_batch`` run serially — thread startup costs more than it saves
-    on a handful of queries.  Shards are contiguous runs of the input, so
-    result order is preserved by construction.
-
-    Callers sharing one table across threads should
-    :meth:`~repro.data.table.Table.warm_cache` it first: the table's lazy
-    per-column caches are safe under concurrent reads (worst case a value
-    is computed twice), but warming avoids that duplicated work.
-
-    A worker exception is re-raised as :class:`CITestError` with the
-    offending query attached as ``error.query`` (see the module
-    docstring); the small-batch serial fallback gets the same treatment so
-    error behaviour does not depend on the batch size.
-
-    Testers that collect observable state (an injected
-    :class:`~repro.ci.base.CITestLedger`) or consume a shared live
-    ``Generator`` stream (``process_safe() is False``) run serially in
-    the calling thread instead: concurrent shards would interleave their
-    mutations — cache races for the former, scheduling-dependent draw
-    order for the latter — breaking the bitwise-equivalence contract.
-    """
-
-    name = "threads"
-
-    def __init__(self, n_workers: int | None = None,
-                 min_batch: int = 8) -> None:
-        if n_workers is not None and n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = n_workers or min(8, os.cpu_count() or 1)
-        self.min_batch = min_batch
-
-    def run(self, tester: "CITester", table: "Table",
-            queries: Sequence["CIQuery"]) -> list["CIResult"]:
-        queries = list(queries)
-        if (self.n_workers < 2
-                or len(queries) < max(2, self.min_batch)
-                or getattr(tester, "collects_state", False)
-                or not _process_safe(tester)):
-            return _run_shard(tester, table, queries)
-        shards = _contiguous_shards(queries, min(self.n_workers, len(queries)))
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            futures = [pool.submit(_run_shard, tester, table, shard)
-                       for shard in shards]
-            return [result for future in futures for result in future.result()]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ThreadedExecutor(n_workers={self.n_workers})"
-
-
-def _process_safe(tester: "CITester") -> bool:
-    """Whether worker copies of ``tester`` reproduce its serial results
-    (see :meth:`~repro.ci.base.CITester.process_safe`); conservatively
-    False when the tester predates the protocol."""
-    probe = getattr(tester, "process_safe", None)
-    return bool(probe()) if callable(probe) else False
-
-
 # Per-worker state for ProcessExecutor, set once by the pool initializer:
 # the worker's private (tester, table) pair.  The table arrives without its
 # lazy caches (see Table.__getstate__) and re-builds them here, so every
@@ -276,11 +195,7 @@ class ProcessExecutor(BatchExecutor):
     process instead: their per-call mutations (ledger entries) happen on
     the worker's copy and would be silently lost — the Figures 4-5
     injected-inner-ledger counts must never decouple from the tests that
-    actually ran.  Likewise testers whose
-    :meth:`~repro.ci.base.CITester.process_safe` is False (seeded with a
-    live ``Generator``): worker copies would replay a pickled snapshot of
-    the stream serial execution consumes incrementally, so their verdicts
-    would diverge from the serial path.
+    actually ran.
     """
 
     name = "process"
@@ -375,8 +290,7 @@ class ProcessExecutor(BatchExecutor):
         queries = list(queries)
         if (self.n_workers < 2
                 or len(queries) < max(2, self.min_batch)
-                or getattr(tester, "collects_state", False)
-                or not _process_safe(tester)):
+                or getattr(tester, "collects_state", False)):
             return _run_shard(tester, table, queries)
         with self._lock:
             try:
@@ -462,7 +376,7 @@ class RemoteExecutor(BatchExecutor):
 
     Falls back to inline serial execution (identical results, by the
     executor contract) for batches below ``min_batch``, state-collecting
-    or non-process-safe testers (exactly like the pools), testers whose
+    testers (exactly like the pools), testers whose
     class workers cannot import (see ``allow_foreign`` — pass ``True``
     only when every worker shares the dispatcher's process, e.g.
     :class:`~repro.distributed.worker.WorkerThread`), and on any thread
@@ -601,7 +515,6 @@ class RemoteExecutor(BatchExecutor):
         queries = list(queries)
         if (len(queries) < max(2, self.min_batch)
                 or getattr(tester, "collects_state", False)
-                or not _process_safe(tester)
                 or not (self.allow_foreign or _transportable(tester))
                 or worker_mode()):
             return _run_shard(tester, table, queries)
@@ -660,18 +573,20 @@ class RemoteExecutor(BatchExecutor):
                 f"queue={self._spec or self._queue!r})")
 
 
+#: Every executor by its ``name`` attribute.
+EXECUTORS: dict[str, type[BatchExecutor]] = {
+    cls.name: cls
+    for cls in (SerialExecutor, ProcessExecutor, RemoteExecutor)
+}
+
+
 def executor_by_name(name: str, **kwargs) -> BatchExecutor:
     """Look up an executor by its ``name`` attribute
-    (``serial``/``threads``/``process``/``remote``)."""
-    executors: dict[str, type[BatchExecutor]] = {
-        cls.name: cls
-        for cls in (SerialExecutor, ThreadedExecutor, ProcessExecutor,
-                    RemoteExecutor)
-    }
-    if name not in executors:
+    (``serial``/``process``/``remote``)."""
+    if name not in EXECUTORS:
         raise ValueError(f"unknown executor {name!r}; "
-                         f"choose from {sorted(executors)}")
-    return executors[name](**kwargs)
+                         f"choose from {sorted(EXECUTORS)}")
+    return EXECUTORS[name](**kwargs)
 
 
 # Pooled default executors are memoised per environment configuration:
@@ -689,8 +604,7 @@ def default_executor(tester: "CITester | None" = None) -> BatchExecutor:
     be switched onto a different execution strategy without touching call
     sites — the equivalence contract guarantees identical results/counts:
 
-    * ``REPRO_CI_EXECUTOR`` — ``serial``, ``threads``, ``process``,
-      ``remote``
+    * ``REPRO_CI_EXECUTOR`` — ``serial``, ``process``, ``remote``
     * ``REPRO_CI_JOBS`` — worker count for the pooled executors (shard
       count for ``remote``)
     * ``REPRO_CI_MP_CONTEXT`` — start method for ``process``
@@ -707,9 +621,8 @@ def default_executor(tester: "CITester | None" = None) -> BatchExecutor:
     ``REPRO_CI_CALIBRATION`` env var or an in-process override) the
     executor measured fastest for ``tester``'s method is used, under the
     never-slower-than-serial rule.  Without calibration the default is
-    serial for every tester — in particular the threads shard, measured
-    at ~0.4x serial for RCIT/KCIT
-    (``BENCH_multiquery.json``), can never be picked by guesswork.
+    serial for every tester: a pooled executor is never picked by
+    guesswork.
 
     Pooled executors are shared process-wide per configuration (they are
     thread-safe), so every ledger in a run amortises one worker pool;

@@ -33,7 +33,7 @@ from repro.ci.base import CIQuery, CITester, as_queries
 from repro.ci.rcit import _standardize, median_bandwidth
 from repro.data.table import Table
 from repro.exceptions import CITestError
-from repro.rng import as_generator, seed_token
+from repro.rng import SeedLike, as_generator, value_seed
 
 
 def rbf_gram(matrix: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -59,36 +59,28 @@ class KCIT(CITester):
 
     ``max_samples`` subsamples large inputs to keep the O(n^3) eigensolves
     tractable; ``ridge`` is the kernel-ridge regularisation (the paper's
-    epsilon).
+    epsilon).  The subsample draw is seeded by ``seed``, fixed to one int
+    at construction (:func:`repro.rng.value_seed`).
     """
 
     method = "kcit"
 
     def __init__(self, alpha: float = 0.01, ridge: float = 1e-3,
-                 max_samples: int = 500, seed: int | None = 0) -> None:
+                 max_samples: int = 500, seed: SeedLike = 0) -> None:
         super().__init__(alpha=alpha)
         if max_samples < 10:
             raise CITestError("max_samples must be at least 10")
         self.ridge = ridge
         self.max_samples = max_samples
-        self._seed = seed
+        self._seed = value_seed(seed)
 
     def cache_token(self) -> tuple:
-        # seed_token, not repr: nothing stops a caller passing a live
-        # Generator despite the int|None annotation, and its repr is an
-        # allocator-recycled address (see RCIT.cache_token).  The
-        # derivation version tracks the kernel numerics: v2 (O(n^2)
+        # The derivation version tracks the kernel numerics: v2 (O(n^2)
         # centring, elementwise traces) is bit-different from v1's
         # H@G@H / trace(A@B), so old persistent-store entries must read
         # as misses.
-        return (seed_token(self._seed), ("ridge", self.ridge),
+        return (("seed", self._seed), ("ridge", self.ridge),
                 ("max_samples", self.max_samples), ("derivation", 2))
-
-    def process_safe(self) -> bool:
-        # default_rng(generator) passes a live Generator through, so the
-        # subsampling draw consumes a shared evolving stream (see
-        # RCIT.process_safe).
-        return not isinstance(self._seed, np.random.Generator)
 
     # -- public API ---------------------------------------------------------
 
@@ -102,17 +94,12 @@ class KCIT(CITester):
     def test_batch(self, table: Table, queries):
         """Group-shared batched evaluation (see the module docstring).
 
-        Fusion requires the subsample draw to be re-derivable (a value
-        seed, or no subsampling at all); otherwise each query keeps its
-        own fresh draw and the batch falls back to per-query evaluation,
-        exactly matching sequential :meth:`test` calls.
+        Every group of a batch draws the same subsample (the seed is a
+        value), so results match sequential :meth:`test` calls exactly.
         """
         normalised = as_queries(queries)
         for query in normalised:
             self._check_query(table, query)
-        subsampled = table.n_rows > self.max_samples
-        if subsampled and not isinstance(self._seed, (int, np.integer)):
-            return [self.test(table, q.x, q.y, q.z) for q in normalised]
         return self._grouped_batch(table, normalised)
 
     # -- kernels ------------------------------------------------------------
@@ -132,9 +119,6 @@ class KCIT(CITester):
         n = table.n_rows
         idx = None
         if n > self.max_samples:
-            # as_generator(seed) is default_rng(seed) for value seeds and
-            # passes a live Generator through — bitwise-identical draws,
-            # but with one central construction site (seed discipline).
             rng = as_generator(self._seed)
             idx = rng.choice(n, size=self.max_samples, replace=False)
             n = self.max_samples
@@ -186,42 +170,3 @@ class KCIT(CITester):
             out.append((float(stats.gamma.sf(statistic, a=shape,
                                              scale=scale)), statistic))
         return out
-
-    def _test(self, x: np.ndarray, y: np.ndarray,
-              z: np.ndarray | None) -> tuple[float, float]:
-        """Matrix-level path (no table context); same kernels, one query."""
-        n = x.shape[0]
-        if n > self.max_samples:
-            rng = as_generator(self._seed)
-            idx = rng.choice(n, size=self.max_samples, replace=False)
-            x, y = x[idx], y[idx]
-            z = z[idx] if z is not None else None
-            n = self.max_samples
-
-        xs = _standardize(x)
-        ys = _standardize(y)
-        if z is not None and z.shape[1] > 0:
-            zs = _standardize(z)
-            x_aug = np.hstack([xs, 0.5 * zs])
-        else:
-            zs = None
-            x_aug = xs
-
-        k_x = _center(rbf_gram(x_aug, median_bandwidth(x_aug)))
-        k_y = _center(rbf_gram(ys, median_bandwidth(ys)))
-
-        if zs is not None:
-            k_z = _center(rbf_gram(zs, median_bandwidth(zs)))
-            eps = self.ridge
-            residual = eps * np.linalg.inv(k_z + eps * np.eye(n))
-            k_x = residual @ k_x @ residual
-            k_y = residual @ k_y @ residual
-
-        statistic = float(np.sum(k_x * k_y.T))
-        mean = float(np.trace(k_x) * np.trace(k_y) / n)
-        var = float(2.0 * np.sum(k_x * k_x.T) * np.sum(k_y * k_y.T) / n ** 2)
-        if mean <= 0 or var <= 0:
-            return 1.0, statistic
-        shape = mean ** 2 / var
-        scale = var / mean
-        return float(stats.gamma.sf(statistic, a=shape, scale=scale)), statistic

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.ci.base import CITester, encode_rows
 from repro.exceptions import CITestError
-from repro.rng import SeedLike, as_generator, seed_token
+from repro.rng import SeedLike, as_generator, value_seed
 
 
 def _cross_correlation_stat(x: np.ndarray, y: np.ndarray) -> float:
@@ -47,6 +47,8 @@ class PermutationCI(CITester):
 
     ``n_permutations`` controls resolution: the smallest achievable p-value
     is ``1 / (n_permutations + 1)``, so choose it larger than ``1/alpha``.
+    Every query shuffles from a fresh generator on ``seed``, which is fixed
+    to one int at construction (:func:`repro.rng.value_seed`).
     """
 
     method = "permutation"
@@ -62,18 +64,12 @@ class PermutationCI(CITester):
             )
         self.n_permutations = n_permutations
         self.n_bins = n_bins
-        self._seed = seed
+        self._seed = value_seed(seed)
 
     def cache_token(self) -> tuple:
-        # seed_token: a live Generator seed keys as one-time, never by
-        # its repr (an allocator-recycled address).
-        return (seed_token(self._seed),
+        return (("seed", self._seed),
                 ("n_permutations", self.n_permutations),
                 ("n_bins", self.n_bins))
-
-    def process_safe(self) -> bool:
-        # See RCIT.process_safe: a live Generator stream cannot be shipped.
-        return not isinstance(self._seed, np.random.Generator)
 
     def _test(self, x: np.ndarray, y: np.ndarray,
               z: np.ndarray | None) -> tuple[float, float]:

@@ -32,16 +32,15 @@ per slice, so slice ``j`` is bitwise identical to the 2-D product a lone
 query computes); the per-query eigen/gamma p-values come from the small
 per-candidate covariances.
 
-**Derivation rule** (the reason fusion is exact): with a value (int) seed,
-every variable block consumes a generator derived from
+**Derivation rule** (the reason fusion is exact): the seed is fixed to an
+int at construction (:func:`repro.rng.value_seed`), and every variable
+block consumes a generator derived from
 ``(seed, purpose, fingerprint_of(block names))`` via
 :func:`repro.rng.derive` — never a stream shared across blocks or
-queries.  Sequential :meth:`test` routes
-through the same group kernel with a group of one, so fused results are
-bitwise identical to sequential evaluation and invariant under any
-executor's shard boundaries.  Live-``Generator`` and ``None`` seeds have
-no re-derivable stream, so their batches fall back to the per-query path
-(and keep the legacy single-stream draws).
+queries.  Sequential :meth:`test` routes through the same group kernel
+with a group of one, so fused results are bitwise identical to
+sequential evaluation and invariant under any executor's shard
+boundaries.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from scipy.linalg import cho_factor, cho_solve
 from repro.ci.base import CIQuery, CITester, as_queries
 from repro.data.table import Table, standardize_matrix
 from repro.exceptions import CITestError
-from repro.rng import SeedLike, as_generator, derive, derived_seed, seed_token
+from repro.rng import SeedLike, as_generator, derive, derived_seed, value_seed
 
 # Canonical home is repro.data.table (the Table block cache shares it);
 # kept under the historical name for the kernel-side importers (KCIT).
@@ -133,7 +132,9 @@ class RCIT(CITester):
     X and Y (default 5 as in RCIT's ``num_f2``), ``n_features_z`` for the
     conditioning set (default 100, ``num_f``), ridge regularisation
     ``ridge`` for the residualisation step, and a seed for the random
-    features so results are reproducible.
+    features so results are reproducible.  ``None`` and ``Generator``
+    seeds are drawn down to one int here, once (see
+    :func:`repro.rng.value_seed`).
     """
 
     method = "rcit"
@@ -154,7 +155,7 @@ class RCIT(CITester):
         self.n_features_xy = n_features_xy
         self.n_features_z = n_features_z
         self.ridge = ridge
-        self._seed = seed
+        self._seed = value_seed(seed)
         #: Opt-in fast path: evaluate the big RFF projection (the
         #: ``n x d @ d x m`` matmul plus cosine) in float32, then continue
         #: in float64.  Roughly halves the memory traffic of the dominant
@@ -167,9 +168,7 @@ class RCIT(CITester):
         # The seed participates: two differently-seeded RCITs are both
         # deterministic but draw different random features, so a shared
         # persistent store must never serve one the other's verdicts.
-        # seed_token (not repr) so a live Generator gets a one-time token
-        # — its repr is an *address*, which the allocator recycles.
-        token = (seed_token(self._seed),
+        token = (("seed", self._seed),
                  ("n_features_xy", self.n_features_xy),
                  ("n_features_z", self.n_features_z),
                  ("ridge", self.ridge),
@@ -180,16 +179,7 @@ class RCIT(CITester):
             token += (("rff_dtype", "float32"),)
         return token
 
-    def process_safe(self) -> bool:
-        # A live Generator seed is one evolving stream; worker copies
-        # would each replay its pickled snapshot instead of consuming it.
-        return not isinstance(self._seed, np.random.Generator)
-
     # -- derivation ---------------------------------------------------------
-
-    def _value_seeded(self) -> bool:
-        """Whether per-block generators can be re-derived on demand."""
-        return isinstance(self._seed, (int, np.integer))
 
     def _effective_z(self, query: CIQuery) -> tuple[str, ...]:
         """The conditioning set this tester actually conditions on.
@@ -241,7 +231,8 @@ class RCIT(CITester):
     def test(self, table: Table, x, y, z=()):
         query = CIQuery.make(x, y, z)
         self._check_query(table, query)
-        p_value, statistic = self._test_query(table, query)
+        p_value, statistic = self._group_eval(
+            table, query.y, self._effective_z(query), [query.x])[0]
         return self._finalize(p_value, statistic, query)
 
     def test_batch(self, table: Table, queries):
@@ -259,28 +250,11 @@ class RCIT(CITester):
         normalised = as_queries(queries)
         for query in normalised:
             self._check_query(table, query)
-        if not self._value_seeded():
-            # No re-derivable stream to share: evaluate per query, which
-            # trivially matches the sequential path.
-            return [self._finalize(*self._test_query(table, query), query)
-                    for query in normalised]
         return self._grouped_batch(
             table, normalised,
             key=lambda query: (query.y, self._effective_z(query)))
 
     # -- kernels ------------------------------------------------------------
-
-    def _test_query(self, table: Table,
-                    query: CIQuery) -> tuple[float, float]:
-        if not self._value_seeded():
-            # Legacy single-stream path: a live Generator consumes tester
-            # state and a None seed draws fresh entropy — neither can be
-            # re-derived per block.
-            z = query.z
-            return self._test(table.matrix(query.x), table.matrix(query.y),
-                              table.matrix(z) if z else None)
-        return self._group_eval(table, query.y, self._effective_z(query),
-                                [query.x])[0]
 
     def _rff_map(self, matrix: np.ndarray, frequencies: np.ndarray,
                  phases: np.ndarray, m: int) -> np.ndarray:
@@ -376,48 +350,6 @@ class RCIT(CITester):
         weights = np.outer(eig_x, eig_y).ravel()
         return _gamma_pvalue(statistic, weights), statistic
 
-    def _test(self, x: np.ndarray, y: np.ndarray,
-              z: np.ndarray | None) -> tuple[float, float]:
-        """Matrix-level path (no table context).
-
-        Retains the legacy v1 derivation — one stream consumed across all
-        blocks — because block-keyed derivation needs names, which raw
-        matrices do not carry.  Table-based callers (:meth:`test` /
-        :meth:`test_batch`) use the per-block derivation whenever the
-        seed is a value.
-        """
-        rng = as_generator(self._seed)
-        n = x.shape[0]
-        xs = _standardize(x)
-        ys = _standardize(y)
-        fx = random_fourier_features(xs, self._n_features_for(xs.shape[1]),
-                                     median_bandwidth(xs, rng=rng), rng)
-        fy = random_fourier_features(ys, self._n_features_for(ys.shape[1]),
-                                     median_bandwidth(ys, rng=rng), rng)
-        fx = fx - fx.mean(axis=0, keepdims=True)
-        fy = fy - fy.mean(axis=0, keepdims=True)
-
-        if z is not None and z.shape[1] > 0:
-            zs = _standardize(z)
-            fz = random_fourier_features(zs, self.n_features_z,
-                                         median_bandwidth(zs, rng=rng), rng)
-            fz = fz - fz.mean(axis=0, keepdims=True)
-            gram = fz.T @ fz + self.ridge * n * np.eye(fz.shape[1])
-            # Residualise both feature blocks on the Z features.
-            solve = np.linalg.solve(gram, fz.T)
-            fx = fx - fz @ (solve @ fx)
-            fy = fy - fz @ (solve @ fy)
-
-        cross_cov = fx.T @ fy / n
-        statistic = float(n * np.sum(cross_cov ** 2))
-
-        cov_x = fx.T @ fx / n
-        cov_y = fy.T @ fy / n
-        eig_x = np.linalg.eigvalsh(cov_x)
-        eig_y = np.linalg.eigvalsh(cov_y)
-        weights = np.outer(np.maximum(eig_x, 0.0), np.maximum(eig_y, 0.0)).ravel()
-        return _gamma_pvalue(statistic, weights), statistic
-
 
 class RIT(RCIT):
     """Unconditional randomized independence test (RCIT with empty Z)."""
@@ -432,6 +364,3 @@ class RIT(RCIT):
 
     def _effective_z(self, query: CIQuery) -> tuple[str, ...]:
         return ()
-
-    def _test(self, x, y, z):
-        return super()._test(x, y, None)

@@ -2,10 +2,9 @@
 
 Repeated harness runs over the same tables (re-running Table 2 or the
 Figure 4-5 sweeps after an unrelated change) re-execute every CI test from
-scratch.  Since tables are content-fingerprinted and the deterministic
-testers (G-test/chi-squared always; RCIT/AdaptiveCI under a fixed seed)
-return the same verdict for the same ``(data, query, method, alpha)``,
-those results can be reused across processes.
+scratch.  Since tables are content-fingerprinted and every tester returns
+the same verdict for the same ``(data, query, method, alpha,
+cache_token)``, those results can be reused across processes.
 
 :class:`PersistentCICache` is the test-level store: an opt-in, on-disk
 JSON map from ``(table.fingerprint, query.key, method, alpha,
@@ -34,9 +33,9 @@ treated as empty (the caches are pure accelerators — losing one is always
 safe); saving rewrites the file atomically via a temp file + rename,
 *merging* with whatever is on disk first so interleaved savers (sibling
 processes sharing one suite store) never erase each other's committed
-entries.  Only use a shared store with *deterministic* testers: a
-stochastic tester (e.g. RCIT without a seed) would pin one draw of its
-verdict forever.
+entries.  Stochastic testers are value-seeded at construction
+(:func:`repro.rng.value_seed`), and the drawn seed is part of their
+``cache_token``, so every stored verdict is a pure function of its key.
 """
 
 from __future__ import annotations
@@ -49,21 +48,6 @@ import warnings
 from typing import TYPE_CHECKING, Mapping
 
 from repro import faults
-from repro.rng import ONE_TIME_TOKEN
-
-
-def _has_one_time_token(value) -> bool:
-    """Whether a digest/token tuple contains a :func:`~repro.rng.seed_token`
-    one-time marker pair anywhere in its (nested) structure.
-
-    Structural, not string-based: a column *named* like the marker must
-    never disable caching for the queries that touch it.
-    """
-    if isinstance(value, (tuple, list)):
-        if len(value) == 2 and value[0] == ONE_TIME_TOKEN:
-            return True
-        return any(_has_one_time_token(item) for item in value)
-    return False
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.problem import FairFeatureSelectionProblem
@@ -256,15 +240,7 @@ class PersistentCICache:
 
     def put(self, fingerprint: str, query_key: tuple, method: str,
             alpha: float, record: Mapping, token: tuple = ()) -> None:
-        """Insert (or overwrite) one record and mark the store dirty.
-
-        No-op for keys carrying a one-time token (a live-``Generator``
-        tester seed): every ``cache_token()`` call mints a fresh token, so
-        such an entry could never be read back — recording it would add
-        one dead record *per executed query*, forever.
-        """
-        if _has_one_time_token(token):
-            return
+        """Insert (or overwrite) one record and mark the store dirty."""
         key = _key_string(fingerprint, query_key, method, alpha, token)
         self._entries[key] = {
             "independent": bool(record["independent"]),
@@ -299,23 +275,6 @@ class PersistentCICache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PersistentCICache({self.path!r}, entries={len(self)}, "
                 f"dirty={self._dirty})")
-
-
-def _digest_and_token(selector) -> tuple[tuple, tuple]:
-    """The (config digest, tester cache token) pair keying a selection.
-
-    Single extraction point: :meth:`ExperimentStore.selection_key` and the
-    one-time-token gate in :meth:`ExperimentStore.put_selection` must
-    always agree on what they read from the selector.
-    """
-    digest = getattr(selector, "config_digest", None)
-    if not callable(digest):
-        raise TypeError(
-            f"selector {type(selector).__name__} has no config_digest(); "
-            "selection memoisation needs one to key results safely")
-    tester = getattr(selector, "tester", None)
-    token = tuple(tester.cache_token()) if tester is not None else ()
-    return tuple(digest()), token
 
 
 def _selection_payload(result: "SelectionResult") -> dict:
@@ -372,9 +331,7 @@ class ExperimentStore:
     :meth:`cached_select` then skips the selector traversal entirely —
     zero CI tests execute — while the *reported* ``n_ci_tests`` stays the
     recorded cold-run count, so downstream tables (Table 2) keep the
-    paper's semantics on warm reruns.  Only memoise deterministic
-    configurations (fixed-seed testers); a live ``Generator`` seed digest
-    carries a one-time token and so never produces a hit (fails safe).
+    paper's semantics on warm reruns.
     """
 
     def __init__(self, root: str | os.PathLike,
@@ -434,12 +391,18 @@ class ExperimentStore:
         incremental setting, a different target) is a different selection
         problem and must never alias to one memoised result.
         """
-        digest, token = _digest_and_token(selector)
+        digest = getattr(selector, "config_digest", None)
+        if not callable(digest):
+            raise TypeError(
+                f"selector {type(selector).__name__} has no config_digest(); "
+                "selection memoisation needs one to key results safely")
+        tester = getattr(selector, "tester", None)
+        token = tuple(tester.cache_token()) if tester is not None else ()
         return json.dumps(
             [problem.table.fingerprint,
              [list(problem.sensitive), list(problem.admissible),
               list(problem.candidates), problem.target],
-             repr(digest), repr(token)],
+             repr(tuple(digest())), repr(token)],
             separators=(",", ":"))
 
     def get_selection(self, problem: "FairFeatureSelectionProblem",
@@ -462,16 +425,7 @@ class ExperimentStore:
 
     def put_selection(self, problem: "FairFeatureSelectionProblem",
                       selector, result: "SelectionResult") -> None:
-        """Record one finished selection and persist the selections file.
-
-        No-op when the key carries a one-time token (a live ``Generator``
-        seed, in the selector digest or the tester token): such an entry
-        could never be served back, and merge-on-save would otherwise grow
-        ``selections.json`` by one dead record per run forever.
-        """
-        digest, token = _digest_and_token(selector)
-        if _has_one_time_token(digest) or _has_one_time_token(token):
-            return
+        """Record one finished selection and persist the selections file."""
         key = self.selection_key(problem, selector)
         self._selections[key] = _selection_payload(result)
         self._dirty += 1

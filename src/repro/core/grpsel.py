@@ -33,14 +33,17 @@ from repro.core.engine import WavefrontEngine
 from repro.core.problem import FairFeatureSelectionProblem
 from repro.core.result import Reason, SelectionResult
 from repro.core.subset_search import ExhaustiveSubsets, SubsetStrategy
-from repro.rng import SeedLike, as_generator, seed_token
+from repro.rng import SeedLike, as_generator, value_seed
 
 
 class GrpSel:
     """Group-testing fair feature selection (Algorithm 2).
 
     ``shuffle`` randomises the partition order (the paper's
-    ``random_partition``); with a fixed seed runs are reproducible.
+    ``random_partition``); with a fixed seed runs are reproducible.  The
+    seed is fixed to one int at construction
+    (:func:`repro.rng.value_seed`), so every ``select`` shuffles the same
+    way.
     ``min_group`` lets callers stop splitting early and fall back to
     per-feature tests below a size threshold (1 reproduces the paper).
     ``cache``/``executor`` configure the internal ledger exactly as in
@@ -58,25 +61,24 @@ class GrpSel:
                  executor: BatchExecutor | None = None) -> None:
         if min_group < 1:
             raise ValueError(f"min_group must be >= 1, got {min_group}")
-        # The default tester inherits ``seed`` so a fixed-seed run pins the
+        self._seed = value_seed(seed)
+        # The default tester inherits the seed so one value pins the
         # partition order *and* the test's random features.
-        self.tester = tester if tester is not None else default_tester(seed=seed)
+        self.tester = (tester if tester is not None
+                       else default_tester(seed=self._seed))
         self.subset_strategy = subset_strategy or ExhaustiveSubsets()
         self.shuffle = shuffle
         self.min_group = min_group
-        self._seed = seed
         self.cache = cache
         self.executor = executor
 
     def config_digest(self) -> tuple:
         """Hashable description of everything that determines the selection
         for a given table (see :meth:`repro.core.seqsel.SeqSel.config_digest`).
-        The partition order depends on ``shuffle``/``seed``, so both key;
-        a live ``Generator`` seed gets a one-time token and never hits —
-        not even within this process (fails safe)."""
+        The partition order depends on ``shuffle``/``seed``, so both key."""
         return (self.name, self.tester.method, float(self.tester.alpha),
                 self.subset_strategy.name, bool(self.shuffle),
-                int(self.min_group), seed_token(self._seed))
+                int(self.min_group), ("seed", self._seed))
 
     def _engine(self) -> WavefrontEngine:
         return WavefrontEngine(self.tester, self.subset_strategy,

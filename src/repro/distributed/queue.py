@@ -33,9 +33,10 @@ Robustness contract (shared by every transport):
   of burning further workers on it.
 * **Idempotent completion** — a reclaimed task may race its original
   worker and complete twice.  That is safe by the determinism contract
-  (the same task payload always computes the same result; completion
-  atomically replaces the result file with identical bytes), which is
-  also why only ``process_safe`` testers are ever shipped.
+  (the same task payload always computes the same result — stochastic
+  testers are value-seeded at construction, so their verdicts depend
+  only on the data, the query and their configuration; completion
+  atomically replaces the result file with identical bytes).
 
 Every I/O boundary here routes through a named fault-injection site
 (:mod:`repro.faults`) — ``queue.claim``, ``queue.complete``,

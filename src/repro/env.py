@@ -144,9 +144,8 @@ CI_TESTER = _register(
 
 CI_EXECUTOR = _register(
     "REPRO_CI_EXECUTOR", "",
-    "batch executor for cache-miss CI batches (`serial`/`threads`/"
-    "`process`/`remote`); unset consults measured calibration, else "
-    "serial")
+    "batch executor for cache-miss CI batches (`serial`/`process`/"
+    "`remote`); unset consults measured calibration, else serial")
 
 CI_JOBS = _register(
     "REPRO_CI_JOBS", "",

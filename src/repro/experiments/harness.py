@@ -103,8 +103,7 @@ def run_method(dataset: Dataset, selector,
     that exposes a ``cache`` attribute (SeqSel/GrpSel): a rerun over the
     same data then skips every already-decided test while ``n_ci_tests``
     keeps its cold-run meaning — persistent hits are cache hits, never
-    ledger entries.  Pending writes are saved before returning.  Only use
-    it with deterministic testers (fixed-seed RCIT/AdaptiveCI are).
+    ledger entries.  Pending writes are saved before returning.
 
     ``store`` (an open :class:`~repro.ci.store.ExperimentStore` or a root
     path; mutually exclusive with ``ci_cache``) scopes a suite-wide cache

@@ -9,16 +9,10 @@ ad hoc, which keeps experiments reproducible end to end.
 from __future__ import annotations
 
 import hashlib
-import uuid
 
 import numpy as np
 
 SeedLike = int | np.random.Generator | None
-
-#: Marker leading the :func:`seed_token` of a live-``Generator`` seed.
-#: Stores treat any key containing it as unmemoisable (each call mints a
-#: fresh token, so the entry could never be served back).
-ONE_TIME_TOKEN = "seed-once"
 
 
 def as_generator(seed: SeedLike = None) -> np.random.Generator:
@@ -51,6 +45,31 @@ def spawn(seed: SeedLike, n: int) -> list[np.random.Generator]:
     ) else [np.random.default_rng(s) for s in np.random.SeedSequence(_seed_entropy(seed)).spawn(n)]
 
 
+def value_seed(seed: SeedLike) -> int:
+    """The non-negative ``int`` a seed stands for, fixed once.
+
+    CI testers and GrpSel call this in their constructors, so a verdict
+    depends only on the data, the query and the tester's configuration —
+    never on execution order.  An ``int`` (or ``np.integer``: ``np.int64(5)``
+    means ``5``) passes through, ``None`` draws fresh entropy once, and a
+    live ``Generator`` contributes exactly one draw.  The result is what
+    ``cache_token()`` records, so stores and pickled worker copies see the
+    same seed as the constructing process.
+
+    >>> value_seed(np.int64(7))
+    7
+    """
+    if isinstance(seed, np.random.Generator):
+        return int(seed.integers(2 ** 63))
+    if seed is None:
+        return int(np.random.SeedSequence().entropy)
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"unsupported seed type: {type(seed).__name__}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return int(seed)
+
+
 def derived_seed(seed: int | np.integer, *parts) -> tuple[int, ...]:
     """Deterministic child-seed entropy for a value seed and structural key.
 
@@ -69,8 +88,7 @@ def derived_seed(seed: int | np.integer, *parts) -> tuple[int, ...]:
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(
             f"derived_seed requires a value (int) seed, got "
-            f"{type(seed).__name__}; live Generator seeds have evolving "
-            f"state and cannot be re-derived")
+            f"{type(seed).__name__}; convert it once with value_seed()")
     digest = hashlib.blake2b(repr(parts).encode(), digest_size=16).digest()
     words = np.frombuffer(digest, dtype=np.uint32)
     return (int(seed), *(int(w) for w in words))
@@ -79,25 +97,6 @@ def derived_seed(seed: int | np.integer, *parts) -> tuple[int, ...]:
 def derive(seed: int | np.integer, *parts) -> np.random.Generator:
     """Child generator seeded with :func:`derived_seed(seed, *parts)`."""
     return np.random.default_rng(derived_seed(seed, *parts))
-
-
-def seed_token(seed: SeedLike) -> tuple:
-    """Stable hashable description of a seed, for cache/memoisation keys.
-
-    ``int``/``None`` seeds key by value and survive across processes.  A
-    live :class:`~numpy.random.Generator` has evolving hidden state, so
-    any stable key for it would be a lie — the same object produces
-    different draws on every use.  It therefore gets a one-time token
-    (not ``id()``, which the allocator reuses): results keyed through it
-    can never be served back, in this process or any other, which fails
-    safe — a stale hit would replay another stream's draws.
-    """
-    if seed is None:
-        return ("seed", None)
-    if isinstance(seed, (int, np.integer)):
-        # Normalised: np.int64(5) and 5 are the same deterministic seed.
-        return ("seed", int(seed))
-    return (ONE_TIME_TOKEN, uuid.uuid4().hex)
 
 
 def _seed_entropy(seed: SeedLike) -> int | None:

@@ -1,11 +1,11 @@
 """Auto-tuner locks: never-slower-than-serial, persistence, defaults.
 
-The regression this subsystem retires: ``BENCH_multiquery.json`` measured
-the threaded RCIT shard at ~0.4x serial, yet nothing stopped a caller (or
-a future default) from picking it.  These tests pin the policy that makes
-that impossible: without measurements the default executor is serial for
-every tester; with measurements, a pooled executor is chosen only when it
-was measured *strictly faster* than serial on this machine.
+The regression this subsystem retires: a pooled executor measured slower
+than serial, yet nothing stopped a caller (or a future default) from
+picking it.  These tests pin the policy that makes that impossible:
+without measurements the default executor is serial for every tester;
+with measurements, a pooled executor is chosen only when it was measured
+*strictly faster* than serial on this machine.
 """
 
 import json
@@ -17,7 +17,7 @@ from repro.ci.autotune import (CALIBRATION_TAG, CALIBRATION_VERSION,
                                active_calibration, probe_executors,
                                run_probe, set_active_calibration)
 from repro.ci.executor import (ENV_EXECUTOR, ProcessExecutor, SerialExecutor,
-                               ThreadedExecutor, default_executor)
+                               default_executor)
 from repro.ci.gtest import GTestCI
 from repro.ci.rcit import RCIT
 from repro.ci.store import ExperimentStore, _read_document
@@ -35,23 +35,23 @@ def clean_slate(monkeypatch):
 
 class TestNeverSlowerThanSerial:
     def test_strictly_faster_pooled_wins(self):
-        assert _choose_from({"serial": 1.0, "threads": 0.5,
-                             "process": 0.8}) == "threads"
+        assert _choose_from({"serial": 1.0, "remote": 0.5,
+                             "process": 0.8}) == "remote"
 
     def test_slower_pooled_never_chosen(self):
-        # The measured 0.37x regression shape: threads ~2.7x serial.
-        assert _choose_from({"serial": 1.0, "threads": 2.7}) == "serial"
+        # A pool measured at 0.37x serial (2.7x its wall time).
+        assert _choose_from({"serial": 1.0, "process": 2.7}) == "serial"
 
     def test_tie_keeps_serial(self):
-        assert _choose_from({"serial": 1.0, "threads": 1.0}) == "serial"
+        assert _choose_from({"serial": 1.0, "process": 1.0}) == "serial"
 
     def test_missing_serial_baseline_is_serial(self):
-        assert _choose_from({"threads": 0.1}) == "serial"
+        assert _choose_from({"process": 0.1}) == "serial"
 
     def test_recorded_choice_is_never_slower(self):
         calibration = Calibration()
         entry = calibration.record("rcit", "memory", 8,
-                                   {"serial": 1.0, "threads": 2.7,
+                                   {"serial": 1.0, "remote": 2.7,
                                     "process": 0.9}, n_rows=100)
         assert entry["chosen"] == "process"
         assert entry["seconds"]["process"] <= entry["seconds"]["serial"]
@@ -64,7 +64,7 @@ class TestCalibrationLookup:
         calibration.record("rcit", "memory", 32,
                            {"serial": 1.0, "process": 0.4}, 100)
         calibration.record("g-test", "memory", 8,
-                           {"serial": 1.0, "threads": 0.5}, 100)
+                           {"serial": 1.0, "process": 0.5}, 100)
         return calibration
 
     def test_nearest_batch_size_wins(self):
@@ -76,7 +76,7 @@ class TestCalibrationLookup:
         assert self.build().choose("rcit", "memory") == "serial"
 
     def test_unanimous_sizes_allow_pooled(self):
-        assert self.build().choose("g-test", "memory") == "threads"
+        assert self.build().choose("g-test", "memory") == "process"
 
     def test_unknown_method_or_backend_is_serial(self):
         calibration = self.build()
@@ -118,8 +118,8 @@ class TestPersistence:
 
 class TestDefaultExecutorIntegration:
     def test_no_calibration_means_serial_for_every_tester(self):
-        # Satellite 1: with REPRO_CI_EXECUTOR unset and no measurements,
-        # the 0.37x threads path can never be picked for RCIT/KCIT.
+        # With REPRO_CI_EXECUTOR unset and no measurements, no pooled
+        # executor can be picked for any tester.
         for tester in (RCIT(seed=0), GTestCI(), None):
             assert isinstance(default_executor(tester), SerialExecutor)
 
@@ -135,50 +135,73 @@ class TestDefaultExecutorIntegration:
     def test_measured_slower_keeps_serial(self):
         calibration = Calibration()
         calibration.record("rcit", "memory", 8,
-                           {"serial": 1.0, "threads": 2.7}, 100)
+                           {"serial": 1.0, "process": 2.7}, 100)
         set_active_calibration(calibration)
         assert isinstance(default_executor(RCIT(seed=0)), SerialExecutor)
+
+    def test_retired_executor_choice_resolves_to_serial(self, tmp_path,
+                                                        monkeypatch):
+        """A calibration document probed when a threads executor still
+        existed records ``"chosen": "threads"``; the lookup must fall
+        back to serial, not make every ledger construction raise."""
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps({
+            "format": CALIBRATION_TAG, "version": CALIBRATION_VERSION,
+            "entries": {json.dumps(["g-test", "memory", 8],
+                                   separators=(",", ":")): {
+                "seconds": {"serial": 1.0, "threads": 0.2},
+                "chosen": "threads", "n_rows": 100}}}))
+        monkeypatch.setenv("REPRO_CI_CALIBRATION", str(path))
+        assert active_calibration().choose("g-test", "memory") == "serial"
+        assert isinstance(default_executor(GTestCI()), SerialExecutor)
 
     def test_env_override_beats_calibration(self, monkeypatch):
         calibration = Calibration()
         calibration.record("rcit", "memory", 8,
                            {"serial": 1.0, "process": 0.4}, 100)
         set_active_calibration(calibration)
-        monkeypatch.setenv(ENV_EXECUTOR, "threads")
-        assert isinstance(default_executor(RCIT(seed=0)), ThreadedExecutor)
         monkeypatch.setenv(ENV_EXECUTOR, "serial")
         assert isinstance(default_executor(RCIT(seed=0)), SerialExecutor)
+        monkeypatch.setenv(ENV_EXECUTOR, "process")
+        assert isinstance(default_executor(GTestCI()), ProcessExecutor)
 
     def test_env_file_resolution(self, tmp_path, monkeypatch):
         path = tmp_path / "calibration.json"
         calibration = Calibration(path)
         calibration.record("g-test", "memory", 8,
-                           {"serial": 1.0, "threads": 0.2}, 100)
+                           {"serial": 1.0, "process": 0.2}, 100)
         calibration.save()
         monkeypatch.setenv("REPRO_CI_CALIBRATION", str(path))
         active = active_calibration()
         assert active is not None
-        assert active.choose("g-test", "memory") == "threads"
-        assert isinstance(default_executor(GTestCI()), ThreadedExecutor)
+        assert active.choose("g-test", "memory") == "process"
+        assert isinstance(default_executor(GTestCI()), ProcessExecutor)
 
 
 class TestProbe:
     def test_probe_records_and_respects_the_rule(self, tmp_path):
         path = tmp_path / "calibration.json"
         calibration = run_probe(
-            testers=[GTestCI()], executors=("serial", "threads"),
-            batch_sizes=(4,), n_rows=120, repeats=1,
+            testers=[GTestCI()], executors=("serial", "process"),
+            batch_sizes=(4,), n_rows=120, repeats=1, n_workers=2,
             calibration=Calibration(path))
         rows = calibration.rows()
         assert len(rows) == 1
         row = rows[0]
         assert row["method"] == "g-test" and row["backend"] == "memory"
-        assert set(row["seconds"]) == {"serial", "threads"}
+        assert set(row["seconds"]) == {"serial", "process"}
         if row["chosen"] != "serial":
             assert (row["seconds"][row["chosen"]]
                     < row["seconds"]["serial"])
         # Saved on return, reloadable.
         assert Calibration.load(path).rows() == rows
+
+    def test_default_testers_probe(self):
+        """A bare ``run_probe()`` builds its own G-test and RCIT testers."""
+        calibration = run_probe(executors=("serial",), batch_sizes=(2,),
+                                n_rows=60, repeats=1)
+        assert [row["method"] for row in calibration.rows()] == \
+               ["g-test", "rcit"]
 
     def test_remote_joins_the_probe_only_when_a_queue_is_up(
             self, tmp_path, monkeypatch):

@@ -28,13 +28,13 @@ from hypothesis import strategies as st
 
 from repro.ci.adaptive import AdaptiveCI
 from repro.ci.base import CIQuery, CITestLedger
-from repro.ci.executor import (ProcessExecutor, SerialExecutor,
-                               ThreadedExecutor)
+from repro.ci.executor import ProcessExecutor, SerialExecutor
 from repro.ci.fisher_z import FisherZCI
 from repro.ci.kcit import KCIT, _center, rbf_gram
 from repro.ci.rcit import RCIT, RIT
 from repro.ci.store import PersistentCICache
 from repro.data.table import Table
+from repro.rng import value_seed
 
 Z_CHOICES = [(), ("z1",), ("z2",), ("z1", "z2")]
 
@@ -126,24 +126,24 @@ class TestFusedEquivalence:
             marginal = RCIT(seed=11).test(table, query.x, query.y, ())
             assert result.p_value == pytest.approx(marginal.p_value)
 
-    def test_non_value_seeds_fall_back_per_query(self):
-        """A live-Generator seed has no re-derivable stream: the batch
-        must consume it exactly as a sequential loop would."""
+    def test_generator_seed_is_one_value_seed(self):
+        """A live-Generator seed is drawn down to one int at construction,
+        so the tester fuses exactly like an RCIT built with that int."""
         table = build_table(seed=5, n_rows=80, n_features=4)
         queries = [CIQuery.make(f"f{i}", "y", ("z1",)) for i in range(4)]
-        batch = RCIT(seed=np.random.default_rng(0)).test_batch(table, queries)
-        sequential = []
         tester = RCIT(seed=np.random.default_rng(0))
-        for query in queries:
-            sequential.append(tester.test(table, query.x, query.y, query.z))
+        as_int = RCIT(seed=value_seed(np.random.default_rng(0)))
+        assert tester.cache_token() == as_int.cache_token()
+        batch = tester.test_batch(table, queries)
+        sequential = [tester.test(table, q.x, q.y, q.z) for q in queries]
         assert [r.p_value for r in batch] == \
-               [r.p_value for r in sequential]
+               [r.p_value for r in sequential] == \
+               [r.p_value for r in as_int.test_batch(table, queries)]
 
 
 class TestLedgerAndExecutorInvariants:
     def executors(self):
         return [SerialExecutor(),
-                ThreadedExecutor(n_workers=3, min_batch=2),
                 ProcessExecutor(n_workers=2, min_batch=2,
                                 mp_context="fork")]
 

@@ -5,7 +5,7 @@ The paper's headline efficiency claims are *counts* (Table 2, Figures
 pin the counts for a fixed seeded workload to recorded constants and then
 assert two invariances on top:
 
-* **executor invariance** — serial, threaded, and process execution all
+* **executor invariance** — serial, process, and remote execution all
   report the recorded counts and the identical selection;
 * **store invariance** — a cold run against a fresh persistent store
   reports the recorded counts (attaching a cache must not change cold
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.ci.base import CIQuery, CITestLedger
-from repro.ci.executor import ProcessExecutor, ThreadedExecutor
+from repro.ci.executor import ProcessExecutor
 from repro.ci.gtest import GTestCI
 from repro.ci.rcit import RCIT
 from repro.ci.store import ExperimentStore, PersistentCICache
@@ -78,8 +78,6 @@ def executor_factories():
 
     return [
         pytest.param(lambda: None, id="serial"),
-        pytest.param(lambda: ThreadedExecutor(n_workers=3, min_batch=2),
-                     id="threads"),
         pytest.param(lambda: ProcessExecutor(n_workers=2, min_batch=2,
                                              mp_context="fork"),
                      id="process"),

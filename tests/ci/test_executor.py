@@ -5,12 +5,13 @@ import pytest
 
 from repro.ci.adaptive import AdaptiveCI
 from repro.ci.base import CIQuery, CIResult, CITestLedger, CITester
-from repro.ci.executor import (ProcessExecutor, SerialExecutor,
-                               ThreadedExecutor, default_executor,
+from repro.ci.executor import (ProcessExecutor, RemoteExecutor,
+                               SerialExecutor, default_executor,
                                executor_by_name)
 from repro.ci.gtest import GTestCI
 from repro.ci.rcit import RCIT
 from repro.data.table import Table
+from repro.distributed.queue import MemoryQueue
 from repro.exceptions import CITestError
 
 
@@ -29,62 +30,49 @@ def queries(table):
             for c in table.columns if c.startswith("f")]
 
 
+def pooled(min_batch=2):
+    """A small fork-started process pool; the generic pooled executor."""
+    return ProcessExecutor(n_workers=2, min_batch=min_batch,
+                           mp_context="fork")
+
+
 class TestExecutors:
     def test_by_name(self):
         assert isinstance(executor_by_name("serial"), SerialExecutor)
-        threaded = executor_by_name("threads", n_workers=3)
-        assert isinstance(threaded, ThreadedExecutor)
-        assert threaded.n_workers == 3
-        with pytest.raises(ValueError, match="unknown executor"):
-            executor_by_name("rocket")
-
-    def test_threaded_matches_serial_order_and_values(self):
-        table = make_table()
-        qs = queries(table)
-        table.warm_cache()
-        serial = SerialExecutor().run(GTestCI(), table, qs)
-        threaded = ThreadedExecutor(n_workers=4, min_batch=2).run(
-            GTestCI(), table, qs)
-        assert [r.p_value for r in threaded] == [r.p_value for r in serial]
-        assert [r.query for r in threaded] == [r.query for r in serial]
-
-    def test_threaded_rcit_matches_serial(self):
-        """Seeded RCIT is deterministic per query, so sharding across
-        threads must not change any value."""
-        table = make_table(n=300)
-        qs = queries(table)[:6]
-        serial = SerialExecutor().run(RCIT(seed=0), table, qs)
-        threaded = ThreadedExecutor(n_workers=3, min_batch=2).run(
-            RCIT(seed=0), table, qs)
-        assert [r.p_value for r in threaded] == [r.p_value for r in serial]
+        process = executor_by_name("process", n_workers=3)
+        assert isinstance(process, ProcessExecutor)
+        assert process.n_workers == 3
+        for name in ("rocket", "threads"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                executor_by_name(name)
 
     def test_small_batches_run_serially(self):
         table = make_table()
-        executor = ThreadedExecutor(n_workers=4, min_batch=64)
-        results = executor.run(GTestCI(), table, queries(table))
+        with pooled(min_batch=64) as executor:
+            results = executor.run(GTestCI(), table, queries(table))
+            assert executor._pool is None
         assert len(results) == len(queries(table))
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError, match="n_workers"):
-            ThreadedExecutor(n_workers=0)
+            ProcessExecutor(n_workers=0)
 
 
 class TestLedgerExecutorAccounting:
     def test_counts_and_entries_unchanged(self):
-        """Routing misses through a threaded executor must leave the
+        """Routing misses through a pooled executor must leave the
         ledger's accounting identical to the serial path."""
         table = make_table()
         qs = queries(table)
         serial = CITestLedger(GTestCI())
         serial.test_batch(table, qs)
-        threaded = CITestLedger(GTestCI(),
-                                executor=ThreadedExecutor(n_workers=4,
-                                                          min_batch=2))
-        threaded.test_batch(table, qs)
-        assert threaded.n_tests == serial.n_tests == len(qs)
-        assert [e.query for e in threaded.entries] == \
+        with pooled() as executor:
+            sharded = CITestLedger(GTestCI(), executor=executor)
+            sharded.test_batch(table, qs)
+        assert sharded.n_tests == serial.n_tests == len(qs)
+        assert [e.query for e in sharded.entries] == \
                [e.query for e in serial.entries]
-        assert [e.result.p_value for e in threaded.entries] == \
+        assert [e.result.p_value for e in sharded.entries] == \
                [e.result.p_value for e in serial.entries]
 
     def test_executor_never_sees_cached_queries(self):
@@ -114,9 +102,9 @@ class TestAdaptiveContinuousSharding:
                  CIQuery.make("f1", "y", ("a",)),
                  CIQuery.make("cont", "s", ())]
         plain = AdaptiveCI(seed=0).test_batch(table, mixed)
-        sharded = AdaptiveCI(
-            seed=0, executor=ThreadedExecutor(n_workers=2, min_batch=2)
-        ).test_batch(table, mixed)
+        with pooled() as executor:
+            sharded = AdaptiveCI(seed=0, executor=executor).test_batch(
+                table, mixed)
         assert [r.p_value for r in sharded] == [r.p_value for r in plain]
         assert [r.method for r in sharded] == [r.method for r in plain]
 
@@ -152,10 +140,6 @@ class TestWorkerErrorPropagation:
         return next(q for q in qs if "f3" in q.x)
 
     @pytest.mark.parametrize("make_executor", [
-        pytest.param(lambda: ThreadedExecutor(n_workers=4, min_batch=2),
-                     id="threads"),
-        pytest.param(lambda: ThreadedExecutor(n_workers=4, min_batch=64),
-                     id="threads-serial-fallback"),
         pytest.param(lambda: ProcessExecutor(n_workers=2, min_batch=2,
                                              mp_context="fork"),
                      id="process"),
@@ -181,9 +165,9 @@ class TestWorkerErrorPropagation:
         table = make_table()
         bad = [CIQuery.make("f0", "y", ("a",)),
                CIQuery.make("absent", "y", ("a",))]
-        executor = ThreadedExecutor(n_workers=2, min_batch=2)
-        with pytest.raises(CITestError) as excinfo:
-            executor.run(GTestCI(), table, bad)
+        with pooled() as executor:
+            with pytest.raises(CITestError) as excinfo:
+                executor.run(GTestCI(), table, bad)
         assert excinfo.value.query == bad[1]
 
     def test_serial_executor_stays_transparent(self):
@@ -194,11 +178,10 @@ class TestWorkerErrorPropagation:
     def test_ledger_path_surfaces_attributed_error(self):
         table = make_table()
         qs = queries(table)
-        ledger = CITestLedger(
-            PoisonedTester(),
-            executor=ThreadedExecutor(n_workers=2, min_batch=2))
-        with pytest.raises(CITestError) as excinfo:
-            ledger.test_batch(table, qs)
+        with pooled() as executor:
+            ledger = CITestLedger(PoisonedTester(), executor=executor)
+            with pytest.raises(CITestError) as excinfo:
+                ledger.test_batch(table, qs)
         assert excinfo.value.query == self.poisoned_query(qs)
 
 
@@ -218,17 +201,11 @@ class TestDefaultExecutorEnv:
         assert executor.mp_context == "fork"
         assert isinstance(CITestLedger(GTestCI()).executor, ProcessExecutor)
 
-    def test_env_selects_threads(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CI_EXECUTOR", "threads")
-        monkeypatch.setenv("REPRO_CI_JOBS", "2")
-        executor = default_executor()
-        assert isinstance(executor, ThreadedExecutor)
-        assert executor.n_workers == 2
-
     def test_invalid_env_values_fail_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CI_EXECUTOR", "rocket")
-        with pytest.raises(ValueError, match="unknown executor"):
-            default_executor()
+        for name in ("rocket", "threads"):
+            monkeypatch.setenv("REPRO_CI_EXECUTOR", name)
+            with pytest.raises(ValueError, match="unknown executor"):
+                default_executor()
         monkeypatch.setenv("REPRO_CI_EXECUTOR", "process")
         monkeypatch.setenv("REPRO_CI_JOBS", "many")
         with pytest.raises(ValueError, match="REPRO_CI_JOBS"):
@@ -257,29 +234,40 @@ class TestDefaultExecutorEnv:
         assert default_executor() is not default_executor()  # stateless
 
 
-class TestProcessSafety:
-    """Generator-seeded testers must never ship to worker processes:
-    workers would replay a pickled snapshot of the stream that serial
-    execution consumes incrementally, and verdicts would diverge."""
-
-    def test_generator_seeded_testers_report_unsafe(self):
-        rng = np.random.default_rng(0)
-        assert RCIT(seed=0).process_safe()
-        assert RCIT(seed=None).process_safe()
-        assert not RCIT(seed=rng).process_safe()
-        assert AdaptiveCI(seed=0).process_safe()
-        assert not AdaptiveCI(seed=np.random.default_rng(1)).process_safe()
-        assert GTestCI().process_safe()
-
-    def test_process_executor_keeps_unsafe_testers_in_process(self):
+class TestValueSeededTestersShip:
+    def test_generator_seeded_tester_runs_in_workers_and_matches_serial(self):
+        """A Generator seed is drawn down to one int at construction, so
+        the tester ships to worker processes like any int-seeded one and
+        every copy reproduces the serial verdicts."""
         table = make_table(n=120)
         qs = queries(table)
         tester = RCIT(seed=np.random.default_rng(0))
-        with ProcessExecutor(n_workers=2, min_batch=2,
-                             mp_context="fork") as executor:
+        serial = SerialExecutor().run(tester, table, qs)
+        with pooled() as executor:
             results = executor.run(tester, table, qs)
-            assert executor._pool is None  # serial fallback, nothing shipped
-        assert len(results) == len(qs)
+            assert executor._pool is not None  # sharded, not kept serial
+        assert [r.p_value for r in results] == [r.p_value for r in serial]
+
+
+class TestReplaySafety:
+    def test_failed_shard_replay_never_inflates_an_injected_ledger(self):
+        """Regression: the error-path replay re-executed a failed shard
+        per query even on a state-collecting tester, appending duplicate
+        ledger entries — corrupting the counts the invariant suite locks."""
+        table = make_table()
+        qs = queries(table)
+        # Serial inner executor: the failure reaches the outer executor
+        # raw, so attribution is only possible by replaying through the
+        # stateful ledger itself — which every executor must refuse.
+        for executor in (pooled(),
+                         RemoteExecutor(queue=MemoryQueue(), n_workers=2,
+                                        min_batch=2)):
+            inner = CITestLedger(PoisonedTester(), executor=SerialExecutor())
+            with executor, pytest.raises(CITestError) as excinfo:
+                executor.run(inner, table, qs)
+            assert excinfo.value.query is None  # attribution skipped
+            executed = [e.query for e in inner.entries]
+            assert len(executed) == len(set(executed))  # no duplicates
 
 
 class TestBrokenPoolRecovery:
@@ -301,76 +289,3 @@ class TestBrokenPoolRecovery:
             assert executor._pool is None  # wedged pool torn down
             again = executor.run(GTestCI(), table, qs)  # fresh pool
         assert [r.p_value for r in again] == [r.p_value for r in first]
-
-
-class TestReplaySafety:
-    def test_failed_shard_replay_never_inflates_an_injected_ledger(self):
-        """Regression: the error-path replay re-executed a failed shard
-        per query even on a state-collecting tester, appending duplicate
-        ledger entries — corrupting the counts the invariant suite locks."""
-        table = make_table()
-        qs = queries(table)
-        # Serial inner executor: the failure reaches the outer executor
-        # raw, so attribution is only possible by replaying through the
-        # stateful ledger itself — which must be refused.  (Under an
-        # env-default pooled executor the inner ledger's own layer
-        # attributes on the stateless leaf tester instead, which is safe.)
-        inner = CITestLedger(PoisonedTester(), executor=SerialExecutor())
-        with pytest.raises(CITestError) as excinfo:
-            ThreadedExecutor(n_workers=2, min_batch=2).run(inner, table, qs)
-        assert excinfo.value.query is None  # attribution skipped
-        executed = [e.query for e in inner.entries]
-        assert len(executed) == len(set(executed))  # no duplicate entries
-
-    def test_generator_seeded_tester_tokens_are_one_time(self):
-        """Regression: RCIT/PermutationCI keyed their seed by repr() — for
-        a live Generator that is a heap *address*, which the allocator
-        recycles, so a different stream could inherit cached verdicts."""
-        from repro.ci.permutation import PermutationCI
-        from repro.rng import ONE_TIME_TOKEN
-        rng = np.random.default_rng(0)
-        first = RCIT(seed=rng).cache_token()
-        second = RCIT(seed=rng).cache_token()
-        assert first != second
-        assert first[0][0] == ONE_TIME_TOKEN
-        assert PermutationCI(seed=rng).cache_token() != \
-               PermutationCI(seed=rng).cache_token()
-        # Value seeds stay stable across instances and processes.
-        assert RCIT(seed=7).cache_token() == RCIT(seed=7).cache_token()
-
-    def test_threaded_executor_never_shards_a_live_generator_stream(self):
-        """Regression: ThreadedExecutor sharded Generator-seeded testers,
-        letting worker threads consume the one shared stream in scheduling
-        order — verdicts varied run to run.  It now falls back to serial,
-        so results match a serial run over an identical stream state."""
-        import pickle
-        table = make_table(n=200)
-        qs = queries(table)[:6]
-        gen = np.random.default_rng(7)
-        twin = pickle.loads(pickle.dumps(gen))  # identical stream state
-        serial = SerialExecutor().run(RCIT(seed=gen), table, qs)
-        threaded = ThreadedExecutor(n_workers=4, min_batch=2).run(
-            RCIT(seed=twin), table, qs)
-        assert [r.p_value for r in threaded] == [r.p_value for r in serial]
-
-    def test_threaded_executor_keeps_stateful_testers_serial(self):
-        table = make_table()
-        qs = queries(table)
-        inner = CITestLedger(GTestCI(), cache=True)
-        results = ThreadedExecutor(n_workers=4, min_batch=2).run(
-            inner, table, qs)
-        assert len(results) == len(qs)
-        assert inner.n_tests == len(qs) and inner.cache_hits == 0
-
-    def test_kcit_generator_seed_covered_too(self):
-        """KCIT's annotation says int|None, but nothing stops a live
-        Generator at runtime — it needs the same one-time token and
-        process-safety story as RCIT/PermutationCI."""
-        from repro.ci.kcit import KCIT
-        from repro.rng import ONE_TIME_TOKEN
-        rng = np.random.default_rng(0)
-        assert KCIT(seed=0).process_safe()
-        assert not KCIT(seed=rng).process_safe()
-        assert KCIT(seed=rng).cache_token() != KCIT(seed=rng).cache_token()
-        assert KCIT(seed=rng).cache_token()[0][0] == ONE_TIME_TOKEN
-        assert KCIT(seed=3).cache_token() == KCIT(seed=3).cache_token()

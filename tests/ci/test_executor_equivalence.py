@@ -2,7 +2,7 @@
 
 The ROADMAP's contract is that executors are *mechanism only*: for any
 table and query batch, routing through :class:`SerialExecutor`,
-:class:`ThreadedExecutor`, or :class:`ProcessExecutor` returns bitwise
+:class:`ProcessExecutor`, or :class:`RemoteExecutor` returns bitwise
 identical ``CIResult`` lists and never changes the ledger's ``n_tests``
 or ``cache_hits``.  This file machine-checks that claim on random
 workloads (hypothesis), including in-batch duplicates and memoisation.
@@ -21,8 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ci.base import CIQuery, CIResult, CITestLedger, CITester
-from repro.ci.executor import (ProcessExecutor, SerialExecutor,
-                               ThreadedExecutor)
+from repro.ci.executor import ProcessExecutor, SerialExecutor
 from repro.ci.gtest import GTestCI
 from repro.data.table import Table
 from repro.exceptions import CITestError
@@ -66,7 +65,6 @@ def pooled_executors():
     from repro.distributed.worker import local_remote_executor
 
     return [
-        ThreadedExecutor(n_workers=3, min_batch=2),
         ProcessExecutor(n_workers=2, min_batch=2, mp_context="fork"),
         local_remote_executor(n_workers=2, min_batch=2),
     ]

@@ -11,6 +11,7 @@ import numpy as np
 from repro.ci.autotune import _probe_table
 from repro.ci.kcit import KCIT
 from repro.ci.rcit import median_bandwidth
+from repro.data.table import Table
 from repro.rng import as_generator
 
 
@@ -26,13 +27,14 @@ class TestAsGeneratorEquivalence:
 
     def test_kcit_subsample_is_deterministic(self):
         rng = np.random.default_rng(3)
-        z = rng.normal(size=(700, 1))
-        x = z + rng.normal(size=(700, 1))
-        y = z + rng.normal(size=(700, 1))
+        z = rng.normal(size=700)
+        table = Table({"x": z + rng.normal(size=700),
+                       "y": z + rng.normal(size=700), "z": z})
         tester = KCIT(max_samples=120, seed=5)
-        first = tester._test(x, y, z)
-        second = tester._test(x, y, z)
-        assert first == second
+        first = tester.test(table, "x", "y", "z")
+        second = tester.test(table, "x", "y", "z")
+        assert (first.p_value, first.statistic) == \
+               (second.p_value, second.statistic)
 
 
 class TestMedianBandwidthFallback:

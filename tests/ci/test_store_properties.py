@@ -9,7 +9,9 @@ Three contracts from the ROADMAP, machine-checked on random inputs:
   processes or threads sharing one path) never erase each other's
   committed entries;
 * **distinct cache tokens never collide** — differently-configured
-  testers can never share an entry, whatever their token values.
+  testers can never share an entry, whatever their token values; testers
+  are value-seeded at construction, so the seed in a token is always the
+  int the verdicts were drawn from.
 
 Plus the same discipline for :class:`ExperimentStore`'s selections file.
 """
@@ -24,10 +26,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.ci.base import CITestLedger
 from repro.ci.gtest import GTestCI
+from repro.ci.kcit import KCIT
+from repro.ci.permutation import PermutationCI
+from repro.ci.rcit import RCIT
 from repro.ci.store import (FORMAT_TAG, FORMAT_VERSION, SELECTIONS_TAG,
                             SELECTIONS_VERSION, ExperimentStore,
                             PersistentCICache, _key_string)
+from repro.core.grpsel import GrpSel
 from repro.core.problem import FairFeatureSelectionProblem
 from repro.core.seqsel import SeqSel
 from repro.core.subset_search import MarginalThenFull
@@ -110,6 +117,35 @@ class TestTokenIsolation:
                          token=second) is None
         assert store.get("fp", query_key("x"), "g-test", 0.01,
                          token=first) == RECORD
+
+    def test_int_seeded_keys_are_unchanged(self, monkeypatch):
+        """Value seeding keeps every int-seeded token and digest
+        byte-identical, so existing stores and selection memos hit."""
+        monkeypatch.delenv("REPRO_CI_TESTER", raising=False)
+        assert RCIT(seed=0).cache_token() == (
+            ("seed", 0), ("n_features_xy", 5), ("n_features_z", 100),
+            ("ridge", 1e-10), ("derivation", 2))
+        assert KCIT(seed=0).cache_token() == (
+            ("seed", 0), ("ridge", 0.001), ("max_samples", 500),
+            ("derivation", 2))
+        assert PermutationCI(seed=0).cache_token() == (
+            ("seed", 0), ("n_permutations", 200), ("n_bins", 4))
+        assert GrpSel(seed=0).config_digest() == (
+            "GrpSel", "rcit", 0.01, "exhaustive", True, 1, ("seed", 0))
+
+    def test_unseeded_testers_never_share_verdicts(self, tmp_path):
+        """Two ``RCIT(seed=None)`` draw different random features, so a
+        shared store must never serve one the other's verdicts."""
+        first, second = RCIT(seed=None), RCIT(seed=None)
+        assert first.cache_token() != second.cache_token()
+        table = small_problem().table
+        path = tmp_path / "cache.json"
+        cold = CITestLedger(first, cache=PersistentCICache(path))
+        cold.test(table, "f1", "y")
+        cold.flush_cache()
+        other = CITestLedger(second, cache=PersistentCICache(path))
+        other.test(table, "f1", "y")
+        assert other.n_tests == 1 and other.cache_hits == 0
 
 
 class TestConcurrentSaves:
@@ -310,7 +346,6 @@ class FailingAfterOneTest:
         return (self.name, "g-test", 0.01)
 
     def select(self, problem):
-        from repro.ci.base import CITestLedger
         ledger = CITestLedger(GTestCI(), cache=self.cache)
         ledger.test(problem.table, problem.candidates[0], problem.target)
         raise RuntimeError("died mid-selection")
@@ -422,10 +457,10 @@ class TestProblemIdentityInMemoKey:
         assert set(first.selected + first.rejected) == {"f1", "f2"}
 
     def test_one_time_token_runs_never_pollute_the_store(self, tmp_path):
-        """A Generator-seeded selector can never be served a memo hit, so
-        recording it would only grow selections.json by a dead entry per
-        run, forever (merge-on-save never prunes)."""
-        from repro.core.grpsel import GrpSel
+        """Regression: a Generator-seeded selector once keyed by a
+        one-time token, so its entries could never be served.  Its seed is
+        now drawn down to one int at construction, so runs from the same
+        stream state share one live entry instead of growing the file."""
         problem = small_problem()
         store = ExperimentStore(tmp_path / "suite")
         for _ in range(3):
@@ -433,54 +468,40 @@ class TestProblemIdentityInMemoKey:
                 GrpSel(tester=GTestCI(), subset_strategy=MarginalThenFull(),
                        seed=np.random.default_rng(0)), problem)
         store.save()
-        assert store.n_selections == 0
-        assert not (tmp_path / "suite" / "selections.json").exists()
+        assert store.n_selections == 1 and store.selection_hits == 2
+        assert ExperimentStore(tmp_path / "suite").n_selections == 1
 
-    def test_generator_seeded_tester_is_never_memoised(self, tmp_path):
-        """The one-time-token guard must cover the *tester* seed path too,
-        not just GrpSel's shuffle seed."""
-        from repro.ci.rcit import RCIT
+    def test_generator_seeded_runs_are_memoised(self, tmp_path):
+        """A Generator tester seed is drawn down to one int at
+        construction, so the run keys like an int-seeded one: recorded
+        once, then served back."""
         problem = small_problem()
         store = ExperimentStore(tmp_path / "suite")
-        store.cached_select(
-            SeqSel(tester=RCIT(seed=np.random.default_rng(0)),
-                   subset_strategy=MarginalThenFull()), problem)
-        store.save()
-        assert store.n_selections == 0
-        assert not (tmp_path / "suite" / "selections.json").exists()
+
+        def selector():
+            return SeqSel(tester=RCIT(seed=np.random.default_rng(0)),
+                          subset_strategy=MarginalThenFull())
+
+        first = store.cached_select(selector(), problem)
+        again = store.cached_select(selector(), problem)
+        assert store.n_selections == 1 and store.selection_hits == 1
+        assert again.selected_set == first.selected_set
 
     def test_generator_seeded_tester_never_writes_dead_ci_entries(
             self, tmp_path):
-        """Each cache_token() call on a Generator-seeded tester mints a
-        fresh token, so persistent entries keyed through it are dead on
-        arrival — the store must refuse them rather than grow per query."""
-        from repro.ci.base import CITestLedger
-        from repro.ci.rcit import RCIT
-        problem = small_problem()
+        """Every verdict a Generator-seeded tester writes to a persistent
+        store is served back from it: nothing recorded is dead."""
+        table = small_problem().table
+        tester = RCIT(seed=np.random.default_rng(0))
         path = tmp_path / "cache.json"
-        ledger = CITestLedger(RCIT(seed=np.random.default_rng(0)),
-                              cache=PersistentCICache(path))
-        ledger.test(problem.table, "f1", "y")
-        ledger.test(problem.table, "f2", "y")
-        ledger.flush_cache()
-        assert ledger.n_tests == 2
-        assert not path.exists()  # nothing storable was ever recorded
-
-    def test_marker_lookalike_column_names_still_cache(self, tmp_path):
-        """Regression: one-time-token detection was a substring test on
-        the serialized key, so a column merely *named* like the marker
-        silently disabled caching for every query touching it."""
-        path = tmp_path / "cache.json"
-        store = PersistentCICache(path)
-        store.put("fp", (("seed-once_x_y",), ("y",), ()), "g-test", 0.01,
-                  RECORD, token=(("seed", 0),))
-        store.save()
-        assert len(PersistentCICache(path)) == 1
-        # ... while a structurally one-time token is still refused.
-        from repro.rng import ONE_TIME_TOKEN
-        store.put("fp", (("x",), ("y",), ()), "g-test", 0.01, RECORD,
-                  token=((ONE_TIME_TOKEN, "abc123"),))
-        assert len(store) == 1
+        cold = CITestLedger(tester, cache=PersistentCICache(path))
+        want = [cold.test(table, name, "y") for name in ("f1", "f2")]
+        cold.flush_cache()
+        assert cold.n_tests == 2 and len(PersistentCICache(path)) == 2
+        warm = CITestLedger(tester, cache=PersistentCICache(path))
+        got = [warm.test(table, name, "y") for name in ("f1", "f2")]
+        assert warm.n_tests == 0 and warm.cache_hits == 2
+        assert [r.p_value for r in got] == [r.p_value for r in want]
 
     def test_malformed_selection_entry_reads_as_miss(self, tmp_path):
         """Regression: a malformed entry inside an otherwise valid

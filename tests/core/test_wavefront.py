@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ci.base import CIQuery, CITestLedger
-from repro.ci.executor import ProcessExecutor, ThreadedExecutor
+from repro.ci.executor import ProcessExecutor
 from repro.ci.gtest import GTestCI
 from repro.ci.store import ExperimentStore
 from repro.core.engine import WavefrontEngine
@@ -183,8 +183,6 @@ class TestWavefrontMatchesSequential:
 def executor_factories():
     return [
         pytest.param(lambda: None, id="serial"),
-        pytest.param(lambda: ThreadedExecutor(n_workers=3, min_batch=2),
-                     id="threads"),
         pytest.param(lambda: ProcessExecutor(n_workers=2, min_batch=2,
                                              mp_context="fork"),
                      id="process"),
@@ -333,31 +331,3 @@ class TestTestWaves:
         prefixes = ledger.test_waves(fixed_problem.table,
                                      [iter(()), iter(())])
         assert prefixes == [[], []]
-
-    def test_order_dependent_tester_degrades_to_sequential(self,
-                                                           fixed_problem):
-        """A tester whose verdicts depend on execution order (live
-        ``Generator`` seeds report ``process_safe() == False``) must see
-        the sequential schedule, not the wave one."""
-        calls = []
-
-        class OrderLogger(GTestCI):
-            def process_safe(self):
-                return False
-
-            def test(self, table, x, y, z=()):
-                calls.append(tuple(sorted((x,) if isinstance(x, str)
-                                          else tuple(x))))
-                return super().test(table, x, y, z)
-
-        strategy = MarginalThenFull()
-        streams = strategy.phase1_streams(
-            fixed_problem.candidates[:3], fixed_problem.sensitive,
-            fixed_problem.admissible)
-        ledger = CITestLedger(OrderLogger())
-        ledger.test_waves(fixed_problem.table, streams)
-        # Sequential schedule: every query of stream 0 before any of
-        # stream 1 — the call log is sorted by stream, never interleaved.
-        owners = [call[0] for call in calls]
-        assert owners == sorted(owners, key=owners.index), \
-            "streams interleaved for an order-dependent tester"
