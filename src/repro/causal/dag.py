@@ -113,6 +113,19 @@ class CausalDAG:
         self._require(node)
         return set(nx.descendants(self._graph, node))
 
+    def ancestors_of(self, nodes: Iterable[str]) -> set[str]:
+        """Union of strict ancestors over a node set, in one reverse walk."""
+        stack = list(nodes)
+        self._require(*stack)
+        predecessors = self._graph.pred
+        out: set[str] = set()
+        while stack:
+            for parent in predecessors[stack.pop()]:
+                if parent not in out:
+                    out.add(parent)
+                    stack.append(parent)
+        return out
+
     def descendants_of(self, nodes: Iterable[str]) -> set[str]:
         """Union of strict descendants over a node set."""
         out: set[str] = set()

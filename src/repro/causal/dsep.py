@@ -36,9 +36,7 @@ def active_reachable(dag: CausalDAG, sources: Iterable[str] | str,
         if node not in dag:
             raise GraphError(f"unknown node: {node!r}")
     # Nodes that are in Z or have a descendant in Z (collider openers).
-    z_or_anc = set(z)
-    for node in z:
-        z_or_anc |= dag.ancestors(node)
+    z_or_anc = z | dag.ancestors_of(z)
 
     # direction: "up" = arrived from a child (moving against edges is fine),
     # "down" = arrived from a parent.

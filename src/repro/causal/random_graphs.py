@@ -149,11 +149,12 @@ def fairness_scm(spec: FairnessGraphSpec) -> tuple[StructuralCausalModel, Fairne
         ground.null.append(name)
 
     y_parents = admissibles + ground.mediated + ground.biased + ground.null
+    null, biased = set(ground.null), set(ground.biased)
     y_weights = []
     for parent in y_parents:
-        if parent in ground.null:
+        if parent in null:
             y_weights.append(float(rng.normal(spec.signal / 2, 0.1)))
-        elif parent in ground.biased:
+        elif parent in biased:
             y_weights.append(float(rng.normal(spec.signal, 0.1)))
         else:
             y_weights.append(float(rng.normal(spec.signal / 2, 0.1)))

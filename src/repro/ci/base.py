@@ -78,10 +78,49 @@ from repro.data.table import Table
 from repro.exceptions import CITestError
 
 
-def _as_tuple(names: Iterable[str] | str) -> tuple[str, ...]:
+def canonical_names(names: Iterable[str] | str) -> tuple[str, ...]:
+    """The ordering rule of every query side: sorted, duplicates dropped."""
     if isinstance(names, str):
         return (names,)
-    return tuple(names)
+    return tuple(sorted(set(names)))
+
+
+class QueryFrame:
+    """A shared ``(Y, Z)`` pair, canonicalised once, that many X's test against.
+
+    Y and Z are sorted and checked against each other when the frame is
+    built; each X then costs one sort and two ``isdisjoint`` checks.
+    Every query a frame builds holds the frame's own ``y``/``z`` tuples,
+    so a phase-2 wave shares one conditioning tuple instead of each query
+    holding a copy.  :meth:`CIQuery.make` is a one-query frame, so the
+    overlap and ordering rules live here only.
+    """
+
+    __slots__ = ("y", "z", "_y_set", "_z_set")
+
+    def __init__(self, y: Iterable[str] | str,
+                 z: Iterable[str] | str = ()) -> None:
+        self.y, self.z = canonical_names(y), canonical_names(z)
+        if not self.y:
+            raise CITestError("X and Y must be non-empty")
+        self._y_set, self._z_set = frozenset(self.y), frozenset(self.z)
+        if not self._y_set.isdisjoint(self._z_set):
+            raise CITestError(
+                f"variable sets overlap: {sorted(self._y_set & self._z_set)}")
+
+    def __call__(self, x: Iterable[str] | str) -> "CIQuery":
+        """The query ``X ⊥ Y | Z``."""
+        return self.bind(canonical_names(x))
+
+    def bind(self, xs: tuple[str, ...]) -> "CIQuery":
+        """The query for an X already in :func:`canonical_names` form —
+        for callers that test one X against many frames."""
+        if not xs:
+            raise CITestError("X and Y must be non-empty")
+        if not (self._y_set.isdisjoint(xs) and self._z_set.isdisjoint(xs)):
+            overlap = (self._y_set | self._z_set).intersection(xs)
+            raise CITestError(f"variable sets overlap: {sorted(overlap)}")
+        return CIQuery(xs, self.y, self.z)
 
 
 @dataclass(frozen=True)
@@ -95,13 +134,14 @@ class CIQuery:
     @classmethod
     def make(cls, x: Iterable[str] | str, y: Iterable[str] | str,
              z: Iterable[str] | str = ()) -> "CIQuery":
-        xs, ys, zs = _as_tuple(x), _as_tuple(y), _as_tuple(z)
-        if not xs or not ys:
-            raise CITestError("X and Y must be non-empty")
-        overlap = (set(xs) & set(ys)) | (set(xs) | set(ys)) & set(zs)
-        if overlap:
-            raise CITestError(f"variable sets overlap: {sorted(overlap)}")
-        return cls(tuple(sorted(set(xs))), tuple(sorted(set(ys))), tuple(sorted(set(zs))))
+        return cls.against(y, z)(x)
+
+    @staticmethod
+    def against(y: Iterable[str] | str,
+                z: Iterable[str] | str = ()) -> QueryFrame:
+        """A :class:`QueryFrame` for many queries sharing ``(Y, Z)``:
+        ``CIQuery.against(y, z)(x) == CIQuery.make(x, y, z)``."""
+        return QueryFrame(y, z)
 
     @property
     def key(self) -> tuple:

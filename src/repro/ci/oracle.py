@@ -14,7 +14,7 @@ from typing import Iterable
 
 from repro.causal.dag import CausalDAG
 from repro.causal.dsep import active_reachable, d_separated
-from repro.ci.base import CIQuery, CIResult, CITester
+from repro.ci.base import CIQuery, CIResult, CITester, as_queries
 from repro.data.table import Table
 from repro.exceptions import CITestError
 
@@ -23,15 +23,17 @@ class OracleCI(CITester):
     """CI tester backed by d-separation on a ground-truth DAG.
 
     The ``table`` argument of :meth:`test` is accepted (for interface
-    compatibility) but only its column names are checked; answers come from
-    the graph.
+    compatibility) but ignored; answers come from the graph, and every
+    queried name must be a node of it.
 
     Selection algorithms issue thousands of queries sharing the same
     ``(Y, Z)`` pair (phase 1: Y = S with Z ranging over a couple of
     admissible subsets; phase 2: Y = target with one fixed Z), so the
-    oracle caches the d-connected set per pair and answers each query with
-    a set-disjointness check — this is what makes the Figure 4/5 sweeps at
-    n = 5000 run in seconds rather than hours.
+    oracle caches the d-connected set per ``(sources, Z)`` pair and answers
+    each query with a set-disjointness check — this is what makes the
+    Figure 4/5 sweeps at n = 5000 run in seconds rather than hours.  Nodes
+    are checked against the DAG once per distinct ``(sources, Z)``, when
+    its reachable set is computed; a query then checks only its other side.
     """
 
     method = "oracle"
@@ -39,6 +41,8 @@ class OracleCI(CITester):
     def __init__(self, dag: CausalDAG, alpha: float = 0.01) -> None:
         super().__init__(alpha=alpha)
         self.dag = dag
+        # Derived from self.dag, which cache_token() digests node by node.
+        self._nodes = frozenset(self.dag.nodes)
         self._reach_cache: dict[tuple, frozenset[str]] = {}
         self._cache_token: tuple | None = None
 
@@ -57,38 +61,51 @@ class OracleCI(CITester):
             self._cache_token = (("dag", digest.hexdigest()),)
         return self._cache_token
 
+    def _require(self, names: tuple[str, ...]) -> None:
+        missing = [name for name in names if name not in self._nodes]
+        if missing:
+            raise CITestError(f"oracle DAG lacks nodes: {missing}")
+
     def _connected_set(self, sources: tuple[str, ...],
                        given: tuple[str, ...]) -> frozenset[str]:
         key = (sources, given)
         cached = self._reach_cache.get(key)
         if cached is None:
-            cached = frozenset(active_reachable(self.dag, set(sources),
-                                                set(given)))
+            self._require(sources + given)
+            cached = frozenset(active_reachable(self.dag, sources, given))
             self._reach_cache[key] = cached
         return cached
 
     def test(self, table: Table | None, x, y, z=()) -> CIResult:
-        query = CIQuery.make(x, y, z)
-        missing = [v for v in query.x + query.y + query.z if v not in self.dag]
-        if missing:
-            raise CITestError(f"oracle DAG lacks nodes: {missing}")
-        # Reuse the cached reachable set of the smaller side (normally Y:
-        # the sensitive attributes or the target).
-        sources = query.y if len(query.y) <= len(query.x) else query.x
-        others = query.x if sources is query.y else query.y
-        reach = self._connected_set(sources, query.z)
-        independent = not (reach & set(others))
-        # Oracle "p-values" are degenerate but keep the CIResult contract.
-        return CIResult(
-            independent=independent,
-            p_value=1.0 if independent else 0.0,
-            statistic=0.0 if independent else float("inf"),
-            query=query,
-            method=self.method,
-        )
+        return self.test_batch(table, [CIQuery.make(x, y, z)])[0]
 
-    def independent(self, table, x, y, z=()) -> bool:
-        return self.test(table, x, y, z).independent
+    def test_batch(self, table: Table | None,
+                   queries: Iterable[CIQuery | tuple]) -> list[CIResult]:
+        results = []
+        pair: tuple = ()
+        for query in as_queries(queries):
+            # Reuse the cached reachable set of the smaller side (normally
+            # Y: the sensitive attributes or the target).
+            if len(query.y) <= len(query.x):
+                sources, others = query.y, query.x
+            else:
+                sources, others = query.x, query.y
+            # Queries from one QueryFrame share their y/z tuples, so this
+            # comparison is by identity and a long Z is not re-hashed.
+            if (sources, query.z) != pair:
+                pair = (sources, query.z)
+                reach = self._connected_set(*pair)
+            self._require(others)
+            independent = reach.isdisjoint(others)
+            # Oracle "p-values" are degenerate but keep the CIResult contract.
+            results.append(CIResult(
+                independent=independent,
+                p_value=1.0 if independent else 0.0,
+                statistic=0.0 if independent else float("inf"),
+                query=query,
+                method=self.method,
+            ))
+        return results
 
     # Backend protocol for repro.causal.graphoid checks (table-free).
     def independent_sets(self, x: Iterable[str], y: Iterable[str],

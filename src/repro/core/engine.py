@@ -30,9 +30,7 @@ query set, ``n_ci_tests``, and ``cache_hits`` are provably identical to
 the sequential per-candidate implementation (the count locks in
 ``tests/ci/test_count_invariants.py`` and the property suite in
 ``tests/core/test_wavefront.py`` machine-check this), while wall-clock
-drops with the fusion width.  Testers whose verdicts depend on execution
-order (live-``Generator`` seeds) degrade to the sequential schedule
-inside ``test_waves`` — bitwise compatibility is never traded for fusion.
+drops with the fusion width.
 
 The engine also hoists the ledger/timing/result boilerplate the three
 selectors used to triplicate: :meth:`WavefrontEngine.begin` opens a
@@ -235,9 +233,8 @@ class WavefrontEngine:
         """Phase-2 (Algorithm 4) streams: the single query
         ``group ⊥ Y | A ∪ C1`` per group (a one-rank stream, so each BFS
         level is one fused batch)."""
-        return [[CIQuery.make(list(group), problem.target,
-                              list(conditioning))]
-                for group in frontier]
+        frame = CIQuery.against(problem.target, conditioning)
+        return [[frame(group)] for group in frontier]
 
     @staticmethod
     def bisect(group: Sequence[str]) -> list[list[str]]:

@@ -102,20 +102,22 @@ class GrpSel:
             streams_for=lambda frontier: engine.phase1_group_streams(
                 problem, frontier),
             refine=self._refine_phase1)
-        result.c1 = [c for c in problem.candidates if c in set(c1)]
+        c1_set = set(c1)
+        result.c1 = [c for c in problem.candidates if c in c1_set]
         for feature in result.c1:
             result.reasons[feature] = Reason.PHASE1_INDEPENDENT
 
         # Phase 2 (Algorithm 4): group test of X ⊥ Y | A ∪ C1 — one-rank
         # streams, so each BFS level is a single fused batch.
-        rest = [c for c in pool if c not in set(c1)]
+        rest = [c for c in pool if c not in c1_set]
         conditioning = list(problem.admissible) + list(result.c1)
         c2 = engine.refine_admitted(
             ledger, problem, [rest],
             streams_for=lambda frontier: engine.phase2_group_streams(
                 problem, frontier, conditioning),
             refine=self._refine_phase2)
-        result.c2 = [c for c in problem.candidates if c in set(c2)]
+        c2_set = set(c2)
+        result.c2 = [c for c in problem.candidates if c in c2_set]
         for feature in result.c2:
             result.reasons[feature] = Reason.PHASE2_IRRELEVANT
 

@@ -94,10 +94,11 @@ class SeqSel:
                 remaining.append(candidate)
 
         # Phase 2: C2 = {X in X \ C1 : X ⊥ Y | A ∪ C1}.  Every candidate
-        # shares the conditioning set, so the whole phase is one batch.
-        conditioning = list(problem.admissible) + list(result.c1)
-        phase2 = [CIQuery.make(candidate, problem.target, conditioning)
-                  for candidate in remaining]
+        # shares the conditioning set, so the whole phase is one batch
+        # built against one canonical (Y, Z) frame.
+        frame = CIQuery.against(problem.target,
+                                list(problem.admissible) + result.c1)
+        phase2 = [frame(candidate) for candidate in remaining]
         verdicts = ledger.test_batch(problem.table, phase2)
         for candidate, verdict in zip(remaining, verdicts):
             if verdict.independent:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from repro.ci.base import CIQuery
+from repro.ci.base import CIQuery, QueryFrame, canonical_names
 
 
 class SubsetStrategy:
@@ -66,9 +66,33 @@ class SubsetStrategy:
         still be *correct* under wave scheduling (streams only ever meet
         in shared batches, never exchange verdicts) but would forfeit the
         fusion, so keep ``subsets`` unit-independent.
+
+        Each rank's ``(S, A'_k)`` pair is built once, as one
+        :class:`~repro.ci.base.QueryFrame`, the first time any stream
+        reaches rank ``k`` (so :meth:`subsets` is pulled lazily, once per
+        rank, however many streams there are), and each unit's X is
+        sorted once per stream.  Streams yield exactly
+        :meth:`phase1_queries`.
         """
-        return [self.phase1_queries(unit, sensitive, admissible)
-                for unit in units]
+        subsets = iter(self.subsets(admissible))
+        frames: list[QueryFrame] = []
+
+        def frame_at(rank: int) -> QueryFrame | None:
+            if rank == len(frames):
+                subset = next(subsets, None)
+                if subset is None:
+                    return None
+                frames.append(CIQuery.against(sensitive, subset))
+            return frames[rank]
+
+        def stream(unit: Sequence[str] | str) -> Iterator[CIQuery]:
+            xs = canonical_names(unit)
+            rank = 0
+            while (frame := frame_at(rank)) is not None:
+                yield frame.bind(xs)
+                rank += 1
+
+        return [stream(unit) for unit in units]
 
 
 class ExhaustiveSubsets(SubsetStrategy):

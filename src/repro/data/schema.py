@@ -74,8 +74,12 @@ class TableSchema:
     columns: list[ColumnSpec] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        names = [c.name for c in self.columns]
-        dupes = {n for n in names if names.count(n) > 1}
+        seen: set[str] = set()
+        dupes: set[str] = set()
+        for column in self.columns:
+            if column.name in seen:
+                dupes.add(column.name)
+            seen.add(column.name)
         if dupes:
             raise SchemaError(f"duplicate column names: {sorted(dupes)}")
         targets = self.by_role(Role.TARGET)

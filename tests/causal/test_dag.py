@@ -56,6 +56,9 @@ class TestQueries:
         assert g.ancestors("d") == {"a", "b", "c"}
         assert g.descendants("a") == {"b", "c", "d"}
         assert g.descendants_of(["b", "c"]) == {"d"}
+        assert g.ancestors_of(["b", "c"]) == {"a"}
+        assert g.ancestors_of(["d", "b"]) == {"a", "b", "c"}
+        assert g.ancestors_of([]) == set()
 
     def test_topological_order(self):
         order = diamond().topological_order()

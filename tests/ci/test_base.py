@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ci.base import (
     CIQuery,
@@ -23,7 +25,44 @@ def binary_table(n=200, seed=0):
     return Table({"s": s, "x": x, "y": y})
 
 
+# A small alphabet, so drawn X/Y/Z sides overlap often.
+NAMES = st.sampled_from("abcde")
+SIDES = st.one_of(NAMES, st.lists(NAMES, max_size=4))
+
+
+def _or_raises(build, *args):
+    try:
+        return build(*args)
+    except CITestError:
+        return "raises"
+
+
+def _spec(x, y, z):
+    """The query rules, written out apart from the implementation."""
+    xs, ys, zs = ({v} if isinstance(v, str) else set(v) for v in (x, y, z))
+    if not xs or not ys or xs & ys or (xs | ys) & zs:
+        return "raises"
+    return CIQuery(*(tuple(sorted(v)) for v in (xs, ys, zs)))
+
+
 class TestCIQuery:
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(SIDES, min_size=1, max_size=5), y=SIDES, z=SIDES)
+    def test_shared_frame_matches_make(self, xs, y, z):
+        want = [_or_raises(CIQuery.make, x, y, z) for x in xs]
+        assert want == [_spec(x, y, z) for x in xs]
+        frame = _or_raises(CIQuery.against, y, z)
+        if frame == "raises":
+            # An invalid (Y, Z) — empty Y or Y∩Z — fails every X in make.
+            assert want == ["raises"] * len(xs)
+            return
+        got = [_or_raises(frame, x) for x in xs]
+        assert got == want
+        built = [q for q in got if q != "raises"]
+        assert [q.key for q in built] == [q.key for q in want if q != "raises"]
+        # Every query shares the frame's canonical y/z tuple objects.
+        assert all(q.y is frame.y and q.z is frame.z for q in built)
+
     def test_normalisation_sorts_and_dedupes(self):
         q = CIQuery.make(["b", "a", "a"], "c", ["e", "d"])
         assert q.x == ("a", "b")

@@ -30,6 +30,30 @@ class TestOracleCI:
         with pytest.raises(CITestError, match="lacks"):
             OracleCI(self.chain()).test(None, "a", "ghost")
 
+    def test_unknown_node_in_z_raises(self):
+        with pytest.raises(CITestError, match="lacks"):
+            OracleCI(self.chain()).test(None, "a", "c", ["b", "ghost"])
+
+    def test_unknown_x_raises_after_reach_set_is_cached(self):
+        oracle = OracleCI(self.chain())
+        assert oracle.independent(None, "a", "c", "b")
+        with pytest.raises(CITestError, match="lacks"):
+            oracle.test(None, ["a", "ghost"], "c", "b")
+        with pytest.raises(CITestError, match="lacks"):
+            oracle.test_batch(None, [("a", "c", "b"), ("ghost", "c", "b")])
+
+    def test_batch_matches_per_query_test(self):
+        dag = CausalDAG(edges=[("a", "b"), ("b", "c"), ("d", "c"),
+                               ("d", "e")])
+        batch = [("a", "c"), ("a", "c", "b"), ("c", "a", "b"),
+                 (["a", "d"], "e"), ("a", "e"), ("a", "e", "c"),
+                 ("e", ["a", "b"], "c"), (["a", "b"], "e", ["c", "d"])]
+        got = OracleCI(dag).test_batch(None, batch)
+        want = [OracleCI(dag).test(None, *query) for query in batch]
+        assert got == want
+        assert [r.independent for r in got] == [
+            False, True, True, False, True, False, False, True]
+
     def test_graphoid_backend(self):
         backend = GraphoidOracleBackend(self.chain())
         assert backend.independent({"a"}, {"c"}, {"b"})

@@ -23,9 +23,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.causal.dag import CausalDAG
 from repro.ci.base import CIQuery, CITestLedger
-from repro.ci.executor import ProcessExecutor
+from repro.ci.executor import ProcessExecutor, SerialExecutor
 from repro.ci.gtest import GTestCI
+from repro.ci.oracle import OracleCI
 from repro.ci.store import ExperimentStore
 from repro.core.engine import WavefrontEngine
 from repro.core.grpsel import GrpSel
@@ -331,3 +333,43 @@ class TestTestWaves:
         prefixes = ledger.test_waves(fixed_problem.table,
                                      [iter(()), iter(())])
         assert prefixes == [[], []]
+
+
+class TestPhase1Streams:
+    """The shared-frame streams are the per-query reference, rank by rank."""
+
+    UNITS = ["f1", ["f3", "f2"], "f0", ["f4", "f2", "f4"], ["f5"]]
+
+    @pytest.mark.parametrize("strategy_cls", STRATEGIES)
+    @pytest.mark.parametrize("admissible", [[], ["a1"], ["a2", "a0", "a1"]])
+    def test_streams_yield_phase1_queries(self, strategy_cls, admissible):
+        strategy = strategy_cls()
+        streams = strategy.phase1_streams(self.UNITS, ["s"], admissible)
+        # Drain back to front: whichever stream reaches a rank first
+        # builds the rank's shared frame, so the order must not matter.
+        got = [list(stream) for stream in reversed(streams)][::-1]
+        want = [list(strategy.phase1_queries(unit, ["s"], admissible))
+                for unit in self.UNITS]
+        assert got == want
+
+    def test_subsets_pulled_once_when_rank0_decides_every_stream(self):
+        class CountingSubsets(ExhaustiveSubsets):
+            pulls = 0
+
+            def subsets(self, admissible):
+                for subset in super().subsets(admissible):
+                    self.pulls += 1
+                    yield subset
+
+        # s -> a0 only: every candidate is marginally independent of s,
+        # so rank 0 (the empty subset) decides every stream.
+        candidates = [f"f{i}" for i in range(6)]
+        dag = CausalDAG(nodes=["s", "a0", "a1"] + candidates,
+                        edges=[("s", "a0")])
+        strategy = CountingSubsets()
+        ledger = CITestLedger(OracleCI(dag), executor=SerialExecutor())
+        prefixes = ledger.test_waves(None, strategy.phase1_streams(
+            candidates, ["s"], ["a0", "a1"]))
+        assert [len(p) for p in prefixes] == [1] * len(candidates)
+        assert all(p[0].independent for p in prefixes)
+        assert strategy.pulls == 1
