@@ -14,8 +14,14 @@ Quantifies the work-queue execution layer and records it as a
 2. **Worker-synced store warm rerun** — the workers merge-saved their
    verdicts into the shared store during the burst; a warm ledger over
    that store executes zero tests.
+3. **RCIT-heavy burst, remote vs process** — 21 RCIT queries on 6000
+   rows, each its own ``(Y, Z)`` group so nothing fuses, run serially,
+   on a warm two-worker :class:`~repro.ci.executor.ProcessExecutor` and
+   on the spool workers.  Parity is asserted; the three timings and both
+   ratios are recorded, never asserted.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -27,8 +33,9 @@ import numpy as np
 import pytest
 
 from repro.ci.base import CIQuery, CITestLedger
-from repro.ci.executor import RemoteExecutor, SerialExecutor
+from repro.ci.executor import ProcessExecutor, RemoteExecutor, SerialExecutor
 from repro.ci.gtest import GTestCI
+from repro.ci.rcit import RCIT
 from repro.ci.store import ExperimentStore
 from repro.data.table import Table
 
@@ -204,3 +211,74 @@ def test_worker_synced_store_warm_rerun_zero_tests(benchmark, burst,
           f"0 of {N_CANDIDATES} tests executed")
 
     benchmark.pedantic(lambda: warm_run(), rounds=2, iterations=1)
+
+
+RCIT_ROWS = 6000
+RCIT_ADMISSIBLE = 6
+RCIT_CANDIDATES = 8
+
+
+@pytest.fixture(scope="module")
+def rcit_burst():
+    """One RCIT query per 1- or 2-subset Z of six admissible columns:
+    21 distinct ``(Y, Z)`` groups, so no two queries fuse."""
+    rng = np.random.default_rng(0)
+    admissible = [f"a{i}" for i in range(RCIT_ADMISSIBLE)]
+    candidates = [f"c{i}" for i in range(RCIT_CANDIDATES)]
+    data = {"s": rng.integers(0, 2, RCIT_ROWS).astype(float)}
+    for name in admissible:
+        data[name] = rng.normal(size=RCIT_ROWS) + 0.5 * data["s"]
+    for i, name in enumerate(candidates):
+        data[name] = (rng.normal(size=RCIT_ROWS)
+                      + 0.3 * data[admissible[i % RCIT_ADMISSIBLE]])
+    table = Table(data).warm_cache()
+    subsets = [z for k in (1, 2)
+               for z in itertools.combinations(admissible, k)]
+    queries = [CIQuery.make(candidates[i % RCIT_CANDIDATES], "s", z)
+               for i, z in enumerate(subsets)]
+    return table, queries
+
+
+def test_rcit_burst_remote_vs_process(benchmark, rcit_burst, fleet):
+    """Record whether the spool pays against a local process pool on a
+    kernel-heavy burst: serial, ProcessExecutor and RemoteExecutor must
+    agree bit for bit; the timings are recorded, not gated."""
+    table, queries = rcit_burst
+    spool, _ = fleet
+    tester = RCIT(seed=0)
+    serial_executor = SerialExecutor()
+    serial_results = serial_executor.run(tester, table, queries)
+    with ProcessExecutor(n_workers=N_WORKERS, min_batch=2) as process, \
+            RemoteExecutor(queue=str(spool), n_workers=N_WORKERS,
+                           min_batch=2, degrade=False) as remote:
+        # The first runs start the pool and publish the context; both
+        # answers must equal the serial ones bit for bit.
+        for executor in (process, remote):
+            for got, want in zip(executor.run(tester, table, queries),
+                                 serial_results, strict=True):
+                assert got.query == want.query
+                assert got.p_value == want.p_value
+                assert got.statistic == want.statistic
+                assert got.independent == want.independent
+        serial = _median_seconds(
+            lambda: serial_executor.run(tester, table, queries))
+        pooled = _median_seconds(lambda: process.run(tester, table, queries))
+        spooled = _median_seconds(lambda: remote.run(tester, table, queries))
+        benchmark.pedantic(lambda: remote.run(tester, table, queries),
+                           rounds=1, iterations=1)
+    RESULTS["rcit_burst"] = {
+        "n_rows": RCIT_ROWS,
+        "n_queries": len(queries),
+        "n_groups": len({(q.y, q.z) for q in queries}),
+        "n_workers": N_WORKERS,
+        "serial_seconds": serial,
+        "process_seconds_warm_pool": pooled,
+        "remote_seconds_warm_context": spooled,
+        "process_speedup": serial / pooled,
+        "remote_speedup": serial / spooled,
+        "cpu_count": os.cpu_count(),
+    }
+    print(f"\nRCIT burst of {len(queries)} queries x {RCIT_ROWS} rows: "
+          f"serial {serial:.2f} s, {N_WORKERS}-worker process pool "
+          f"{pooled:.2f} s ({serial / pooled:.2f}x), spool workers "
+          f"{spooled:.2f} s ({serial / spooled:.2f}x)")

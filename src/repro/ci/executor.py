@@ -20,7 +20,7 @@ remainder through an executor, which decides *how* the inner tester's
 * :class:`RemoteExecutor` — shards the batch onto a
   :class:`~repro.distributed.queue.WorkQueue` served by external workers
   (``python -m repro worker``), which may live in other processes or on
-  other machines sharing the spool/socket.  The ``(tester, table)`` pair
+  other machines sharing the spool directory.  The ``(tester, table)`` pair
   is published once per configuration as a queue *context* (the exact
   :class:`ProcessExecutor` pool key), so shards stay lightweight; lease
   expiry and retry budgets make a dead worker a requeue, not a hang.
@@ -364,15 +364,15 @@ class RemoteExecutor(BatchExecutor):
 
     The distributed sibling of :class:`ProcessExecutor`: same sharding,
     same results, but the workers are whoever runs ``python -m repro
-    worker`` against the same queue — other processes on this box
-    (filesystem spool) or other machines (socket transport).  The
-    ``(tester, table)`` pair is published once per configuration as a
-    queue *context* keyed by the :class:`ProcessExecutor` pool key, so
-    per-burst traffic is just query lists and result payloads.
+    worker`` against the same spool directory — other processes on this
+    box, or other machines that mount it.  The ``(tester, table)`` pair
+    is published once per configuration as a queue *context* keyed by
+    the :class:`ProcessExecutor` pool key, so per-burst traffic is just
+    query lists and result payloads.
 
     ``queue`` may be a live :class:`~repro.distributed.queue.WorkQueue`,
-    a spec string (a spool directory or ``tcp://host:port``), or ``None``
-    to read ``REPRO_CI_REMOTE_QUEUE`` lazily at first use.
+    a spool directory path, or ``None`` to read ``REPRO_CI_REMOTE_QUEUE``
+    lazily at first use.
 
     Falls back to inline serial execution (identical results, by the
     executor contract) for batches below ``min_batch``, state-collecting
@@ -415,7 +415,6 @@ class RemoteExecutor(BatchExecutor):
         self.degrade = degrade
         self._spec = queue if isinstance(queue, str) else ""
         self._queue = queue if not isinstance(queue, str) else None
-        self._owns_queue = False
         self._published: set[str] = set()
         self._degraded = False
         self._fallback: ProcessExecutor | None = None
@@ -429,20 +428,13 @@ class RemoteExecutor(BatchExecutor):
 
             spec = self._spec or env.CI_REMOTE_QUEUE.read()
             self._queue = queue_from_spec(spec)
-            self._owns_queue = True
         return self._queue
 
     def close(self) -> None:
-        """Drop the queue handle (closing it if this executor opened it)
-        and reset any sticky degradation back to remote dispatch."""
+        """Drop the queue handle and reset any sticky degradation back to
+        remote dispatch."""
         with self._lock:
-            if self._queue is not None and self._owns_queue:
-                try:
-                    self._queue.close()
-                except Exception:  # pragma: no cover - transport teardown
-                    pass
             self._queue = None
-            self._owns_queue = False
             self._published = set()
             self._degraded = False
             if self._fallback is not None:
@@ -457,10 +449,9 @@ class RemoteExecutor(BatchExecutor):
 
     def __getstate__(self) -> dict:
         # Like ProcessExecutor: the executor may travel inside a pickled
-        # tester — ship configuration, never the live transport handle.
+        # tester — ship configuration, never the live queue handle.
         state = self.__dict__.copy()
         state["_queue"] = None
-        state["_owns_queue"] = False
         state["_published"] = set()
         state["_degraded"] = False
         state["_fallback"] = None
@@ -647,7 +638,7 @@ def default_executor(tester: "CITester | None" = None) -> BatchExecutor:
                 raise ValueError(
                     f"{env.CI_EXECUTOR.name}=remote requires "
                     f"{env.CI_REMOTE_QUEUE.name} to name a work queue "
-                    "(a spool directory or tcp://host:port)")
+                    "(a spool directory)")
             name = "serial"  # calibration chose remote, but no queue is up
     if name == "serial":
         return SerialExecutor()
@@ -660,7 +651,7 @@ def default_executor(tester: "CITester | None" = None) -> BatchExecutor:
         kwargs["mp_context"] = context
     if name == "remote":
         # The spec joins the memo key: repointing the queue between runs
-        # must yield a fresh executor, not a cached stale transport.
+        # must yield a fresh executor, not a cached stale queue.
         kwargs["queue"] = env.CI_REMOTE_QUEUE.read()
     key = (name, *sorted(kwargs.items()))
     cached = _DEFAULT_EXECUTORS.get(key)

@@ -199,10 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "CI tests)")
     suite.add_argument("--queue", default=None, metavar="SPEC",
                        help="run the suite distributed: dispatch legs to "
-                            "`repro worker` processes serving this work "
-                            "queue (a spool directory or tcp://host:port) "
-                            "instead of a local process pool; results are "
-                            "identical")
+                            "`repro worker` processes serving this spool "
+                            "directory instead of a local process pool; "
+                            "results are identical")
     _add_backend_flag(suite)
 
     stream = sub.add_parser(
@@ -238,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
              "experiment legs published by remote-mode dispatchers")
     worker.add_argument("--queue", required=True, metavar="SPEC",
                         help="work queue to serve: a filesystem spool "
-                             "directory (shared with the dispatcher) or "
-                             "tcp://host:port of a queue server")
+                             "directory shared with the dispatcher")
     worker.add_argument("--store", default=None, metavar="DIR",
                         help="experiment-store root: CI verdicts this "
                              "worker computes are merge-saved there so the "

@@ -7,9 +7,9 @@ half of the distribution contract: while waiting it keeps reclaiming
 expired leases (so a dead worker's tasks requeue even when no other
 worker is scanning), raises the *first* failure as soon as its payload
 lands (cancelling still-pending siblings), tolerates a bounded run of
-*transient* transport failures (a restarting queue server, an injected
-fault) with exponential backoff and derived-seed jitter, and times out
-explicitly rather than wedging.
+*transient* transport failures (a spool mount that briefly errors, an
+injected fault) with exponential backoff and derived-seed jitter, and
+times out explicitly rather than wedging.
 
 :func:`submit_batch` propagates the batch timeout down to workers as an
 absolute per-task deadline, so a worker never burns its slot computing a

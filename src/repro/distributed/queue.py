@@ -1,7 +1,7 @@
-"""Transport-agnostic work queues for distributed execution.
+"""Work queues for distributed execution.
 
 A queue carries three kinds of objects, all opaque byte payloads to the
-transport:
+queue:
 
 * **contexts** — large shared state published once per
   ``(tester, table)`` pair (the pickled pair itself), referenced by
@@ -14,11 +14,11 @@ transport:
   executing.
 * **results** — one payload per finished task id.
 
-Robustness contract (shared by every transport):
+Robustness contract (shared by every queue):
 
 * **Claim atomicity** — two workers can never both claim one task.  The
   filesystem spool gets this from ``os.rename`` (the loser's source file
-  is gone); the in-memory/socket queue from a lock.
+  is gone); the in-memory queue from a lock.
 * **Lease expiry / requeue** — a claimed task whose lease lapses (worker
   died, was killed, lost the network) is *reclaimed*: requeued with its
   attempt count bumped.  Reclaiming is cooperative — workers and waiting
@@ -40,41 +40,36 @@ Robustness contract (shared by every transport):
 
 Every I/O boundary here routes through a named fault-injection site
 (:mod:`repro.faults`) — ``queue.claim``, ``queue.complete``,
-``transport.send``, ``spool.write``, ... — so the chaos suite can
-deterministically exercise the failure paths this contract promises to
-survive.  Byte-level failures surface as
+``spool.write``, ... — so the chaos suite can deterministically exercise
+the failure paths this contract promises to survive.  Byte-level
+failures — a torn task record or result file — surface as
 :class:`~repro.exceptions.TransportError` (never a bare ``EOFError`` or
-``UnpicklingError``), so dispatchers can tell a transport hiccup from a
-failing task.
+``UnpicklingError``), so dispatchers and workers can tell a transport
+hiccup from a failing task.
 
 Payload conventions: :func:`encode_success` / :func:`encode_failure` /
 :func:`decode_result` wrap values and exceptions in a tagged pickle so
-failures travel as first-class results.  The socket transport carries
-pickles — use it only between mutually trusted hosts, exactly like
-``multiprocessing`` connections.
+failures travel as first-class results.  A spool carries pickles — share
+it only between mutually trusted hosts, exactly like ``multiprocessing``
+connections.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
-import socket
-import socketserver
-import struct
+import re
 import tempfile
 import threading
 import time
 from dataclasses import dataclass, replace
 
-from repro import env, faults, rng
+from repro import env, faults
 from repro.exceptions import RemoteTaskError, TransportError
 
 __all__ = [
     "FileSpoolQueue",
     "MemoryQueue",
-    "QueueServer",
-    "SocketQueue",
     "Task",
     "WorkQueue",
     "decode_result",
@@ -90,7 +85,7 @@ class Task:
 
     ``context_id`` names a published context the payload references
     (``""`` for self-contained tasks); ``attempts`` counts lease-expiry
-    requeues, not executions — the transport bumps it on reclaim.
+    requeues, not executions — the queue bumps it on reclaim.
     ``deadline`` is an absolute wall-clock time (``0.0`` = none) the
     dispatcher propagated from its batch timeout: a worker claiming the
     task after it has passed fails it immediately instead of computing a
@@ -128,7 +123,7 @@ def encode_failure(error: BaseException) -> bytes:
 def decode_result(payload: bytes):
     """Unwrap a result payload: return the value or raise the failure.
 
-    An undecodable payload (torn write, truncated frame) raises
+    An undecodable payload (a torn result file) raises
     :class:`TransportError` — typed, so dispatchers can treat it as a
     transport casualty rather than a task verdict.
     """
@@ -156,7 +151,7 @@ def _queue_defaults(lease: float | None, retries: int | None,
 
 
 class WorkQueue:
-    """The transport interface dispatchers and workers share.
+    """The queue interface dispatchers and workers share.
 
     Implementations must make :meth:`claim` exclusive, :meth:`complete` /
     :meth:`put_context` atomic (a reader never sees a partial payload),
@@ -206,20 +201,11 @@ class WorkQueue:
         tasks past their retry budget.  Returns how many were requeued."""
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Release transport resources (idempotent)."""
 
-    def __enter__(self) -> "WorkQueue":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _budget_failure(task: Task, retries: int) -> bytes:
+def _budget_failure(task_id: str, attempts: int, retries: int) -> bytes:
     error = RemoteTaskError(
-        f"remote task {task.task_id} lost its worker "
-        f"{task.attempts + 1} time(s) and exhausted its retry budget "
+        f"remote task {task_id} lost its worker "
+        f"{attempts + 1} time(s) and exhausted its retry budget "
         f"({retries}); a worker kept dying on it or the lease is shorter "
         "than the task")
     return encode_failure(error)
@@ -373,11 +359,18 @@ class FileSpoolQueue(WorkQueue):
             body = self._read(target)
             if body is None:  # pragma: no cover - claim/complete race
                 continue
-            data = pickle.loads(body)
-            return Task(task_id=data["task_id"],
-                        context_id=data["context_id"],
-                        payload=data["payload"], attempts=attempts,
-                        deadline=data.get("deadline", 0.0))
+            try:
+                data = pickle.loads(body)
+                return Task(task_id=data["task_id"],
+                            context_id=data["context_id"],
+                            payload=data["payload"], attempts=attempts,
+                            deadline=data.get("deadline", 0.0))
+            except Exception as exc:
+                # A torn record: keep the claim, so its lease expires and
+                # the retry budget quarantines it, never killing a worker.
+                raise TransportError(
+                    f"undecodable task record {name!r} ({len(body)} "
+                    f"bytes): {exc!r}") from exc
         return None
 
     def extend(self, task_id: str) -> None:
@@ -436,8 +429,12 @@ class FileSpoolQueue(WorkQueue):
                 if (parsed := self._parse_entry(name)) is not None
                 and parsed[0] == task_id]
 
-    def _quarantine_entry(self, path: str, name: str) -> None:
-        """Preserve a poison task's record instead of deleting it."""
+    def _quarantine_entry(self, path: str, name: str) -> bool:
+        """Preserve a poison task's record instead of deleting it.
+
+        Returns ``False`` when the entry was already gone (completed, or
+        retired by a concurrent reclaimer).
+        """
         try:
             faults.inject("queue.quarantine")
             os.replace(path, os.path.join(self._dir("quarantine"), name))
@@ -445,7 +442,8 @@ class FileSpoolQueue(WorkQueue):
             try:
                 os.unlink(path)
             except OSError:
-                pass
+                return False
+        return True
 
     def reclaim_expired(self) -> int:
         claimed_dir, tasks_dir = self._dir("claimed"), self._dir("tasks")
@@ -484,15 +482,11 @@ class FileSpoolQueue(WorkQueue):
                 # Quarantine before posting the failure: complete()
                 # retires every live entry for the task, so the rename
                 # must win first or there is nothing left to preserve.
-                body = self._read(path)
-                self._quarantine_entry(path, name)
-                if body is not None:
-                    data = pickle.loads(body)
-                    task = Task(task_id=data["task_id"],
-                                context_id=data["context_id"],
-                                payload=data["payload"], attempts=attempts)
-                    self.complete(task_id, _budget_failure(task,
-                                                           self.retries))
+                # The failure comes from the entry name alone — the
+                # record may be the torn body that kept failing claims.
+                if self._quarantine_entry(path, name):
+                    self.complete(task_id, _budget_failure(
+                        task_id, attempts, self.retries))
                 continue
             target = os.path.join(tasks_dir,
                                   self._entry_name(task_id, attempts + 1))
@@ -509,8 +503,9 @@ class FileSpoolQueue(WorkQueue):
 
 
 class MemoryQueue(WorkQueue):
-    """In-process queue (the socket server's backing store, and the
-    cheapest substrate for same-process worker threads)."""
+    """In-process queue: the fake the queue-contract, worker and executor
+    tests run on, and the cheapest substrate for same-process worker
+    threads."""
 
     def __init__(self, lease: float | None = None,
                  retries: int | None = None) -> None:
@@ -576,8 +571,8 @@ class MemoryQueue(WorkQueue):
                     continue
                 del self._claimed[task_id]
                 if task.attempts >= self.retries:
-                    self._results[task_id] = _budget_failure(task,
-                                                             self.retries)
+                    self._results[task_id] = _budget_failure(
+                        task_id, task.attempts, self.retries)
                 else:
                     self._pending.append(
                         replace(task, attempts=task.attempts + 1))
@@ -589,263 +584,29 @@ class MemoryQueue(WorkQueue):
                 f"pending={len(self._pending)})")
 
 
-# -- socket transport --------------------------------------------------------
-#
-# A tiny framed-pickle RPC: request = (op, kwargs), response = (ok, value).
-# One persistent connection per client, one server thread per connection.
-
-_FRAME = struct.Struct(">I")
-_MAX_FRAME = 1 << 30
-
-
-def _send_frame(sock: socket.socket, payload: bytes) -> None:
-    frame = _FRAME.pack(len(payload)) + payload
-    mangled = faults.inject_bytes("transport.send", frame)
-    sock.sendall(mangled)
-    if len(mangled) != len(frame):
-        # The peer now holds a torn frame; abandon the conversation the
-        # way a real mid-send failure would, so reconnect logic engages.
-        raise TransportError(
-            f"frame truncated in transit ({len(mangled)}/{len(frame)} "
-            "bytes sent)")
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    buffer = io.BytesIO()
-    while buffer.tell() < n:
-        chunk = sock.recv(n - buffer.tell())
-        if not chunk:
-            return None
-        buffer.write(chunk)
-    return buffer.getvalue()
-
-
-def _recv_frame(sock: socket.socket) -> bytes | None:
-    faults.inject("transport.recv")
-    header = _recv_exact(sock, _FRAME.size)
-    if header is None:
-        return None
-    (length,) = _FRAME.unpack(header)
-    if length > _MAX_FRAME:
-        raise TransportError(f"oversized queue frame: {length} bytes")
-    return _recv_exact(sock, length)
-
-
-#: WorkQueue methods the socket transport proxies verbatim.
-_RPC_OPS = ("put_context", "get_context", "submit", "claim", "extend",
-            "complete", "result", "cancel", "reclaim_expired")
-
-
-class _QueueRequestHandler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:
-        while True:
-            try:
-                frame = _recv_frame(self.request)
-            except (OSError, RemoteTaskError):
-                return  # torn/oversized frame or dead peer: drop the
-                # connection, keep the server (clients reconnect)
-            if frame is None:
-                return
-            try:
-                op, kwargs = pickle.loads(frame)
-                if op not in _RPC_OPS:
-                    raise RemoteTaskError(f"unknown queue op {op!r}")
-                value = getattr(self.server.queue, op)(**kwargs)
-                response = (True, value)
-            except Exception as exc:  # ship the failure, keep serving
-                response = (False, exc)
-            try:
-                _send_frame(self.request, pickle.dumps(
-                    response, protocol=pickle.HIGHEST_PROTOCOL))
-            except (OSError, RemoteTaskError):
-                return
-
-
-class _QueueTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address, queue: WorkQueue) -> None:
-        super().__init__(address, _QueueRequestHandler)
-        self.queue = queue
-
-
-class QueueServer:
-    """Serve a :class:`WorkQueue` over TCP (one box fronting a cluster).
-
-    Wraps any queue — a :class:`MemoryQueue` by default, or a
-    :class:`FileSpoolQueue` to make a spool reachable off-box.  Start it,
-    hand :attr:`address` (``tcp://host:port``) to dispatchers and
-    ``python -m repro worker --queue tcp://...`` processes, and every
-    :class:`SocketQueue` client speaks to the same state.
-    """
-
-    def __init__(self, queue: WorkQueue | None = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 lease: float | None = None,
-                 retries: int | None = None) -> None:
-        self.queue = queue if queue is not None else MemoryQueue(
-            lease=lease, retries=retries)
-        self._server = _QueueTCPServer((host, port), self.queue)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"tcp://{host}:{port}"
-
-    def start(self) -> "QueueServer":
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name="repro-queue-server",
-                                        daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "QueueServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-#: SocketQueue reconnect policy: attempts beyond the first, and the
-#: backoff bounds (seconds) between them.
-_RECONNECT_RETRIES = 3
-_BACKOFF_BASE = 0.05
-_BACKOFF_CAP = 1.0
-
-
-class SocketQueue(WorkQueue):
-    """Client half of the socket transport: a :class:`WorkQueue` whose
-    every method is one RPC to a :class:`QueueServer`.
-
-    The executor and worker never know which transport they ride — this
-    class and :class:`FileSpoolQueue` are interchangeable behind
-    :class:`WorkQueue`.  Lease policy lives server-side.
-
-    Byte-level failures — a torn frame, a connection the server dropped
-    mid-reply, an undecodable response — raise :class:`TransportError`
-    after a bounded reconnect loop (exponential backoff with
-    derived-seed jitter, so a thundering herd of clients desynchronises
-    deterministically rather than by luck).
-    """
-
-    def __init__(self, address: str, timeout: float = 30.0) -> None:
-        self.address = address
-        host, _, port = address.removeprefix("tcp://").rpartition(":")
-        if not host or not port.isdigit():
-            raise RemoteTaskError(
-                f"malformed socket queue address {address!r}; expected "
-                "tcp://host:port")
-        self._endpoint = (host, int(port))
-        self._timeout = timeout
-        self._lock = threading.Lock()
-        self._sock: socket.socket | None = None
-        self._jitter = rng.derive(0, "transport-backoff", address)
-
-    def _connect(self) -> socket.socket:
-        if self._sock is None:
-            faults.inject("transport.connect")
-            self._sock = socket.create_connection(self._endpoint,
-                                                  timeout=self._timeout)
-        return self._sock
-
-    def _call(self, op: str, **kwargs):
-        request = pickle.dumps((op, kwargs),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        with self._lock:
-            delay = _BACKOFF_BASE
-            for attempt in range(_RECONNECT_RETRIES + 1):
-                try:
-                    sock = self._connect()
-                    _send_frame(sock, request)
-                    frame = _recv_frame(sock)
-                    if frame is None:
-                        raise TransportError(
-                            "queue server closed the connection mid-reply")
-                    break
-                except (OSError, RemoteTaskError) as exc:
-                    self._drop_connection()
-                    if attempt >= _RECONNECT_RETRIES:
-                        raise TransportError(
-                            f"queue server at {self.address} is "
-                            f"unreachable after {attempt + 1} attempt(s): "
-                            f"{exc}") from exc
-                    time.sleep(delay * (0.5 + self._jitter.random()))
-                    delay = min(delay * 2.0, _BACKOFF_CAP)
-        try:
-            ok, value = pickle.loads(frame)
-        except Exception as exc:
-            raise TransportError(
-                f"undecodable queue reply ({len(frame)} bytes): "
-                f"{exc!r}") from exc
-        if not ok:
-            raise value
-        return value
-
-    def _drop_connection(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def put_context(self, context_id: str, payload: bytes) -> None:
-        self._call("put_context", context_id=context_id, payload=payload)
-
-    def get_context(self, context_id: str) -> bytes | None:
-        return self._call("get_context", context_id=context_id)
-
-    def submit(self, task: Task) -> None:
-        self._call("submit", task=task)
-
-    def claim(self, worker_id: str = "") -> Task | None:
-        return self._call("claim", worker_id=worker_id)
-
-    def extend(self, task_id: str) -> None:
-        self._call("extend", task_id=task_id)
-
-    def complete(self, task_id: str, payload: bytes) -> None:
-        self._call("complete", task_id=task_id, payload=payload)
-
-    def result(self, task_id: str) -> bytes | None:
-        return self._call("result", task_id=task_id)
-
-    def cancel(self, task_id: str) -> None:
-        self._call("cancel", task_id=task_id)
-
-    def reclaim_expired(self) -> int:
-        return self._call("reclaim_expired")
-
-    def close(self) -> None:
-        with self._lock:
-            self._drop_connection()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SocketQueue({self.address!r})"
+#: A ``scheme://`` prefix (RFC 3986 scheme syntax): a URL, never a spool.
+_URL_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://")
 
 
 def queue_from_spec(spec: "str | os.PathLike | WorkQueue",
                     lease: float | None = None,
                     retries: int | None = None) -> WorkQueue:
-    """Resolve a queue spec: a :class:`WorkQueue` passes through,
-    ``tcp://host:port`` opens a :class:`SocketQueue`, anything else is a
-    :class:`FileSpoolQueue` spool directory."""
+    """Resolve a queue spec: a :class:`WorkQueue` passes through, a path
+    opens a :class:`FileSpoolQueue` spool directory.
+
+    A ``scheme://`` spec is rejected rather than read as a relative path,
+    so a URL left in ``--queue`` or ``REPRO_CI_REMOTE_QUEUE`` fails loudly
+    instead of creating a spool under ``./scheme:/``.
+    """
     if isinstance(spec, WorkQueue):
         return spec
     spec = os.fspath(spec)
     if not spec:
         raise RemoteTaskError(
             "empty work-queue spec; set REPRO_CI_REMOTE_QUEUE (or pass "
-            "--queue) to a spool directory or tcp://host:port")
-    if spec.startswith("tcp://"):
-        return SocketQueue(spec)
+            "--queue) to a spool directory")
+    if _URL_SCHEME.match(spec):
+        raise RemoteTaskError(
+            f"work-queue spec {spec!r} is a URL; the queue must be a spool "
+            "directory that the dispatcher and every worker can reach")
     return FileSpoolQueue(spec, lease=lease, retries=retries)

@@ -185,12 +185,13 @@ def _execute(queue: WorkQueue, task: Task, store_root: str | None,
 
 
 class _Heartbeat:
-    """Extends a claimed task's lease on a side thread while it runs."""
+    """Extends a claimed task's lease on a side thread while it runs,
+    three times per lease."""
 
-    def __init__(self, queue: WorkQueue, task_id: str,
-                 interval: float) -> None:
+    def __init__(self, queue: WorkQueue, task_id: str) -> None:
         self._queue = queue
         self._task_id = task_id
+        self._interval = max(float(queue.lease) / 3.0, 0.05)
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name=f"repro-heartbeat-{task_id}",
@@ -198,21 +199,11 @@ class _Heartbeat:
         self._thread.start()
 
     def _run(self) -> None:
-        while not self._stop.wait(self._interval()):
+        while not self._stop.wait(self._interval):
             try:
                 self._queue.extend(self._task_id)
             except (RemoteTaskError, OSError):
                 return  # a dead queue ends the lease with the worker
-
-    def _interval(self) -> float:
-        return self._heartbeat_interval(self._queue)
-
-    @staticmethod
-    def _heartbeat_interval(queue: WorkQueue) -> float:
-        lease = getattr(queue, "lease", None)
-        if lease is None:
-            lease = env.CI_REMOTE_LEASE.read_float() or 30.0
-        return max(float(lease) / 3.0, 0.05)
 
     def stop(self) -> None:
         self._stop.set()
@@ -319,8 +310,7 @@ def worker_loop(queue: WorkQueue, worker_id: str = "",
                 _complete_with_retry(queue, task.task_id,
                                      _expired_failure(task), poll)
                 continue
-            heartbeat = _Heartbeat(queue, task.task_id,
-                                   _Heartbeat._heartbeat_interval(queue))
+            heartbeat = _Heartbeat(queue, task.task_id)
             try:
                 # The execution-site fault fires outside _execute's
                 # failure-payload boundary: a kill here is worker death,
@@ -394,7 +384,6 @@ def run_worker(queue_spec: str, store: str | None = None,
                 signal.signal(sig, handler)
             except (ValueError, OSError):
                 pass
-        queue.close()
     return 0
 
 
@@ -402,7 +391,7 @@ class WorkerThread:
     """A worker loop on a daemon thread (single-box distributed mode).
 
     Serves the same queues as worker *processes* — tasks still make the
-    full pickle round-trip through the transport — without process
+    full pickle round-trip through the queue — without process
     start-up cost.  Used by :func:`local_remote_executor`, benchmarks,
     and anywhere a dispatcher wants to guarantee at least one worker.
     Never ``killable``: an injected kill makes it abandon its claim (the

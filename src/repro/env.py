@@ -164,10 +164,11 @@ CI_CALIBRATION = _register(
 
 CI_REMOTE_QUEUE = _register(
     "REPRO_CI_REMOTE_QUEUE", "",
-    "work-queue spec the remote executor and `repro worker` ride: a "
-    "filesystem spool directory or `tcp://host:port`; unset disables "
-    "remote execution (`REPRO_CI_EXECUTOR=remote` then falls back to "
-    "serial only when chosen by calibration, and errors when explicit)")
+    "work-queue spool directory the remote executor and `repro worker` "
+    "share (a path every worker can reach; URLs are rejected); unset "
+    "disables remote execution (`REPRO_CI_EXECUTOR=remote` then falls "
+    "back to serial only when chosen by calibration, and errors when "
+    "explicit)")
 
 CI_REMOTE_LEASE = _register(
     "REPRO_CI_REMOTE_LEASE", "30",

@@ -58,19 +58,19 @@ class RemoteTaskError(ReproError):
 
     Raised (or shipped back as a failure payload) when a task exhausts
     its requeue budget, when a dispatcher times out waiting for results,
-    or when a queue transport is misconfigured.
+    or when a work queue is misconfigured.
     """
 
 
 class TransportError(RemoteTaskError):
-    """A queue transport failed at the byte level.
+    """A work queue failed at the byte level.
 
-    The *typed* face of every socket/spool mishap the distributed layer
-    can hit mid-conversation: truncated or malformed frames, a server
-    that closed the connection mid-stream, a result payload whose pickle
-    does not decode.  Clients must raise this — never a bare
-    ``EOFError`` / ``UnpicklingError`` — so dispatchers can tell a
-    transport hiccup (retry, reconnect, degrade) from a failing task.
+    The *typed* face of every spool mishap the distributed layer can
+    hit: a torn task record a worker claimed, a result payload whose
+    pickle does not decode.  Queues must raise this — never a bare
+    ``EOFError`` / ``UnpicklingError`` — so dispatchers and workers can
+    tell a transport hiccup (retry, back off, degrade) from a failing
+    task.
     """
 
 

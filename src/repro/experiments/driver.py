@@ -258,8 +258,8 @@ def run_suite(legs: Sequence[ExperimentLeg],
     one worker per leg, capped at the CPU count; ``jobs=1`` runs inline
     (no pool), which is also the fallback for a single leg.
 
-    ``queue`` (a :class:`~repro.distributed.queue.WorkQueue` or a spec
-    string — spool directory or ``tcp://host:port``) runs the suite
+    ``queue`` (a :class:`~repro.distributed.queue.WorkQueue` or a spool
+    directory path) runs the suite
     *distributed* instead: legs travel as work-queue tasks to whatever
     ``python -m repro worker`` processes serve that queue, each worker
     opening its own store on the shared root exactly like a pool worker
@@ -298,20 +298,14 @@ def run_suite(legs: Sequence[ExperimentLeg],
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
 
     work_queue = None
-    owns_queue = False
     if queue is not None:
         from repro.distributed.queue import queue_from_spec
 
         work_queue = queue_from_spec(queue)
-        owns_queue = work_queue is not queue
     start = time.perf_counter()
     runner = functools.partial(_execute_leg, store_root=store_root)
-    try:
-        outcomes = map_parallel(runner, legs, jobs, mp_context=mp_context,
-                                queue=work_queue)
-    finally:
-        if owns_queue:
-            work_queue.close()
+    outcomes = map_parallel(runner, legs, jobs, mp_context=mp_context,
+                            queue=work_queue)
     return SuiteResult(outcomes=outcomes,
                        seconds=time.perf_counter() - start,
                        jobs=jobs)

@@ -29,7 +29,7 @@ Spec grammar (the ``REPRO_FAULTS`` environment variable)::
 the per-invocation firing probability (default 1.0); ``times`` caps the
 total number of firings (default unlimited).  Example::
 
-    REPRO_FAULTS="worker.execute:kill@0.1x1;transport.send:truncate=0.5@0.05x2;seed=11"
+    REPRO_FAULTS="worker.execute:kill@0.1x1;spool.write:truncate=0.5@0.05x2;seed=11"
 
 **Determinism.**  Every spec draws from its own generator, derived via
 :func:`repro.rng.derive` from ``(seed, "faults", index, site, kind)`` —

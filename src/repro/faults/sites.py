@@ -41,17 +41,14 @@ __all__ = [
 
 #: Registry of every injection site, with the boundary it guards.
 SITES: dict[str, str] = {
-    "queue.submit": "FileSpoolQueue/SocketQueue task submission",
+    "queue.submit": "work-queue task submission",
     "queue.claim": "queue claim (pending -> claimed transition)",
     "queue.complete": "queue completion (result durably recorded)",
     "queue.extend": "lease extension heartbeat",
     "queue.clock.claim": "lease clock as seen by the claiming worker",
     "queue.clock.reclaim": "lease clock as seen by the reclaiming dispatcher",
     "queue.quarantine": "poison-task quarantine rename",
-    "spool.write": "atomic spool-file write (tmp + rename)",
-    "transport.connect": "socket connect to a queue server",
-    "transport.send": "socket frame send (truncatable)",
-    "transport.recv": "socket frame receive",
+    "spool.write": "atomic spool-file write, tmp + rename (truncatable)",
     "dispatch.poll": "dispatcher result/reclaim poll iteration",
     "worker.execute": "worker task execution (post-claim, pre-result)",
     "worker.clock": "worker-side wall clock (deadline checks)",

@@ -1,42 +1,37 @@
-"""Transport contract tests for the work-queue substrate.
+"""Contract tests for the work-queue substrate.
 
-Every transport behind :class:`~repro.distributed.queue.WorkQueue` must
+Every queue behind :class:`~repro.distributed.queue.WorkQueue` must
 honour the same contract: exclusive claims, lease expiry → requeue with a
 bumped attempt counter, retry-budget exhaustion → explicit failure
 result, idempotent completion.  The suite runs the shared contract over
-the filesystem spool, the in-memory queue, and the socket transport
-(a real TCP round-trip against a :class:`QueueServer`).
+the filesystem spool and over the in-memory queue the worker and
+executor tests use.
 """
 
 import os
-import pickle
 import time
 
 import pytest
 
-from repro.distributed.queue import (FileSpoolQueue, MemoryQueue,
-                                     QueueServer, SocketQueue, Task,
+from repro import faults
+from repro.distributed.dispatch import collect, remote_map
+from repro.distributed.queue import (FileSpoolQueue, MemoryQueue, Task,
                                      WorkQueue, decode_result,
                                      encode_failure, encode_success,
                                      queue_from_spec)
-from repro.exceptions import CITestError, RemoteTaskError
+from repro.distributed.worker import WorkerThread
+from repro.exceptions import CITestError, RemoteTaskError, TransportError
 
 LEASE = 0.15
 
 
-@pytest.fixture(params=["spool", "memory", "socket"])
+@pytest.fixture(params=["spool", "memory"])
 def queue(request, tmp_path):
-    """One WorkQueue per transport, short-leased for fast expiry tests."""
+    """One WorkQueue per implementation, short-leased for fast expiry
+    tests."""
     if request.param == "spool":
-        yield FileSpoolQueue(tmp_path / "q", lease=LEASE, retries=2)
-        return
-    if request.param == "memory":
-        yield MemoryQueue(lease=LEASE, retries=2)
-        return
-    with QueueServer(lease=LEASE, retries=2) as server:
-        client = SocketQueue(server.address)
-        yield client
-        client.close()
+        return FileSpoolQueue(tmp_path / "q", lease=LEASE, retries=2)
+    return MemoryQueue(lease=LEASE, retries=2)
 
 
 def submit(queue, task_id, value=b"payload", context_id=""):
@@ -136,6 +131,20 @@ class TestResultPayloads:
         with pytest.raises(RemoteTaskError, match="unpicklable"):
             decode_result(encode_failure(Hostile("original detail")))
 
+    def test_transport_error_is_a_remote_task_error(self):
+        assert issubclass(TransportError, RemoteTaskError)
+        assert not issubclass(TransportError, EOFError)
+
+    def test_torn_result_raises_transport_error_not_eoferror(self, tmp_path):
+        queue = FileSpoolQueue(tmp_path / "q")
+        whole = encode_success(list(range(100)))
+        with faults.use_plan(faults.FaultPlan("spool.write:truncate=0.5x1")):
+            queue.complete("t", whole)
+        torn = queue.result("t")
+        assert torn == whole[:len(whole) // 2]
+        with pytest.raises(TransportError, match="undecodable result"):
+            decode_result(torn)
+
 
 class TestFileSpoolSpecifics:
     def test_task_id_with_reserved_characters_is_rejected(self, tmp_path):
@@ -163,36 +172,24 @@ class TestFileSpoolSpecifics:
         b.complete("t", encode_success(1))
         assert decode_result(a.result("t")) == 1
 
-
-class TestSocketSpecifics:
-    def test_server_side_errors_propagate_to_the_client(self, tmp_path):
-        backing = FileSpoolQueue(tmp_path / "q")
-        with QueueServer(queue=backing) as server:
-            client = SocketQueue(server.address)
-            with pytest.raises(RemoteTaskError, match="invalid task id"):
-                submit(client, "bad@id")
-            client.close()
-
-    def test_dead_server_raises_remote_error(self):
-        server = QueueServer()
-        server.start()
-        address = server.address
-        server.stop()
-        client = SocketQueue(address)
-        with pytest.raises(RemoteTaskError, match="unreachable"):
-            client.claim("w")
-
-    def test_malformed_address_rejected(self):
-        with pytest.raises(RemoteTaskError, match="malformed"):
-            SocketQueue("tcp://no-port")
-
-    def test_payloads_survive_the_wire_bit_exact(self):
-        blob = pickle.dumps({"k": list(range(1000))})
-        with QueueServer() as server:
-            client = SocketQueue(server.address)
-            client.put_context("ctx", blob)
-            assert client.get_context("ctx") == blob
-            client.close()
+    def test_torn_task_record_is_quarantined_and_the_worker_survives(
+            self, tmp_path):
+        """A task record torn on write must not kill the worker that
+        claims it: the claim raises TransportError, the claim's lease
+        lapses until the retry budget quarantines the record, and the
+        batch fails explicitly instead of timing out."""
+        queue = FileSpoolQueue(tmp_path / "q", lease=LEASE, retries=1)
+        plan = faults.FaultPlan("spool.write:truncate=0.5x1")
+        with faults.use_plan(plan), WorkerThread(queue, poll=0.01):
+            submit(queue, "torn")
+            assert list(plan.fired().values()) == [1]  # the record tore
+            with pytest.raises(RemoteTaskError, match="retry budget"):
+                collect(queue, ["torn"], timeout=3, poll=0.01)
+            # The same worker still serves the next, intact task.
+            assert remote_map(abs, [-7], queue, timeout=3, poll=0.01) == [7]
+        quarantined = os.listdir(tmp_path / "q" / "quarantine")
+        assert len(quarantined) == 1
+        assert quarantined[0].startswith("torn@1@")
 
 
 class TestQueueFromSpec:
@@ -205,9 +202,12 @@ class TestQueueFromSpec:
         assert isinstance(queue, FileSpoolQueue)
         assert queue.lease == 5 and queue.retries == 1
 
-    def test_tcp_spec_opens_a_socket_client(self):
-        queue = queue_from_spec("tcp://127.0.0.1:19999")
-        assert isinstance(queue, SocketQueue)
+    def test_tcp_spec_is_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(RemoteTaskError,
+                           match="must be a spool directory"):
+            queue_from_spec("tcp://127.0.0.1:19999")
+        assert os.listdir(tmp_path) == []
 
     def test_empty_spec_fails_loudly(self):
         with pytest.raises(RemoteTaskError, match="empty work-queue spec"):

@@ -9,7 +9,7 @@ from repro.exceptions import FaultInjected, InjectedKill
 class TestGrammar:
     def test_round_trip_through_describe(self):
         spec = ("worker.execute:kill@0.1x1;"
-                "transport.send:truncate=0.25@0.05x2;"
+                "spool.write:truncate=0.25@0.05x2;"
                 "queue.claim:delay=0.002;seed=11")
         plan = faults.FaultPlan(spec)
         again = faults.FaultPlan(plan.describe())
@@ -22,7 +22,7 @@ class TestGrammar:
         (spec,), seed = faults.parse_spec("queue.claim:raise")
         assert seed is None
         assert spec.rate == 1.0 and spec.times is None and spec.value == 0.0
-        (spec,), _ = faults.parse_spec("transport.send:truncate")
+        (spec,), _ = faults.parse_spec("spool.write:truncate")
         assert spec.value == 0.5
 
     @pytest.mark.parametrize("bad, match", [
@@ -46,7 +46,7 @@ class TestGrammar:
         plan = faults.FaultPlan("queue.*:raise@0.5")
         assert plan.specs[0].matches("queue.claim")
         assert plan.specs[0].matches("queue.clock.reclaim")
-        assert not plan.specs[0].matches("transport.send")
+        assert not plan.specs[0].matches("spool.write")
 
 
 class TestDeterminism:
@@ -109,10 +109,10 @@ class TestActions:
         assert issubclass(InjectedKill, FaultInjected)
 
     def test_truncate_mangles_bytes(self):
-        plan = faults.FaultPlan("transport.send:truncate=0.5x1")
-        assert plan.mangle("transport.send", b"12345678") == b"1234"
+        plan = faults.FaultPlan("spool.write:truncate=0.5x1")
+        assert plan.mangle("spool.write", b"12345678") == b"1234"
         # cap exhausted: subsequent payloads pass through intact
-        assert plan.mangle("transport.send", b"12345678") == b"12345678"
+        assert plan.mangle("spool.write", b"12345678") == b"12345678"
 
     def test_skew_is_a_standing_offset_not_a_firing(self):
         plan = faults.FaultPlan("queue.clock.reclaim:skew=2.5")
@@ -126,7 +126,7 @@ class TestRuntimeShim:
     def test_disabled_shims_are_no_ops(self):
         with faults.use_plan(None):
             faults.inject("queue.claim")
-            assert faults.inject_bytes("transport.send", b"x") == b"x"
+            assert faults.inject_bytes("spool.write", b"x") == b"x"
             assert isinstance(faults.clock("queue.clock.claim"), float)
 
     def test_use_plan_arms_and_restores(self):
