@@ -3,8 +3,6 @@
 from repro import env
 from repro.ci.base import CIQuery, CIResult, CITestLedger, CITester, LedgerEntry
 from repro.ci.adaptive import AdaptiveCI
-from repro.ci.autotune import (Calibration, active_calibration, run_probe,
-                               set_active_calibration)
 from repro.ci.cmi import ClassifierCMI, discrete_cmi, knn_cmi
 from repro.ci.executor import (BatchExecutor, ProcessExecutor,
                                SerialExecutor, default_executor,
@@ -64,10 +62,6 @@ __all__ = [
     "CITester",
     "LedgerEntry",
     "AdaptiveCI",
-    "Calibration",
-    "active_calibration",
-    "run_probe",
-    "set_active_calibration",
     "BatchExecutor",
     "ProcessExecutor",
     "SerialExecutor",

@@ -15,7 +15,6 @@ internals (a raw ``KeyError`` from the schema lookup, historically).
 from __future__ import annotations
 
 from repro.ci.base import CIQuery, CIResult, CITester, as_queries
-from repro.ci.executor import BatchExecutor
 from repro.ci.gtest import GTestCI
 from repro.ci.rcit import RCIT
 from repro.data.table import Table
@@ -29,24 +28,19 @@ class AdaptiveCI(CITester):
     discrete backend fuses same-``(Y, Z)`` queries into counting passes,
     and the continuous backend (RCIT) shares each group's standardized
     blocks, bandwidths, Z feature map, ridge factorisation, and Y
-    residuals (see :mod:`repro.ci.rcit`).  ``executor`` (optional) shards
-    the continuous sub-batch — still usually the wall-clock-dominant part
-    of a mixed workload; sharding splits fusion groups at shard
-    boundaries but never changes results, because every random draw is
-    derived per variable block.  The discrete sub-batch always runs in
-    the calling thread to keep its fusion intact.
+    residuals (see :mod:`repro.ci.rcit`).  Sharding is the ledger's job:
+    its executor splits the whole mixed batch, which never changes
+    results, because every random draw is derived per variable block.
     """
 
     method = "adaptive"
 
     def __init__(self, alpha: float = 0.01, seed: SeedLike = None,
                  discrete: CITester | None = None,
-                 continuous: CITester | None = None,
-                 executor: BatchExecutor | None = None) -> None:
+                 continuous: CITester | None = None) -> None:
         super().__init__(alpha=alpha)
         self.discrete = discrete or GTestCI(alpha=alpha)
         self.continuous = continuous or RCIT(alpha=alpha, seed=seed)
-        self.executor = executor
 
     def cache_token(self) -> tuple:
         return (("discrete", self.discrete.method, self.discrete.alpha)
@@ -89,11 +83,8 @@ class AdaptiveCI(CITester):
             by_backend.setdefault(id(backend), (backend, []))[1].append(i)
         results: list[CIResult | None] = [None] * len(normalised)
         for backend, indices in by_backend.values():
-            subqueries = [normalised[i] for i in indices]
-            if self.executor is not None and backend is self.continuous:
-                batch = self.executor.run(backend, table, subqueries)
-            else:
-                batch = backend.test_batch(table, subqueries)
+            batch = backend.test_batch(table,
+                                       [normalised[i] for i in indices])
             for i, result in zip(indices, batch):
                 results[i] = self._relabel(result)
         return results

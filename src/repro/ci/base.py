@@ -331,9 +331,9 @@ class CITestLedger(CITester):
         self._cache_enabled = bool(cache) or self.store is not None
         self._cache: dict[tuple, CIResult] = {}
         # With no explicit executor the process-wide default applies:
-        # REPRO_CI_EXECUTOR, else measured calibration for this tester's
-        # method, else serial (see repro.ci.executor.default_executor).
-        self.executor: BatchExecutor = executor or default_executor(inner)
+        # REPRO_CI_EXECUTOR, else serial (see
+        # repro.ci.executor.default_executor).
+        self.executor: BatchExecutor = executor or default_executor()
 
     def cache_token(self) -> tuple:
         # A ledger is configuration-transparent: forward the wrapped

@@ -43,12 +43,12 @@ the failure cannot be pinned to one query, e.g. a crashed worker process)
 — never as a bare pool exception.  :class:`SerialExecutor` stays fully
 transparent: the caller's thread sees the original exception.
 
-The process-wide default executor is configurable through the
+Executor choice is one knob: the executor a caller passes, else the
 ``REPRO_CI_EXECUTOR`` environment variable (``serial`` / ``process`` /
 ``remote``; worker count via ``REPRO_CI_JOBS``, multiprocessing start
-method via ``REPRO_CI_MP_CONTEXT``), which is how the CI matrix runs the
-whole test suite under process execution to enforce the equivalence
-contract.
+method via ``REPRO_CI_MP_CONTEXT``), else serial.  The environment
+variable is how the CI matrix runs the whole test suite under process
+execution to enforce the equivalence contract.
 """
 
 from __future__ import annotations
@@ -158,11 +158,6 @@ _PROCESS_STATE: dict = {}
 
 def _process_worker_init(tester: "CITester", table: "Table",
                          warm_names: Sequence[str]) -> None:
-    if getattr(tester, "executor", None) is not None:
-        # Never nest pools: a tester shipped with its own executor (e.g.
-        # AdaptiveCI) runs its sub-batches serially inside the worker.
-        # Results are identical — executors are mechanism only.
-        tester.executor = None
     table.warm_cache([name for name in warm_names if name in table])
     _PROCESS_STATE["tester"] = tester
     _PROCESS_STATE["table"] = table
@@ -270,9 +265,9 @@ class ProcessExecutor(BatchExecutor):
             pass
 
     def __getstate__(self) -> dict:
-        # Executors travel inside testers (AdaptiveCI) when those are
-        # themselves pickled; ship the configuration, never the live pool
-        # (or its unpicklable lock).
+        # Executors travel inside ledgers when those are themselves
+        # pickled; ship the configuration, never the live pool (or its
+        # unpicklable lock).
         state = self.__dict__.copy()
         state["_pool"] = None
         state["_pool_key"] = None
@@ -449,7 +444,7 @@ class RemoteExecutor(BatchExecutor):
 
     def __getstate__(self) -> dict:
         # Like ProcessExecutor: the executor may travel inside a pickled
-        # tester — ship configuration, never the live queue handle.
+        # ledger — ship configuration, never the live queue handle.
         state = self.__dict__.copy()
         state["_queue"] = None
         state["_published"] = set()
@@ -587,7 +582,7 @@ def executor_by_name(name: str, **kwargs) -> BatchExecutor:
 _DEFAULT_EXECUTORS: dict[tuple, BatchExecutor] = {}
 
 
-def default_executor(tester: "CITester | None" = None) -> BatchExecutor:
+def default_executor() -> BatchExecutor:
     """The executor a :class:`~repro.ci.base.CITestLedger` uses when none
     is passed explicitly.
 
@@ -595,51 +590,35 @@ def default_executor(tester: "CITester | None" = None) -> BatchExecutor:
     be switched onto a different execution strategy without touching call
     sites — the equivalence contract guarantees identical results/counts:
 
-    * ``REPRO_CI_EXECUTOR`` — ``serial``, ``process``, ``remote``
+    * ``REPRO_CI_EXECUTOR`` — ``serial`` (the default), ``process``,
+      ``remote``
     * ``REPRO_CI_JOBS`` — worker count for the pooled executors (shard
       count for ``remote``)
     * ``REPRO_CI_MP_CONTEXT`` — start method for ``process``
       (``spawn``/``fork``/``forkserver``)
     * ``REPRO_CI_REMOTE_QUEUE`` — the work queue ``remote`` dispatches
-      to; required when ``remote`` is requested explicitly, and the
-      gate for calibration ever choosing it (no queue → serial).  On a
-      thread already serving remote tasks (:func:`worker_mode`) the
-      choice is always serial, whatever the environment says.
+      to; ``remote`` without it is an error.  On a thread already
+      serving remote tasks (:func:`worker_mode`) the choice is always
+      serial, whatever the environment says.
 
-    With ``REPRO_CI_EXECUTOR`` unset the choice is *measured*, not
-    guessed: if calibration data is active
-    (:func:`repro.ci.autotune.active_calibration` — the
-    ``REPRO_CI_CALIBRATION`` env var or an in-process override) the
-    executor measured fastest for ``tester``'s method is used, under the
-    never-slower-than-serial rule.  Without calibration the default is
-    serial for every tester: a pooled executor is never picked by
-    guesswork.
+    A pooled or remote executor runs only when ``REPRO_CI_EXECUTOR``
+    names it: unset means serial, never a guess.
 
     Pooled executors are shared process-wide per configuration (they are
     thread-safe), so every ledger in a run amortises one worker pool;
     serial executors are stateless and constructed fresh.
     """
     name = env.CI_EXECUTOR.read().lower()
-    explicit = bool(name)
-    if not name:
-        # Lazy import: autotune sits above the store layer, which this
-        # module must not import at load time.
-        from repro.ci.autotune import active_calibration
-        calibration = active_calibration()
-        name = (calibration.choose(getattr(tester, "method", None))
-                if calibration is not None else "serial")
     if name == "remote":
         if worker_mode():
             # A worker serving a leg must not re-dispatch into the queue
             # it is being served from — a finite pool would deadlock.
             return SerialExecutor()
         if not env.CI_REMOTE_QUEUE.is_set():
-            if explicit:
-                raise ValueError(
-                    f"{env.CI_EXECUTOR.name}=remote requires "
-                    f"{env.CI_REMOTE_QUEUE.name} to name a work queue "
-                    "(a spool directory)")
-            name = "serial"  # calibration chose remote, but no queue is up
+            raise ValueError(
+                f"{env.CI_EXECUTOR.name}=remote requires "
+                f"{env.CI_REMOTE_QUEUE.name} to name a work queue "
+                "(a spool directory)")
     if name == "serial":
         return SerialExecutor()
     kwargs: dict = {}

@@ -148,7 +148,7 @@ class RCIT(CITester):
 
     def __init__(self, alpha: float = 0.01, n_features_xy: int = 5,
                  n_features_z: int = 100, ridge: float = 1e-10,
-                 seed: SeedLike = None, rff_float32: bool = False) -> None:
+                 seed: SeedLike = None) -> None:
         super().__init__(alpha=alpha)
         if n_features_xy < 1 or n_features_z < 1:
             raise CITestError("feature counts must be positive")
@@ -156,28 +156,16 @@ class RCIT(CITester):
         self.n_features_z = n_features_z
         self.ridge = ridge
         self._seed = value_seed(seed)
-        #: Opt-in fast path: evaluate the big RFF projection (the
-        #: ``n x d @ d x m`` matmul plus cosine) in float32, then continue
-        #: in float64.  Roughly halves the memory traffic of the dominant
-        #: GEMM on wide tables, but float32 rounding perturbs p-values —
-        #: hence opt-in, never a default, and stamped into
-        #: :meth:`cache_token` so stores cannot mix the two precisions.
-        self.rff_float32 = bool(rff_float32)
 
     def cache_token(self) -> tuple:
         # The seed participates: two differently-seeded RCITs are both
         # deterministic but draw different random features, so a shared
         # persistent store must never serve one the other's verdicts.
-        token = (("seed", self._seed),
-                 ("n_features_xy", self.n_features_xy),
-                 ("n_features_z", self.n_features_z),
-                 ("ridge", self.ridge),
-                 ("derivation", self._DERIVATION))
-        if self.rff_float32:
-            # Appended only when enabled: default-precision tokens stay
-            # byte-identical to every previously persisted store key.
-            token += (("rff_dtype", "float32"),)
-        return token
+        return (("seed", self._seed),
+                ("n_features_xy", self.n_features_xy),
+                ("n_features_z", self.n_features_z),
+                ("ridge", self.ridge),
+                ("derivation", self._DERIVATION))
 
     # -- derivation ---------------------------------------------------------
 
@@ -256,22 +244,11 @@ class RCIT(CITester):
 
     # -- kernels ------------------------------------------------------------
 
-    def _rff_map(self, matrix: np.ndarray, frequencies: np.ndarray,
+    @staticmethod
+    def _rff_map(matrix: np.ndarray, frequencies: np.ndarray,
                  phases: np.ndarray, m: int) -> np.ndarray:
-        """The RFF projection, optionally through the float32 fast path.
-
-        Works on 2-D blocks and the fused 3-D stacks alike.  The float32
-        variant casts the inputs of the dominant matmul down, evaluates
-        matmul + cosine in single precision, and promotes the (small,
-        ``n x m``) feature block back to float64 for the downstream ridge
-        algebra.
-        """
-        if self.rff_float32:
-            feats = np.sqrt(2.0 / m) * np.cos(
-                np.matmul(matrix.astype(np.float32),
-                          frequencies.astype(np.float32))
-                + phases.astype(np.float32))
-            return feats.astype(np.float64)
+        """The RFF projection; works on 2-D blocks and the fused 3-D
+        stacks alike."""
         return np.sqrt(2.0 / m) * np.cos(np.matmul(matrix, frequencies)
                                          + phases)
 

@@ -349,19 +349,6 @@ class ExperimentStore:
     def selections_path(self) -> str:
         return os.path.join(self.root, "selections.json")
 
-    @property
-    def calibration_path(self) -> str:
-        """Canonical location of the executor-calibration document (the
-        probe measurements :mod:`repro.ci.autotune` records and
-        ``default_executor`` consults via ``REPRO_CI_CALIBRATION``)."""
-        return os.path.join(self.root, "calibration.json")
-
-    def calibration(self):
-        """The store's :class:`~repro.ci.autotune.Calibration` (reads the
-        on-disk document; empty when never probed)."""
-        from repro.ci.autotune import Calibration
-        return Calibration.load(self.calibration_path)
-
     # -- CI-cache namespaces -------------------------------------------------
 
     def ci_cache(self, namespace: str) -> PersistentCICache:

@@ -16,9 +16,6 @@ Commands:
   arrive in batches (and rows optionally append per batch) over one
   :class:`~repro.core.online.OnlineSelector`, printing the anytime
   selection state after every batch,
-* ``python -m repro calibrate --store runs/``
-  measure per-tester executor throughput on this machine and persist the
-  choices ``default_executor`` makes when ``REPRO_CI_EXECUTOR`` is unset,
 * ``python -m repro worker --queue runs/spool``
   serve a distributed work queue: claim CI-test shards and experiment
   legs published by remote-mode dispatchers (``suite --queue``, the
@@ -219,11 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "append N rows with every batch after the "
                              "first (exercises the prefix-cached table "
                              "kernels); default: the full table throughout")
-    stream.add_argument("--delta", choices=("column", "coarse", "off"),
-                        default=None,
+    stream.add_argument("--delta", choices=("column", "off"),
+                        default="column",
                         help="delta-reuse policy gating phase-2 retries "
                              "of previously decided features (default: "
-                             f"the {env.STREAM_DELTA.name} env var, else "
                              "column)")
     stream.add_argument("--alpha", type=float, default=0.01,
                         help="CI-test significance level (default 0.01)")
@@ -256,30 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "claim is reclaimed (default: "
                              "REPRO_CI_REMOTE_LEASE)")
     _add_backend_flag(worker)
-
-    calibrate = sub.add_parser(
-        "calibrate",
-        help="measure per-tester executor throughput and persist the "
-             "choices default_executor makes when REPRO_CI_EXECUTOR is "
-             "unset")
-    calibrate.add_argument("--store", default=None, metavar="DIR",
-                           help="experiment-store root; measurements land "
-                                "in <DIR>/calibration.json")
-    calibrate.add_argument("--output", default=None, metavar="FILE",
-                           help="calibration file path (overrides --store)")
-    calibrate.add_argument("--testers", choices=TESTERS, nargs="+",
-                           default=["gtest", "rcit"], metavar="TESTER",
-                           help="tester families to probe "
-                                "(default: gtest rcit)")
-    calibrate.add_argument("--rows", type=int, default=2000,
-                           help="probe table rows (default 2000)")
-    calibrate.add_argument("--repeats", type=int, default=3,
-                           help="timing repeats, best-of (default 3)")
-    calibrate.add_argument("--jobs", type=int, default=None, metavar="N",
-                           help="worker count for the pooled executors "
-                                "under test")
-    calibrate.add_argument("--seed", type=int, default=0)
-    _add_backend_flag(calibrate)
 
     lint = sub.add_parser(
         "lint",
@@ -444,10 +416,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
         })
     if store is not None:
         store.save()
-    policy = args.delta or env.STREAM_DELTA.read()
     print(render_table(
         rows, title=f"Online stream on {dataset.name}: {n_batches} "
-                    f"batches, delta={policy}"))
+                    f"batches, delta={args.delta}"))
     print(selector.current.summary())
     return 0
 
@@ -458,37 +429,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
     return run_worker(args.queue, store=args.store,
                       worker_id=args.worker_id, max_idle=args.max_idle,
                       max_tasks=args.max_tasks, lease=args.lease)
-
-
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.ci.autotune import ENV_CALIBRATION, Calibration, run_probe
-
-    if args.output:
-        path = args.output
-    elif args.store:
-        path = ExperimentStore(args.store).calibration_path
-    else:
-        raise SystemExit("calibrate needs --store DIR or --output FILE")
-    testers = [default_tester(seed=args.seed, name=name)
-               for name in dict.fromkeys(args.testers)]
-    calibration = run_probe(testers=testers, n_rows=args.rows,
-                            repeats=args.repeats, seed=args.seed,
-                            n_workers=args.jobs,
-                            calibration=Calibration(path))
-    rows = []
-    for row in calibration.rows():
-        seconds = row["seconds"]
-        rows.append({
-            "tester": row["method"], "backend": row["backend"],
-            "batch": row["batch_size"],
-            **{name: f"{value * 1e3:.1f}ms"
-               for name, value in sorted(seconds.items())},
-            "chosen": row["chosen"],
-        })
-    print(render_table(rows, title=f"Executor calibration -> {path}"))
-    print(f"export {ENV_CALIBRATION}={path}  # default_executor will use "
-          "these measurements")
-    return 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -561,7 +501,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     _apply_backend(args)
     handlers = {"select": cmd_select, "evaluate": cmd_evaluate,
                 "suite": cmd_suite, "stream": cmd_stream,
-                "calibrate": cmd_calibrate,
                 "worker": cmd_worker, "lint": cmd_lint,
                 "faults": cmd_faults, "datasets": cmd_datasets}
     return handlers[args.command](args)

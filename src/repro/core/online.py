@@ -24,7 +24,7 @@ maintains selection state across batches:
   The same applies to re-validating prior C2 admissions.
 
 **Delta reuse** decides, per decided feature, whether its evidence
-changed.  The policy (``delta=`` or ``REPRO_STREAM_DELTA``):
+changed.  The policy (``delta=``):
 
 * ``column`` (default) — a per-column fingerprint map.  A decided
   feature is re-queued iff the conditioning set ``A ∪ C1`` grew, a
@@ -32,8 +32,6 @@ changed.  The policy (``delta=`` or ``REPRO_STREAM_DELTA``):
   changed content, or its *own* column did.  A feature whose query
   touches only unchanged columns keeps its verdict — localized drift
   (one revised source column) re-queues one feature, not all of them.
-* ``coarse`` — the pre-delta behaviour: one union fingerprint over every
-  involved column; any change re-queues everything decided.
 * ``off`` — every decided feature is re-queued on every batch (the
   from-scratch reference the delta-reuse property tests compare against).
 
@@ -58,7 +56,6 @@ import os
 import time
 from typing import Iterable, Iterator, Sequence
 
-from repro import env as _env
 from repro.ci.base import CITester
 from repro.ci.executor import BatchExecutor
 from repro.ci import default_tester
@@ -69,10 +66,7 @@ from repro.core.result import Reason, SelectionResult
 from repro.core.subset_search import ExhaustiveSubsets, SubsetStrategy
 from repro.exceptions import SelectionError
 
-#: Env override for the delta-reuse policy (see module docstring).
-ENV_STREAM_DELTA = _env.STREAM_DELTA.name
-
-_DELTA_POLICIES = ("column", "coarse", "off")
+_DELTA_POLICIES = ("column", "off")
 
 
 class OnlineSelector:
@@ -84,8 +78,8 @@ class OnlineSelector:
     full pool would produce whenever the CI tester is consistent (exact
     for the d-separation oracle).
 
-    ``delta`` picks the delta-reuse policy (``column``/``coarse``/``off``,
-    see the module docstring); ``None`` defers to ``REPRO_STREAM_DELTA``.
+    ``delta`` picks the delta-reuse policy (``column`` or ``off``, see
+    the module docstring).
     """
 
     name = "OnlineSeqSel"
@@ -94,10 +88,10 @@ class OnlineSelector:
                  subset_strategy: SubsetStrategy | None = None,
                  cache: bool | str | os.PathLike | PersistentCICache = False,
                  executor: BatchExecutor | None = None,
-                 delta: str | None = None) -> None:
+                 delta: str = "column") -> None:
         self.tester = tester if tester is not None else default_tester()
         self.subset_strategy = subset_strategy or ExhaustiveSubsets()
-        if delta is not None and delta not in _DELTA_POLICIES:
+        if delta not in _DELTA_POLICIES:
             raise SelectionError(
                 f"unknown delta-reuse policy {delta!r}; "
                 f"choose from {'/'.join(_DELTA_POLICIES)}")
@@ -112,13 +106,11 @@ class OnlineSelector:
         self._rejected: list[str] = []
         self._seen: set[str] = set()
         # Evidence baseline of the last phase-2 pass: the conditioning
-        # names plus fingerprints of every column a retry would consult —
-        # per-column under the ``column`` policy, one union digest under
-        # ``coarse``.  The None sentinels make the first pass (and any
-        # pass after a policy switch) run unconditionally.
+        # names plus per-column fingerprints of every column a retry would
+        # consult.  The None sentinels make the first pass (and any pass
+        # after a policy switch) run unconditionally.
         self._cond_names: frozenset[str] | None = None
         self._col_fps: dict[str, str] | None = None
-        self._union_fp: str | None = None
         # Verdicts served from held state instead of re-executing (see
         # module docstring); surfaces through ``result.cache_hits``.
         self._delta_hits = 0
@@ -257,16 +249,6 @@ class OnlineSelector:
 
     # -- delta reuse ----------------------------------------------------------
 
-    def _policy(self) -> str:
-        policy = self.delta if self.delta is not None \
-            else _env.STREAM_DELTA.read()
-        if policy not in _DELTA_POLICIES:
-            raise SelectionError(
-                f"unknown delta-reuse policy {policy!r} (from "
-                f"{ENV_STREAM_DELTA}); choose from "
-                f"{'/'.join(_DELTA_POLICIES)}")
-        return policy
-
     def _stale_features(self, problem: FairFeatureSelectionProblem
                         ) -> set[str]:
         """The decided features whose next retry would consult *changed*
@@ -278,20 +260,13 @@ class OnlineSelector:
         decided = self._rejected + self._c2
         if not decided:
             return set()
-        policy = self._policy()
         cond_names = frozenset(problem.admissible) | frozenset(self._c1)
-        if policy == "off" or cond_names != self._cond_names:
+        if self.delta == "off" or cond_names != self._cond_names:
             # A grown A ∪ C1 changes every decided feature's conditioning
             # set: the enlarged set can block (or expose) paths for all
             # of them, so everything re-queues.
             return set(decided)
         table = problem.table
-        if policy == "coarse":
-            involved = set(cond_names) | {problem.target} | set(decided)
-            if self._union_fp is None or \
-                    table.fingerprint_of(involved) != self._union_fp:
-                return set(decided)
-            return set()
         recorded = self._col_fps
         if recorded is None:  # policy switched since the last baseline
             return set(decided)
@@ -306,17 +281,12 @@ class OnlineSelector:
 
     def _record_baseline(self, problem: FairFeatureSelectionProblem
                          ) -> None:
-        policy = self._policy()
         self._cond_names = (frozenset(problem.admissible)
                             | frozenset(self._c1))
         self._col_fps = None
-        self._union_fp = None
-        if policy == "off":
+        if self.delta == "off":
             return
         involved = (set(self._cond_names) | {problem.target}
                     | set(self._rejected) | set(self._c2))
-        if policy == "coarse":
-            self._union_fp = problem.table.fingerprint_of(involved)
-        else:
-            self._col_fps = {c: problem.table.fingerprint_of((c,))
-                             for c in involved}
+        self._col_fps = {c: problem.table.fingerprint_of((c,))
+                         for c in involved}

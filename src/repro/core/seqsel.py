@@ -24,7 +24,7 @@ from repro.ci.base import CIQuery, CITester
 from repro.ci.executor import BatchExecutor
 from repro.ci import default_tester
 from repro.ci.store import PersistentCICache
-from repro.core.engine import WavefrontEngine
+from repro.core.engine import WavefrontEngine, wave_width_cap
 from repro.core.problem import FairFeatureSelectionProblem
 from repro.core.result import Reason, SelectionResult
 from repro.core.subset_search import ExhaustiveSubsets, SubsetStrategy
@@ -94,13 +94,15 @@ class SeqSel:
                 remaining.append(candidate)
 
         # Phase 2: C2 = {X in X \ C1 : X ⊥ Y | A ∪ C1}.  Every candidate
-        # shares the conditioning set, so the whole phase is one batch
-        # built against one canonical (Y, Z) frame.
+        # shares the conditioning set, so the whole phase is one wave of
+        # one-query streams built against one canonical (Y, Z) frame,
+        # split only by the wave-width cap.
         frame = CIQuery.against(problem.target,
                                 list(problem.admissible) + result.c1)
-        phase2 = [frame(candidate) for candidate in remaining]
-        verdicts = ledger.test_batch(problem.table, phase2)
-        for candidate, verdict in zip(remaining, verdicts):
+        outcomes = ledger.test_waves(
+            problem.table, [[frame(candidate)] for candidate in remaining],
+            max_wave=wave_width_cap(problem.table.n_rows))
+        for candidate, (verdict,) in zip(remaining, outcomes):
             if verdict.independent:
                 result.c2.append(candidate)
                 result.reasons[candidate] = Reason.PHASE2_IRRELEVANT

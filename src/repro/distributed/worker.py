@@ -84,10 +84,9 @@ def _load_context(queue: WorkQueue, context_id: str,
                   cache: dict[str, tuple]) -> tuple:
     """The unpickled ``(tester, table)`` pair for ``context_id``.
 
-    Mirrors ``_process_worker_init``: a tester shipped with its own
-    executor runs sub-batches serially here (never nest pools), and the
-    table re-warms the shipped column names so every shard of the
-    context shares warm process-local caches.
+    Mirrors ``_process_worker_init``: the table re-warms the shipped
+    column names so every shard of the context shares warm process-local
+    caches.
     """
     loaded = cache.get(context_id)
     if loaded is not None:
@@ -100,8 +99,6 @@ def _load_context(queue: WorkQueue, context_id: str,
             "spool is stale or foreign")
     data = pickle.loads(payload)
     tester, table = data["tester"], data["table"]
-    if getattr(tester, "executor", None) is not None:
-        tester.executor = None
     table.warm_cache([name for name in data.get("warm", ())
                       if name in table])
     while len(cache) >= CONTEXT_CACHE_SIZE:

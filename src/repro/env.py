@@ -35,7 +35,6 @@ __all__ = [
     "CI_EXECUTOR",
     "CI_JOBS",
     "CI_MP_CONTEXT",
-    "CI_CALIBRATION",
     "CI_CHUNK_ROWS",
     "CI_REMOTE_LEASE",
     "CI_REMOTE_POLL",
@@ -45,7 +44,6 @@ __all__ = [
     "CI_WAVE_CELLS",
     "FAULTS",
     "FAULTS_SEED",
-    "STREAM_DELTA",
     "TABLE_BACKEND",
     "TABLE_RAM_CAP_MB",
     "markdown_table",
@@ -64,8 +62,8 @@ class EnvVar:
 
     ``default`` is the *effective* string value when the variable is
     unset or empty; ``""`` means "no default" (the caller branches on an
-    empty read, e.g. ``REPRO_CI_EXECUTOR`` falling through to measured
-    calibration).
+    empty read, e.g. ``REPRO_CI_JOBS`` falling through to
+    ``min(8, cpu_count)``).
     """
 
     name: str
@@ -143,9 +141,9 @@ CI_TESTER = _register(
     "explicitly (`rcit`/`gtest`/`chi2`/`fisher-z`/`kcit`/`adaptive`)")
 
 CI_EXECUTOR = _register(
-    "REPRO_CI_EXECUTOR", "",
+    "REPRO_CI_EXECUTOR", "serial",
     "batch executor for cache-miss CI batches (`serial`/`process`/"
-    "`remote`); unset consults measured calibration, else serial")
+    "`remote`) when a caller passes none")
 
 CI_JOBS = _register(
     "REPRO_CI_JOBS", "",
@@ -157,18 +155,11 @@ CI_MP_CONTEXT = _register(
     "multiprocessing start method for the process executor "
     "(`spawn`/`fork`/`forkserver`); unset uses `spawn`")
 
-CI_CALIBRATION = _register(
-    "REPRO_CI_CALIBRATION", "",
-    "path to a calibration file for executor auto-tuning; consulted by "
-    "`default_executor` when `REPRO_CI_EXECUTOR` is unset")
-
 CI_REMOTE_QUEUE = _register(
     "REPRO_CI_REMOTE_QUEUE", "",
     "work-queue spool directory the remote executor and `repro worker` "
     "share (a path every worker can reach; URLs are rejected); unset "
-    "disables remote execution (`REPRO_CI_EXECUTOR=remote` then falls "
-    "back to serial only when chosen by calibration, and errors when "
-    "explicit)")
+    "disables remote execution (`REPRO_CI_EXECUTOR=remote` then errors)")
 
 CI_REMOTE_LEASE = _register(
     "REPRO_CI_REMOTE_LEASE", "30",
@@ -212,13 +203,6 @@ CI_WAVE_CELLS = _register(
     "REPRO_CI_WAVE_CELLS", "",
     "explicit rows×queries cell budget for wave splitting; unset derives "
     "it from `REPRO_TABLE_RAM_CAP_MB`")
-
-STREAM_DELTA = _register(
-    "REPRO_STREAM_DELTA", "column",
-    "online delta-reuse policy gating phase-2 retries (`column` re-queues "
-    "only features whose queries touch a changed column, `coarse` keys "
-    "one union fingerprint over every involved column, `off` retries "
-    "every decided feature each batch)")
 
 TABLE_BACKEND = _register(
     "REPRO_TABLE_BACKEND", "memory",

@@ -11,8 +11,8 @@ RL101     cache-token        every behaviour-affecting constructor parameter
                              of a ``CITester`` appears in ``cache_token()``
 RL102     seed-discipline    ``ci/``/``core/`` randomness flows through
                              ``repro.rng``, never ``np.random.*``
-RL103     executor-purity    executors/auto-tuner never write accounting
-                             state or reorder results
+RL103     executor-purity    executor code never writes accounting state
+                             or reorders results
 RL104     fusion-width       fused kernels stack queries along a new leading
                              axis, never into one wide 2-D GEMM operand
 RL105     chunk-additivity   no float ``+=`` across user-sized chunks; floats

@@ -1,12 +1,12 @@
 """RL103 — executor purity.
 
-Executors and the auto-tuner are mechanism only: they may change *where*
-and *in what order* CI tests physically run, but never the accounting
-(``n_tests``, ``cache_hits``, ledger ``entries``) or the order of the
-result list handed back to the ledger — those are the observables the
-count-lock tests pin to the sequential engine.  This checker flags writes
-to accounting attributes and result re-ordering inside
-``repro/ci/executor.py`` and ``repro/ci/autotune.py``.
+Executor code is mechanism only: it may change *where* and *in what
+order* CI tests physically run, but never the accounting (``n_tests``,
+``cache_hits``, ledger ``entries``) or the order of the result list
+handed back to the ledger — those are the observables the count-lock
+tests pin to the sequential engine.  This checker flags writes to
+accounting attributes and result re-ordering inside
+``repro/ci/executor.py``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from repro.lint.core import (Checker, Finding, ModuleSource, ProjectContext,
 RULE = Rule(
     id="RL103",
     name="executor-purity",
-    summary=("executor/autotune code must not write n_tests/cache_hits/"
-             "entries or reorder result lists"),
+    summary=("executor code must not write n_tests/cache_hits/entries "
+             "or reorder result lists"),
     contract=("executors are mechanism-only: results, n_ci_tests and "
               "cache_hits are provably identical to the sequential "
               "engine for any worker count"),
@@ -40,7 +40,7 @@ class ExecutorPurityChecker(Checker):
     rule = RULE
 
     def scope(self, module: ModuleSource) -> bool:
-        return (module.parts[-1] in ("executor.py", "autotune.py")
+        return (module.parts[-1] == "executor.py"
                 and "ci" in module.parts[:-1])
 
     def check(self, module: ModuleSource,

@@ -96,6 +96,8 @@ class TestLedgerExecutorAccounting:
 
 class TestAdaptiveContinuousSharding:
     def test_mixed_batch_matches_unsharded(self):
+        """A process pool shards a mixed discrete/continuous AdaptiveCI
+        batch without changing any p-value."""
         table = make_table(n=300)
         mixed = [CIQuery.make("f0", "y", ("a",)),
                  CIQuery.make("cont", "y", ("a",)),
@@ -103,8 +105,8 @@ class TestAdaptiveContinuousSharding:
                  CIQuery.make("cont", "s", ())]
         plain = AdaptiveCI(seed=0).test_batch(table, mixed)
         with pooled() as executor:
-            sharded = AdaptiveCI(seed=0, executor=executor).test_batch(
-                table, mixed)
+            sharded = executor.run(AdaptiveCI(seed=0), table, mixed)
+            assert executor._pool is not None  # the batch really sharded
         assert [r.p_value for r in sharded] == [r.p_value for r in plain]
         assert [r.method for r in sharded] == [r.method for r in plain]
 

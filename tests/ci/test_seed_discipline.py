@@ -8,7 +8,6 @@ numbers survive the refactor.
 
 import numpy as np
 
-from repro.ci.autotune import _probe_table
 from repro.ci.kcit import KCIT
 from repro.ci.rcit import median_bandwidth
 from repro.data.table import Table
@@ -49,13 +48,3 @@ class TestMedianBandwidthFallback:
         matrix = np.random.default_rng(1).normal(size=(50, 2))
         assert median_bandwidth(matrix) == median_bandwidth(
             matrix, rng=np.random.default_rng(99))
-
-
-class TestProbeTable:
-    def test_probe_table_is_deterministic(self):
-        a = _probe_table(200, 3, seed=4)
-        b = _probe_table(200, 3, seed=4)
-        assert a.columns == b.columns
-        for name in a.columns:
-            np.testing.assert_array_equal(a.matrix((name,)),
-                                          b.matrix((name,)))

@@ -278,16 +278,6 @@ class TestDeltaPolicies:
         assert online.n_ci_tests == base + 2
         assert online.delta_hits == 0
 
-    def test_coarse_requeues_everything_on_any_drift(self):
-        problem = TestNoRetryWithoutNewEvidence.make_problem()
-        online = self._selector("coarse")
-        online.observe(problem, ["r1", "r2"])
-        base = online.n_ci_tests
-        # One revised column flips the union fingerprint: both re-queue.
-        online.observe(self._revised(problem, "r1"), [])
-        assert online.n_ci_tests == base + 2
-        assert online.delta_hits == 0
-
     def test_skipped_retries_are_cache_hits_never_tests(self):
         problem = TestNoRetryWithoutNewEvidence.make_problem()
         online = self._selector("column")
@@ -313,23 +303,6 @@ class TestDeltaPolicies:
         with pytest.raises(SelectionError, match="delta-reuse policy"):
             OnlineSelector(delta="sometimes")
 
-    def test_invalid_env_policy_rejected(self, monkeypatch):
-        from repro import env
-        monkeypatch.setenv(env.STREAM_DELTA.name, "sometimes")
-        problem = TestNoRetryWithoutNewEvidence.make_problem()
-        online = self._selector(None)
-        with pytest.raises(SelectionError, match="REPRO_STREAM_DELTA"):
-            online.observe(problem, ["r1"])
-
-    def test_env_policy_honoured(self, monkeypatch):
-        from repro import env
-        monkeypatch.setenv(env.STREAM_DELTA.name, "off")
-        problem = TestNoRetryWithoutNewEvidence.make_problem()
-        online = self._selector(None)
-        online.observe(problem, ["r1"])
-        online.observe(problem, ["r2"])
-        assert online.n_ci_tests == 5  # off: r1 retried unconditionally
-
     def _drift_stream(self):
         """A deterministic drifting stream mixing feature arrivals,
         no-op batches, a localized column revision, row growth, and
@@ -348,7 +321,7 @@ class TestDeltaPolicies:
         re-running the query — so every policy converges to the same
         final selection, at monotonically decreasing test cost."""
         finals, counts = {}, {}
-        for policy in ("column", "coarse", "off"):
+        for policy in ("column", "off"):
             online = self._selector(policy)
             for problem, batch in self._drift_stream():
                 online.observe(problem, batch)
@@ -356,8 +329,8 @@ class TestDeltaPolicies:
             finals[policy] = (set(result.c1), set(result.c2),
                               set(result.rejected), dict(result.reasons))
             counts[policy] = result.n_ci_tests
-        assert finals["column"] == finals["coarse"] == finals["off"]
-        assert counts["column"] <= counts["coarse"] <= counts["off"]
+        assert finals["column"] == finals["off"]
+        assert counts["column"] <= counts["off"]
 
     def test_snapshot_is_memoised_until_next_observe(self):
         problem = TestNoRetryWithoutNewEvidence.make_problem()

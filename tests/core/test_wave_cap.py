@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from repro.ci.base import CIQuery, CITestLedger
+from repro.ci.executor import SerialExecutor
 from repro.ci.gtest import GTestCI
 from repro.core.engine import ENV_WAVE_CELLS, wave_width_cap
+from repro.core.grpsel import GrpSel
 from repro.core.seqsel import SeqSel
 from repro.core.problem import FairFeatureSelectionProblem
 from repro.data.schema import Role
@@ -34,6 +36,36 @@ def build_problem(seed=0, n_rows=80, n_features=6):
     return FairFeatureSelectionProblem(
         table, sensitive=["s"], admissible=["a0", "a1"],
         candidates=[f"f{i}" for i in range(n_features)], target="y")
+
+
+def biased_problem(seed=5, n_rows=400, n_features=10):
+    """Every candidate is a noisy copy of S, so phase 1 admits none of
+    them and phase 2 receives the whole pool."""
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, 2, size=n_rows)
+    columns = {
+        "s": s,
+        "y": rng.integers(0, 2, size=n_rows),
+        "a0": rng.integers(0, 2, size=n_rows),
+        "a1": rng.integers(0, 3, size=n_rows),
+    }
+    for i in range(n_features):
+        columns[f"f{i}"] = np.where(rng.random(n_rows) < 0.1, 1 - s, s)
+    table = Table(columns, roles={"s": Role.SENSITIVE, "y": Role.TARGET})
+    return FairFeatureSelectionProblem(
+        table, sensitive=["s"], admissible=["a0", "a1"],
+        candidates=[f"f{i}" for i in range(n_features)], target="y")
+
+
+class RecordingExecutor(SerialExecutor):
+    """Serial execution that records the width of every submitted batch."""
+
+    def __init__(self):
+        self.widths = []
+
+    def run(self, tester, table, queries):
+        self.widths.append(len(queries))
+        return super().run(tester, table, queries)
 
 
 def streams_for(problem):
@@ -96,3 +128,31 @@ class TestCappingInvariance:
         assert got.selected == want.selected
         assert got.rejected == want.rejected
         assert got.n_ci_tests == want.n_ci_tests
+
+    @pytest.mark.parametrize("selector", [SeqSel, GrpSel])
+    def test_selectors_never_submit_past_the_cap(self, selector,
+                                                 monkeypatch):
+        """Every selector phase, phase 2 included, splits its batches by
+        the wave-width cap, with verdicts and counts unchanged."""
+        problem = biased_problem()
+        cap = 2
+
+        def run():
+            executor = RecordingExecutor()
+            result = selector(tester=GTestCI(),
+                              executor=executor).select(problem)
+            return executor.widths, (result.c1, result.c2, result.rejected,
+                                     result.reasons, result.n_ci_tests,
+                                     result.cache_hits)
+
+        monkeypatch.delenv(ENV_WAVE_CELLS, raising=False)
+        monkeypatch.delenv("REPRO_TABLE_RAM_CAP_MB", raising=False)
+        wide, want = run()
+        c1, c2, rejected = want[:3]
+        assert not c1 and len(c2) + len(rejected) > cap  # wide phase 2
+        assert max(wide) > cap
+        monkeypatch.setenv(ENV_WAVE_CELLS, str(cap * problem.table.n_rows))
+        assert wave_width_cap(problem.table.n_rows) == cap
+        capped, got = run()
+        assert max(capped) <= cap
+        assert got == want

@@ -42,17 +42,17 @@ class TestParser:
     def test_stream_args(self):
         args = build_parser().parse_args(
             ["stream", "--dataset", "german", "--batches", "4",
-             "--rows-per-batch", "50", "--delta", "coarse",
+             "--rows-per-batch", "50", "--delta", "off",
              "--tester", "gtest", "--jobs", "2"])
         assert args.dataset == "german"
         assert args.batches == 4
         assert args.rows_per_batch == 50
-        assert args.delta == "coarse"
+        assert args.delta == "off"
         assert args.jobs == 2
 
-    def test_stream_delta_defaults_to_env(self):
+    def test_stream_delta_defaults_to_column(self):
         args = build_parser().parse_args(["stream", "--dataset", "german"])
-        assert args.delta is None
+        assert args.delta == "column"
         assert args.rows_per_batch is None
 
     def test_stream_unknown_delta_rejected(self):
