@@ -67,13 +67,12 @@ def test_subset_strategy_ablation(benchmark):
         rows = []
         for strategy in (ExhaustiveSubsets(), GreedySubsets(),
                          MarginalThenFull(), FullSetOnly()):
-            ledger = CITestLedger(OracleCI(dag))
-            result = SeqSel(tester=ledger, subset_strategy=strategy
+            result = SeqSel(tester=OracleCI(dag), subset_strategy=strategy
                             ).select(problem)
             rows.append({
                 "strategy": strategy.name,
                 "phase1 recall": f"{len(result.c1)}/{len(candidates)}",
-                "ci tests": ledger.n_tests,
+                "ci tests": result.n_ci_tests,
             })
         return rows
 
@@ -107,10 +106,10 @@ def test_grpsel_shuffle_ablation(benchmark):
     def run():
         counts = {}
         for shuffle in (True, False):
-            ledger = CITestLedger(OracleCI(scm.dag))
-            GrpSel(tester=ledger, subset_strategy=strategy, shuffle=shuffle,
-                   seed=1).select(problem)
-            counts["shuffled" if shuffle else "ordered"] = ledger.n_tests
+            result = GrpSel(tester=OracleCI(scm.dag),
+                            subset_strategy=strategy, shuffle=shuffle,
+                            seed=1).select(problem)
+            counts["shuffled" if shuffle else "ordered"] = result.n_ci_tests
         return counts
 
     counts = run_once(benchmark, run)

@@ -31,6 +31,7 @@ N_CANDIDATES = 8
 #: Working-set budget deliberately below the dataset size: every int64
 #: candidate column alone is ~1.5 MiB, the codes pass holds ~24 B/row.
 RAM_CAP_MB = "1"
+BACKENDS = ("memory", "mmap")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -58,23 +59,30 @@ def make_columns() -> dict[str, np.ndarray]:
     return columns
 
 
-def run_burst(columns, backend) -> tuple[list, float]:
-    """One fused same-(Y, Z) G-test burst on a fresh table; returns the
-    verdicts and the best-of-3 wall-clock of the warm burst."""
-    table = Table(columns, roles={"y": Role.TARGET}, backend=backend)
+def run_bursts(columns, rounds=5) -> tuple[dict, dict]:
+    """One fused same-(Y, Z) G-test burst per backend on fresh tables;
+    returns each backend's verdicts and best-of-``rounds`` wall-clock of
+    the warm burst.  Rounds alternate the backends, so a load spike on
+    the host slows both sides alike instead of one side's whole sample."""
     tester = GTestCI()
     queries = [CIQuery.make(f"f{i}", "y", ("z0", "z1"))
                for i in range(N_CANDIDATES)]
-    results = tester.test_batch(table, queries)  # warm the code caches
-    best = float("inf")
-    for _ in range(3):
-        fresh = Table(columns, roles={"y": Role.TARGET}, backend=backend)
-        start = time.perf_counter()
-        got = tester.test_batch(fresh, queries)
-        best = min(best, time.perf_counter() - start)
-        assert [(r.p_value, r.statistic) for r in got] \
-            == [(r.p_value, r.statistic) for r in results]
-    return [(r.p_value, r.statistic) for r in results], best
+    results, best = {}, {}
+    for backend in BACKENDS:
+        table = Table(columns, roles={"y": Role.TARGET}, backend=backend)
+        results[backend] = [  # also warms the code caches
+            (r.p_value, r.statistic)
+            for r in tester.test_batch(table, queries)]
+        best[backend] = float("inf")
+    for _ in range(rounds):
+        for backend in BACKENDS:
+            fresh = Table(columns, roles={"y": Role.TARGET}, backend=backend)
+            start = time.perf_counter()
+            got = tester.test_batch(fresh, queries)
+            best[backend] = min(best[backend], time.perf_counter() - start)
+            assert [(r.p_value, r.statistic) for r in got] \
+                == results[backend]
+    return results, best
 
 
 def test_streamed_mmap_matches_memory_within_bound(benchmark, monkeypatch):
@@ -86,10 +94,10 @@ def test_streamed_mmap_matches_memory_within_bound(benchmark, monkeypatch):
     assert 0 < chunk < N_ROWS  # the streamed path is actually in play
 
     columns = make_columns()
-    memory_results, memory_seconds = run_burst(columns, "memory")
-    mmap_results, mmap_seconds = run_burst(columns, "mmap")
+    results, seconds = run_bursts(columns)
+    memory_seconds, mmap_seconds = seconds["memory"], seconds["mmap"]
 
-    assert mmap_results == memory_results  # bitwise, not approximately
+    assert results["mmap"] == results["memory"]  # bitwise, not approximately
     ratio = mmap_seconds / memory_seconds
     RESULTS["streamed_discrete_burst"] = {
         "chunk_rows": chunk,

@@ -11,9 +11,9 @@ Quantifies the work-queue execution layer and records it as a
    parallelism, so on 1–2 cores the win cannot exist by definition — and
    always *recorded* with its gate status.  Bitwise result parity and
    ledger-count preservation are asserted unconditionally, on every box.
-2. **Worker-synced store warm rerun** — the workers merge-saved their
-   verdicts into the shared store during the burst; a warm ledger over
-   that store executes zero tests.
+2. **Worker-synced store warm rerun** — the dispatching run's ledger
+   writes the verdicts the workers computed during the burst into a
+   shared store; a warm ledger over that store executes zero tests.
 3. **RCIT-heavy burst, remote vs process** — 21 RCIT queries on 6000
    rows, each its own ``(Y, Z)`` group so nothing fuses, run serially,
    on a warm two-worker :class:`~repro.ci.executor.ProcessExecutor` and
@@ -87,19 +87,18 @@ def burst():
 
 @pytest.fixture(scope="module")
 def fleet(tmp_path_factory):
-    """A spool + store served by real worker subprocesses."""
-    root = tmp_path_factory.mktemp("distributed-bench")
-    spool, store_root = root / "spool", root / "store"
+    """A spool served by real worker subprocesses."""
+    spool = tmp_path_factory.mktemp("distributed-bench") / "spool"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     workers = [subprocess.Popen(
         [sys.executable, "-m", "repro", "worker", "--queue", str(spool),
-         "--store", str(store_root), "--max-idle", "300"],
+         "--max-idle", "300"],
         cwd=REPO_ROOT, env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL) for _ in range(N_WORKERS)]
     try:
-        yield spool, store_root
+        yield spool
     finally:
         for worker in workers:
             if worker.poll() is None:
@@ -120,7 +119,7 @@ def test_distributed_burst_speedup_and_parity(benchmark, burst, fleet):
     """Acceptance: 2 worker processes beat serial >=2x on a >=150-query
     discrete burst (>=4-core machines), with bitwise-identical results."""
     table, queries = burst
-    spool, _ = fleet
+    spool = fleet
     tester = GTestCI()
     serial_executor = SerialExecutor()
     remote_executor = RemoteExecutor(queue=str(spool), n_workers=N_WORKERS,
@@ -176,23 +175,27 @@ def test_distributed_burst_speedup_and_parity(benchmark, burst, fleet):
 
 
 def test_worker_synced_store_warm_rerun_zero_tests(benchmark, burst,
-                                                   fleet):
-    """Acceptance: the verdicts the workers merge-saved during the burst
-    warm-start a ledger over the shared store — zero tests execute."""
+                                                   fleet, tmp_path):
+    """Acceptance: the verdicts the workers computed during the burst
+    reach the shared store through the dispatching run's ledger (the one
+    writer of verdicts to a store) and warm-start a ledger over it —
+    zero tests execute."""
     table, queries = burst
-    spool, store_root = fleet
-    # The cold burst (possibly already run by the speedup test — the
-    # executor contract makes re-running it byte-identical) synced every
-    # verdict into the workers' --store under the remote namespace.
+    spool = fleet
+    store_root = tmp_path / "store"
     executor = RemoteExecutor(queue=str(spool), n_workers=N_WORKERS,
                               min_batch=2)
-    cold_results = executor.run(GTestCI(), table, queries)
+    cold_ledger = CITestLedger(
+        GTestCI(), cache=ExperimentStore(store_root).ci_cache("g-test"),
+        executor=executor)
+    cold_results = cold_ledger.test_batch(table, queries)
+    cold_ledger.flush_cache()
     executor.close()
+    assert cold_ledger.n_tests == N_CANDIDATES
 
     def warm_run():
         store = ExperimentStore(store_root)  # everything comes off disk
-        ledger = CITestLedger(GTestCI(),
-                              cache=store.ci_cache("remote-g-test"))
+        ledger = CITestLedger(GTestCI(), cache=store.ci_cache("g-test"))
         return ledger, ledger.test_batch(table, queries)
 
     warm_ledger, warm_results = warm_run()
@@ -244,7 +247,7 @@ def test_rcit_burst_remote_vs_process(benchmark, rcit_burst, fleet):
     kernel-heavy burst: serial, ProcessExecutor and RemoteExecutor must
     agree bit for bit; the timings are recorded, not gated."""
     table, queries = rcit_burst
-    spool, _ = fleet
+    spool = fleet
     tester = RCIT(seed=0)
     serial_executor = SerialExecutor()
     serial_results = serial_executor.run(tester, table, queries)

@@ -6,8 +6,9 @@ Every CI test in the library answers queries of the form
 whole point of GrpSel is testing a *group* of features at once.
 
 Tests return a :class:`CIResult` (p-value + boolean verdict at the tester's
-``alpha``).  A :class:`CITestLedger` wraps any tester and counts invocations
-— the unit of cost in the paper's Table 2 and Figures 4-5.
+``alpha``).  A :class:`CITestLedger` wraps any tester but another ledger
+and counts invocations — the unit of cost in the paper's Table 2 and
+Figures 4-5.
 
 The CI engine
 -------------
@@ -180,15 +181,13 @@ class CITester:
     handles name resolution, input validation, and verdict thresholding.
     ``alpha`` is the significance level: p-value below ``alpha`` rejects the
     independence null (the paper's default threshold is 0.01).
+
+    A tester holds no state its callers observe: counting and storing
+    verdicts is :class:`CITestLedger`'s job, so an executor may run a
+    tester in any process and discard the copy.
     """
 
     method = "base"
-
-    #: Whether calls mutate tester-held state that callers observe
-    #: (ledger entries).  :class:`~repro.ci.executor.ProcessExecutor`
-    #: refuses to ship state-collecting testers to worker processes —
-    #: their mutations would land on the worker's copy and be lost.
-    collects_state = False
 
     def __init__(self, alpha: float = 0.01) -> None:
         if not 0.0 < alpha < 1.0:
@@ -300,10 +299,15 @@ class CITestLedger(CITester):
     """Decorator tester that counts and records every test.
 
     The paper's efficiency results are phrased in number of CI tests, so
-    SeqSel/GrpSel take a tester and the experiment harness wraps it in a
-    ledger.  Optional memoisation (``cache=True``) deduplicates repeated
-    queries without inflating the count, mirroring how a practitioner would
-    reuse results; the paper's counts are uncached, so the default is off.
+    every selection run counts through one ledger: the selector wraps its
+    tester in a fresh one, or runs on the ledger it is given as its
+    tester (one memo and one running count across several runs).  A
+    ledger never wraps another ledger, so the run's ledger is the only
+    object that counts a verdict or writes one to a store, and executors
+    only ever receive plain testers.  Optional memoisation
+    (``cache=True``) deduplicates repeated queries without inflating the
+    count, mirroring how a practitioner would reuse results; the paper's
+    counts are uncached, so the default is off.
 
     ``cache`` may also be a :class:`~repro.ci.store.PersistentCICache`
     (or a filesystem path, which opens one): hits are then shared across
@@ -314,11 +318,13 @@ class CITestLedger(CITester):
     cache-miss batches execute; see :mod:`repro.ci.executor`.
     """
 
-    collects_state = True
-
     def __init__(self, inner: CITester,
                  cache: bool | str | os.PathLike | PersistentCICache = False,
                  executor: BatchExecutor | None = None) -> None:
+        if isinstance(inner, CITestLedger):
+            raise TypeError(
+                "a CITestLedger never wraps another ledger; run on the "
+                "given ledger instead")
         super().__init__(alpha=inner.alpha)
         self.inner = inner
         self.method = f"ledger({inner.method})"
@@ -337,11 +343,11 @@ class CITestLedger(CITester):
 
     def cache_token(self) -> tuple:
         # A ledger is configuration-transparent: forward the wrapped
-        # tester's token so nesting ledgers (Figures 4-5 inject inner
-        # ones) never erases hyperparameters like min_expected or an RCIT
-        # seed from a persistent store's key.  The innermost method/alpha
-        # are already visible — ``method`` is ``ledger(<inner>)`` and
-        # ``alpha`` is copied from the inner tester.
+        # tester's token so a selector running on a given ledger never
+        # erases hyperparameters like min_expected or an RCIT seed from a
+        # memoised selection's key.  The inner method/alpha are already
+        # visible — ``method`` is ``ledger(<inner>)`` and ``alpha`` is
+        # copied from the inner tester.
         return self.inner.cache_token()
 
     @property
@@ -449,11 +455,11 @@ class CITestLedger(CITester):
         phase-1 ``∃ A' ⊆ A`` pattern); the returned list holds only the
         evaluated prefix.  No test beyond the stopping point is ever
         executed — not even speculatively — so ``n_tests`` matches a
-        sequential loop exactly, including for any inner ledgers the caller
-        may have injected.  Without early exit the result list aligns with
-        the input and the cache-missing remainder is submitted to the inner
-        tester as one batch — through the configured executor — sharing
-        encoded state across queries.
+        sequential loop exactly (the reference the wavefront property
+        suite compares against).  Without early exit the result list
+        aligns with the input and the cache-missing remainder is submitted
+        to the inner tester as one batch — through the configured executor
+        — sharing encoded state across queries.
         """
         if stop_on_independent:
             prefix: list[CIResult] = []

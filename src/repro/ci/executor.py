@@ -80,13 +80,10 @@ def _find_offending_query(tester: "CITester", table: "Table",
     """Replay a failed shard per query to pin down which one raised.
 
     Only runs on the error path.  Returns ``None`` when no single query
-    reproduces the failure (e.g. a batch-only resource error), and for a
-    state-collecting tester (an injected ledger), where a replay would
-    append duplicate entries — corrupting the very counts the invariant
-    suite locks.
+    reproduces the failure (e.g. a batch-only resource error).  The
+    replay is safe because executors only receive a ledger's inner
+    tester, which counts nothing: a ledger never wraps a ledger.
     """
-    if getattr(tester, "collects_state", False):
-        return None
     for query in shard:
         try:
             tester.test(table, query.x, query.y, query.z)
@@ -183,14 +180,6 @@ class ProcessExecutor(BatchExecutor):
     ``"spawn"`` works everywhere and is what the serialization contract is
     written against; ``"fork"`` starts workers far faster on POSIX and is
     safe here because workers only compute on their private copies.
-
-    Testers that *collect state* across calls (a
-    :class:`~repro.ci.base.CITestLedger`, or anything else with
-    ``collects_state = True``) are evaluated serially in the calling
-    process instead: their per-call mutations (ledger entries) happen on
-    the worker's copy and would be silently lost — the Figures 4-5
-    injected-inner-ledger counts must never decouple from the tests that
-    actually ran.
     """
 
     name = "process"
@@ -283,9 +272,7 @@ class ProcessExecutor(BatchExecutor):
     def run(self, tester: "CITester", table: "Table",
             queries: Sequence["CIQuery"]) -> list["CIResult"]:
         queries = list(queries)
-        if (self.n_workers < 2
-                or len(queries) < max(2, self.min_batch)
-                or getattr(tester, "collects_state", False)):
+        if self.n_workers < 2 or len(queries) < max(2, self.min_batch):
             return _run_shard(tester, table, queries)
         with self._lock:
             try:
@@ -363,15 +350,15 @@ class RemoteExecutor(BatchExecutor):
     box, or other machines that mount it.  The ``(tester, table)`` pair
     is published once per configuration as a queue *context* keyed by
     the :class:`ProcessExecutor` pool key, so per-burst traffic is just
-    query lists and result payloads.
+    query lists and result payloads.  Workers only compute: verdicts come
+    back to the dispatching run's ledger, the one writer to any store.
 
     ``queue`` may be a live :class:`~repro.distributed.queue.WorkQueue`,
     a spool directory path, or ``None`` to read ``REPRO_CI_REMOTE_QUEUE``
     lazily at first use.
 
     Falls back to inline serial execution (identical results, by the
-    executor contract) for batches below ``min_batch``, state-collecting
-    testers (exactly like the pools), testers whose
+    executor contract) for batches below ``min_batch``, testers whose
     class workers cannot import (see ``allow_foreign`` — pass ``True``
     only when every worker shares the dispatcher's process, e.g.
     :class:`~repro.distributed.worker.WorkerThread`), and on any thread
@@ -464,13 +451,6 @@ class RemoteExecutor(BatchExecutor):
         key = ProcessExecutor._pool_key_for(tester, table)
         return hashlib.sha256(repr(key).encode()).hexdigest()[:24]
 
-    @staticmethod
-    def _namespace_for(tester: "CITester") -> str:
-        method = str(getattr(tester, "method", "") or "ci")
-        safe = "".join(ch if ch.isalnum() or ch in "._-" else "-"
-                       for ch in method)
-        return f"remote-{safe}"
-
     def _degraded_run(self, tester: "CITester", table: "Table",
                       queries: Sequence["CIQuery"]) -> list["CIResult"]:
         """The lower rungs of the ladder: local processes, then serial.
@@ -500,7 +480,6 @@ class RemoteExecutor(BatchExecutor):
             queries: Sequence["CIQuery"]) -> list["CIResult"]:
         queries = list(queries)
         if (len(queries) < max(2, self.min_batch)
-                or getattr(tester, "collects_state", False)
                 or not (self.allow_foreign or _transportable(tester))
                 or worker_mode()):
             return _run_shard(tester, table, queries)
@@ -524,8 +503,7 @@ class RemoteExecutor(BatchExecutor):
                 shards = _contiguous_shards(
                     queries, min(self.n_workers, len(queries)))
                 payloads = [pickle.dumps(
-                    {"kind": "shard", "queries": shard,
-                     "namespace": self._namespace_for(tester)},
+                    {"kind": "shard", "queries": shard},
                     protocol=pickle.HIGHEST_PROTOCOL) for shard in shards]
                 task_ids = submit_batch(queue, payloads,
                                         context_id=context_id,

@@ -48,7 +48,7 @@ from repro import env
 from repro.ci import default_tester
 from repro.ci.executor import BatchExecutor, ProcessExecutor
 from repro.ci.store import ExperimentStore
-from repro.data.backend import ENV_BACKEND, set_default_backend
+from repro.data.backend import ENV_BACKEND
 from repro.core.grpsel import GrpSel
 from repro.core.seqsel import SeqSel
 from repro.core.subset_search import strategy_by_name
@@ -88,11 +88,10 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
 def _apply_backend(args: argparse.Namespace) -> None:
     """Activate ``--backend`` for this process *and* its workers.
 
-    Sets the in-process default and exports the env var so spawned
-    suite/CI worker processes inherit the choice.
+    Exports the env var, which every new table reads, so spawned
+    suite/CI worker processes inherit the choice too.
     """
     if getattr(args, "backend", None):
-        set_default_backend(args.backend)
         env.TABLE_BACKEND.write(args.backend)
 
 
@@ -234,10 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--queue", required=True, metavar="SPEC",
                         help="work queue to serve: a filesystem spool "
                              "directory shared with the dispatcher")
-    worker.add_argument("--store", default=None, metavar="DIR",
-                        help="experiment-store root: CI verdicts this "
-                             "worker computes are merge-saved there so the "
-                             "shared tree warm-starts later runs")
     worker.add_argument("--id", default="", metavar="NAME", dest="worker_id",
                         help="worker name stamped on claims (default: "
                              "pid-derived)")
@@ -426,9 +421,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
 def cmd_worker(args: argparse.Namespace) -> int:
     from repro.distributed.worker import run_worker
 
-    return run_worker(args.queue, store=args.store,
-                      worker_id=args.worker_id, max_idle=args.max_idle,
-                      max_tasks=args.max_tasks, lease=args.lease)
+    return run_worker(args.queue, worker_id=args.worker_id,
+                      max_idle=args.max_idle, max_tasks=args.max_tasks,
+                      lease=args.lease)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:

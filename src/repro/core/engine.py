@@ -85,18 +85,22 @@ class WavefrontRun:
     """One selection run: the ledger plus timing/result finalisation.
 
     Created by :meth:`WavefrontEngine.begin`; call :meth:`finish` exactly
-    once to stamp the ledger totals and wall-clock time onto the result
-    and flush any persistent cache.
+    once to stamp this run's test and cache-hit counts and wall-clock
+    time onto the result and flush any persistent cache.  The counts are
+    differences from the ledger's totals at the start, so a ledger given
+    as the selector's tester still reports per-run counts.
     """
 
     def __init__(self, ledger: CITestLedger, algorithm: str) -> None:
         self.ledger = ledger
         self.result = SelectionResult(algorithm=algorithm)
+        self._tests_before = ledger.n_tests
+        self._hits_before = ledger.cache_hits
         self._start = time.perf_counter()
 
     def finish(self) -> SelectionResult:
-        self.result.n_ci_tests = self.ledger.n_tests
-        self.result.cache_hits = self.ledger.cache_hits
+        self.result.n_ci_tests = self.ledger.n_tests - self._tests_before
+        self.result.cache_hits = self.ledger.cache_hits - self._hits_before
         self.result.seconds = time.perf_counter() - self._start
         self.ledger.flush_cache()
         return self.result
@@ -126,16 +130,22 @@ class WavefrontEngine:
     # -- run boilerplate -----------------------------------------------------
 
     def open_ledger(self) -> CITestLedger:
-        """A fresh ledger bound to this engine's cache and executor."""
+        """The run's ledger: the tester itself when it is a
+        :class:`~repro.ci.base.CITestLedger` (a ledger never wraps a
+        ledger, and a given one brings its own cache and executor, so
+        passing either here too is an error, never silently dropped),
+        else a fresh ledger bound to this engine's cache and executor."""
+        if isinstance(self.tester, CITestLedger):
+            if self.cache is not False or self.executor is not None:
+                raise ValueError("a CITestLedger tester carries its own "
+                                 "cache and executor; pass neither")
+            return self.tester
         return CITestLedger(self.tester, cache=self.cache,
                             executor=self.executor)
 
-    def begin(self, algorithm: str,
-              ledger: CITestLedger | None = None) -> WavefrontRun:
-        """Open a run (fresh ledger unless one is passed — the online
-        selector's ledger spans its lifetime)."""
-        return WavefrontRun(ledger if ledger is not None else
-                            self.open_ledger(), algorithm)
+    def begin(self, algorithm: str) -> WavefrontRun:
+        """Open a run on :meth:`open_ledger`."""
+        return WavefrontRun(self.open_ledger(), algorithm)
 
     # -- wave primitives -----------------------------------------------------
 
@@ -201,20 +211,22 @@ class WavefrontEngine:
                         conditioning: Sequence[str]) -> list[CIResult]:
         """Phase-2 verdicts for many features as one wavefront.
 
-        Each feature contributes the single query
-        ``X ⊥ Y | (A ∪ C1) \\ {X}`` — a one-rank stream, so the whole
-        pass is one wave whose same-``(Y, Z)`` queries fuse into the
-        batched backend kernels, split only by the wave-width cap (the
-        online selector's retry/re-validation pass rides this).  Counts
-        and verdicts are identical to a flat ``test_batch`` submission:
-        the executed query set is the same, and one-query streams have
-        no early exit to interact across.
+        Each feature contributes the single query ``X ⊥ Y | A ∪ C1``,
+        built by :meth:`phase2_group_streams` against one shared
+        ``(Y, Z)`` frame — a one-rank stream, so the whole pass is one
+        wave whose queries fuse into the batched backend kernels, split
+        only by the wave-width cap (SeqSel's phase 2 and the online
+        selector's retry/re-validation pass ride this).  A phase-2
+        feature is never in ``A ∪ C1``: it failed phase 1, so it is not
+        in C1, and an admissible column is either admitted in phase 1 or
+        raises an overlap :class:`~repro.exceptions.CITestError` there.
+        Counts and verdicts are identical to a flat ``test_batch``
+        submission: the executed query set is the same, and one-query
+        streams have no early exit to interact across.
         """
-        streams = [[CIQuery.make(feature, problem.target,
-                                 [c for c in conditioning if c != feature])]
-                   for feature in features]
         outcomes = ledger.test_waves(
-            problem.table, streams,
+            problem.table,
+            self.phase2_group_streams(problem, features, conditioning),
             max_wave=wave_width_cap(problem.table.n_rows))
         return [prefix[0] for prefix in outcomes]
 

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import os
 
-from repro.ci.base import CIQuery, CITester
+from repro.ci.base import CITester
 from repro.ci.executor import BatchExecutor
 from repro.ci import default_tester
 from repro.ci.store import PersistentCICache
-from repro.core.engine import WavefrontEngine, wave_width_cap
+from repro.core.engine import WavefrontEngine
 from repro.core.problem import FairFeatureSelectionProblem
 from repro.core.result import Reason, SelectionResult
 from repro.core.subset_search import ExhaustiveSubsets, SubsetStrategy
@@ -37,7 +37,9 @@ class SeqSel:
     ----------
     tester:
         CI test backend; defaults to :class:`~repro.ci.rcit.RCIT` at
-        ``alpha=0.01``, matching the paper's setup.
+        ``alpha=0.01``, matching the paper's setup.  A
+        :class:`~repro.ci.base.CITestLedger` is the run's ledger itself
+        (it brings its own cache and executor, so pass neither).
     subset_strategy:
         How to search ``∃ A' ⊆ A`` in phase 1 (default exhaustive, the
         algorithm as written).
@@ -94,15 +96,11 @@ class SeqSel:
                 remaining.append(candidate)
 
         # Phase 2: C2 = {X in X \ C1 : X ⊥ Y | A ∪ C1}.  Every candidate
-        # shares the conditioning set, so the whole phase is one wave of
-        # one-query streams built against one canonical (Y, Z) frame,
-        # split only by the wave-width cap.
-        frame = CIQuery.against(problem.target,
-                                list(problem.admissible) + result.c1)
-        outcomes = ledger.test_waves(
-            problem.table, [[frame(candidate)] for candidate in remaining],
-            max_wave=wave_width_cap(problem.table.n_rows))
-        for candidate, (verdict,) in zip(remaining, outcomes):
+        # shares the conditioning set, so the whole phase is one wave.
+        verdicts = engine.phase2_verdicts(
+            ledger, problem, remaining,
+            list(problem.admissible) + result.c1)
+        for candidate, verdict in zip(remaining, verdicts):
             if verdict.independent:
                 result.c2.append(candidate)
                 result.reasons[candidate] = Reason.PHASE2_IRRELEVANT

@@ -36,8 +36,9 @@ creating process owns the backing directory — unpickled copies never
 delete it.
 
 Selection: ``REPRO_TABLE_BACKEND`` (``memory``/``mmap``) picks the
-process-wide default; :func:`set_default_backend` overrides it in-process
-(the CLI's ``--backend`` flag).  ``REPRO_CI_CHUNK_ROWS`` forces a
+process-wide default, read whenever a table is built without an explicit
+backend (the CLI's ``--backend`` flag sets it, so worker processes
+inherit the choice).  ``REPRO_CI_CHUNK_ROWS`` forces a
 streaming chunk length for the counting kernels; when unset, chunking
 engages only once a column sweep would exceed the
 ``REPRO_TABLE_RAM_CAP_MB`` working-set budget (default 512 MiB), so small
@@ -72,25 +73,8 @@ HASH_BLOCK_ROWS = 1 << 20
 #: its results depend only on the column values.
 MOMENT_BLOCK_ROWS = 1 << 18
 
-_DEFAULT_KIND: str | None = None
-
-
-def set_default_backend(kind: str | None) -> None:
-    """Process-wide backend override (the CLI's ``--backend`` flag).
-
-    Beats ``REPRO_TABLE_BACKEND``; ``None`` restores env/built-in
-    resolution.
-    """
-    global _DEFAULT_KIND
-    if kind is not None:
-        _check_kind(kind)
-    _DEFAULT_KIND = kind
-
-
 def default_backend_kind() -> str:
     """The backend kind new tables use when none is passed explicitly."""
-    if _DEFAULT_KIND is not None:
-        return _DEFAULT_KIND
     kind = env.TABLE_BACKEND.read().lower()
     _check_kind(kind)
     return kind

@@ -86,7 +86,7 @@ class Table:
     ``backend`` selects the column storage: a
     :class:`~repro.data.backend.ColumnBackend` instance, a kind string
     (``"memory"``/``"mmap"``), or ``None`` for the process default
-    (``REPRO_TABLE_BACKEND`` / :func:`~repro.data.backend.set_default_backend`).
+    (``REPRO_TABLE_BACKEND``).
     Derived tables (projections, row selections, joins) inherit their
     parent's backend *kind*.
     """
@@ -165,10 +165,9 @@ class Table:
         self._col_hashes: dict[str, "hashlib.blake2b"] = {}
         self._code_values: dict[str, np.ndarray] = {}
         self._moment_sums: dict[str, dict[int, float]] = {}
-        # Lineage snapshot: rows inherited from a with_appended_rows
-        # parent, plus the parent's (codes, level values) per column —
-        # consumed (and dropped) by the first _single_codes call.
-        self._prefix_rows: int = 0
+        # Lineage snapshot: the with_appended_rows parent's (codes,
+        # level values) per column — consumed (and dropped) by the first
+        # _single_codes call.
         self._prefix_codes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- basic accessors --------------------------------------------------
@@ -606,7 +605,6 @@ class Table:
         and every adopted value is exactly what a cold rebuild would
         produce, so observables stay pure functions of column values."""
         n0 = parent.n_rows
-        self._prefix_rows = n0
         for name in self.columns:
             state = parent._col_hashes.get(name)
             if state is not None and self[name].dtype.kind != "O":
@@ -683,7 +681,6 @@ class Table:
         state["_col_hashes"] = {}
         state["_code_values"] = {}
         state["_moment_sums"] = {}
-        state["_prefix_rows"] = 0
         state["_prefix_codes"] = {}
         return state
 

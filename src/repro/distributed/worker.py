@@ -9,11 +9,9 @@ from a :class:`~repro.distributed.queue.WorkQueue` and executes them:
   read-only here — and run through the same ``_run_shard`` helper the
   in-process pools use, so the error contract (failures as
   :class:`~repro.exceptions.CITestError` with ``error.query`` attached)
-  is byte-for-byte the pooled one.  With ``--store`` the worker
-  additionally syncs computed verdicts into that experiment store's
-  per-namespace :class:`~repro.ci.store.PersistentCICache`
-  (merge-on-save, so concurrent workers lose nothing): the shared tree
-  warm-starts later runs even when the dispatcher dies before saving.
+  is byte-for-byte the pooled one.  Shard results only travel back
+  through the queue: the dispatching run's ledger is the one writer of
+  verdicts to a store.
 * **call tasks** (from :func:`~repro.distributed.dispatch.remote_map`)
   are self-contained pickled ``fn(item)`` invocations — how whole
   experiment legs distribute; legs open their own store on the shared
@@ -38,9 +36,8 @@ Failure discipline:
   :class:`WorkerThread` abandons the claim and keeps serving (its lease
   lapses and the task requeues elsewhere);
 * ``run_worker`` installs SIGTERM/SIGINT handlers that request a stop:
-  the in-flight task finishes and completes, opened stores are synced,
-  and only then does the process exit — a drain, not a mid-``complete``
-  crash.
+  the in-flight task finishes and completes, and only then does the
+  process exit — a drain, not a mid-``complete`` crash.
 
 Results are deterministic by the executor/store contracts, which is what
 makes at-least-once delivery safe: a reclaimed task re-executed elsewhere
@@ -56,7 +53,6 @@ import tempfile
 import threading
 import time
 import uuid
-from typing import Sequence
 
 from repro import env, faults
 from repro.ci.executor import (RemoteExecutor, _run_shard,
@@ -107,50 +103,7 @@ def _load_context(queue: WorkQueue, context_id: str,
     return tester, table
 
 
-def _sync_store(store_root: str | None, namespace: str | None,
-                tester, table, queries: Sequence, results: Sequence,
-                stores: dict) -> None:
-    """Merge computed verdicts into the shared store's namespace cache.
-
-    Best-effort by design: the results already travel back through the
-    queue, so a store hiccup must never fail the task — it only costs
-    warm-start coverage.  The catches are typed: an I/O or data problem
-    is a shrug, a programming error still surfaces.
-    """
-    if store_root is None or namespace is None:
-        return
-    from repro.ci.store import ExperimentStore
-
-    try:
-        store = stores.get(store_root)
-        if store is None:
-            store = stores[store_root] = ExperimentStore(store_root)
-        cache = store.ci_cache(namespace)
-        token = tuple(tester.cache_token())
-        for query, result in zip(queries, results):
-            cache.put(table.fingerprint, query.key, tester.method,
-                      tester.alpha,
-                      {"independent": result.independent,
-                       "p_value": result.p_value,
-                       "statistic": result.statistic,
-                       "method": result.method},
-                      token=token)
-        cache.save()
-    except (OSError, ValueError, RemoteTaskError):
-        pass
-
-
-def _flush_stores(stores: dict) -> None:
-    """Best-effort final sync of every store this worker opened."""
-    for store in stores.values():
-        try:
-            store.save()
-        except (OSError, ValueError):
-            pass
-
-
-def _execute(queue: WorkQueue, task: Task, store_root: str | None,
-             contexts: dict, stores: dict) -> bytes:
+def _execute(queue: WorkQueue, task: Task, contexts: dict) -> bytes:
     """Run one task to a result payload; failures become failure payloads.
 
     The broad catch is this boundary's contract: *any* task-level
@@ -169,11 +122,8 @@ def _execute(queue: WorkQueue, task: Task, store_root: str | None,
             if kind == "shard":
                 tester, table = _load_context(queue, task.context_id,
                                               contexts)
-                queries = data["queries"]
-                results = _run_shard(tester, table, queries)
-                _sync_store(store_root, data.get("namespace"), tester,
-                            table, queries, results, stores)
-                return encode_success(results)
+                return encode_success(
+                    _run_shard(tester, table, data["queries"]))
             raise RemoteTaskError(f"unknown task kind {kind!r}")
     except InjectedKill:
         raise
@@ -238,7 +188,6 @@ def _complete_with_retry(queue: WorkQueue, task_id: str,
 
 
 def worker_loop(queue: WorkQueue, worker_id: str = "",
-                store_root: str | os.PathLike | None = None,
                 max_idle: float | None = None,
                 max_tasks: int | None = None,
                 poll: float | None = None,
@@ -261,95 +210,89 @@ def worker_loop(queue: WorkQueue, worker_id: str = "",
     worker_id = worker_id or f"worker-{os.getpid()}-{uuid.uuid4().hex[:6]}"
     if poll is None:
         poll = env.CI_REMOTE_POLL.read_float() or 0.05
-    store_root = os.fspath(store_root) if store_root is not None else None
     contexts: dict[str, tuple] = {}
-    stores: dict[str, object] = {}
     executed = 0
     claim_delay = poll
     idle_deadline = (time.monotonic() + max_idle
                      if max_idle is not None else None)
-    try:
-        while stop is None or not stop.is_set():
+    while stop is None or not stop.is_set():
+        try:
+            task = queue.claim(worker_id)
+            claim_delay = poll
+        except InjectedKill:
+            if killable:
+                os._exit(99)
+            task = None  # abandon the attempt; keep serving
+        except (TransportError, RemoteTaskError, OSError):
+            # Queue hiccup: back off and retry, don't die — the
+            # dispatcher's lease machinery covers anything lost.
+            if stop is not None:
+                stop.wait(claim_delay)
+            else:
+                time.sleep(claim_delay)
+            claim_delay = min(claim_delay * 2.0, 1.0)
+            continue
+        if task is None:
             try:
-                task = queue.claim(worker_id)
-                claim_delay = poll
-            except InjectedKill:
-                if killable:
-                    os._exit(99)
-                task = None  # abandon the attempt; keep serving
+                if queue.reclaim_expired():
+                    continue  # something just became claimable
             except (TransportError, RemoteTaskError, OSError):
-                # Queue hiccup: back off and retry, don't die — the
-                # dispatcher's lease machinery covers anything lost.
-                if stop is not None:
-                    stop.wait(claim_delay)
-                else:
-                    time.sleep(claim_delay)
-                claim_delay = min(claim_delay * 2.0, 1.0)
-                continue
-            if task is None:
-                try:
-                    if queue.reclaim_expired():
-                        continue  # something just became claimable
-                except (TransportError, RemoteTaskError, OSError):
-                    pass
-                if (idle_deadline is not None
-                        and time.monotonic() > idle_deadline):
-                    break
-                if stop is not None:
-                    stop.wait(poll)
-                else:
-                    time.sleep(poll)
-                continue
-            if (task.deadline
-                    and faults.clock("worker.clock") > task.deadline):
-                # The dispatcher already gave up on this batch; fail the
-                # task explicitly instead of computing into the void.
-                _complete_with_retry(queue, task.task_id,
-                                     _expired_failure(task), poll)
-                continue
-            heartbeat = _Heartbeat(queue, task.task_id)
-            try:
-                # The execution-site fault fires outside _execute's
-                # failure-payload boundary: a kill here is worker death,
-                # never a task verdict.
-                faults.inject("worker.execute")
-                payload = _execute(queue, task, store_root, contexts,
-                                   stores)
-            except InjectedKill:
-                heartbeat.stop()
-                if killable:
-                    os._exit(99)
-                continue  # abandon the claim; the lease requeues it
-            except FaultInjected:
-                heartbeat.stop()
-                continue  # simulated crash mid-execute: same abandonment
-            finally:
-                heartbeat.stop()
-            if not _complete_with_retry(queue, task.task_id, payload,
-                                        poll):
-                continue  # claim abandoned to lease recovery
-            executed += 1
-            if max_idle is not None:
-                idle_deadline = time.monotonic() + max_idle
-            if max_tasks is not None and executed >= max_tasks:
+                pass
+            if (idle_deadline is not None
+                    and time.monotonic() > idle_deadline):
                 break
-    finally:
-        _flush_stores(stores)
+            if stop is not None:
+                stop.wait(poll)
+            else:
+                time.sleep(poll)
+            continue
+        if (task.deadline
+                and faults.clock("worker.clock") > task.deadline):
+            # The dispatcher already gave up on this batch; fail the
+            # task explicitly instead of computing into the void.
+            _complete_with_retry(queue, task.task_id,
+                                 _expired_failure(task), poll)
+            continue
+        heartbeat = _Heartbeat(queue, task.task_id)
+        try:
+            # The execution-site fault fires outside _execute's
+            # failure-payload boundary: a kill here is worker death,
+            # never a task verdict.
+            faults.inject("worker.execute")
+            payload = _execute(queue, task, contexts)
+        except InjectedKill:
+            heartbeat.stop()
+            if killable:
+                os._exit(99)
+            continue  # abandon the claim; the lease requeues it
+        except FaultInjected:
+            heartbeat.stop()
+            continue  # simulated crash mid-execute: same abandonment
+        finally:
+            heartbeat.stop()
+        if not _complete_with_retry(queue, task.task_id, payload,
+                                    poll):
+            continue  # claim abandoned to lease recovery
+        executed += 1
+        if max_idle is not None:
+            idle_deadline = time.monotonic() + max_idle
+        if max_tasks is not None and executed >= max_tasks:
+            break
     return executed
 
 
-def run_worker(queue_spec: str, store: str | None = None,
-               worker_id: str = "", max_idle: float | None = None,
+def run_worker(queue_spec: str, worker_id: str = "",
+               max_idle: float | None = None,
                max_tasks: int | None = None,
                poll: float | None = None,
                lease: float | None = None) -> int:
     """CLI entry point body for ``python -m repro worker``.
 
     Installs SIGTERM/SIGINT handlers that request a graceful stop: the
-    loop finishes (and completes) its in-flight task, syncs any opened
-    stores, and returns — the worker is drainable by ``kill``, never
-    left mid-``complete``.  A second signal falls back to the default
-    handler, so a wedged worker can still be killed hard.
+    loop finishes (and completes) its in-flight task and returns — the
+    worker is drainable by ``kill``, never left mid-``complete``.  A
+    second signal falls back to the default handler, so a wedged worker
+    can still be killed hard.
     """
     queue = queue_from_spec(queue_spec, lease=lease)
     stop = threading.Event()
@@ -370,9 +313,9 @@ def run_worker(queue_spec: str, store: str | None = None,
     except ValueError:
         previous = {}  # not the main thread (embedded use): no handlers
     try:
-        worker_loop(queue, worker_id=worker_id, store_root=store,
-                    max_idle=max_idle, max_tasks=max_tasks, poll=poll,
-                    stop=stop, killable=True)
+        worker_loop(queue, worker_id=worker_id, max_idle=max_idle,
+                    max_tasks=max_tasks, poll=poll, stop=stop,
+                    killable=True)
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
         pass
     finally:
@@ -396,14 +339,12 @@ class WorkerThread:
     process down with it.
     """
 
-    def __init__(self, queue: WorkQueue,
-                 store_root: str | os.PathLike | None = None,
-                 poll: float = 0.01, worker_id: str = "") -> None:
+    def __init__(self, queue: WorkQueue, poll: float = 0.01,
+                 worker_id: str = "") -> None:
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=worker_loop, name="repro-worker",
-            kwargs=dict(queue=queue, worker_id=worker_id,
-                        store_root=store_root, poll=poll,
+            kwargs=dict(queue=queue, worker_id=worker_id, poll=poll,
                         stop=self._stop),
             daemon=True)
 
@@ -449,9 +390,7 @@ def local_remote_executor(n_workers: int = 1,
                           lease: float | None = None,
                           retries: int | None = None,
                           timeout: float | None = None,
-                          allow_foreign: bool = True,
-                          store_root: str | os.PathLike | None = None,
-                          ) -> RemoteExecutor:
+                          allow_foreign: bool = True) -> RemoteExecutor:
     """A ready-to-run remote executor over a local spool + worker threads.
 
     The single-box "distributed" configuration: a fresh filesystem spool
@@ -465,7 +404,7 @@ def local_remote_executor(n_workers: int = 1,
     if root is None:
         root = owned_root = tempfile.mkdtemp(prefix="repro-spool-")
     queue = FileSpoolQueue(root, lease=lease, retries=retries)
-    workers = [WorkerThread(queue, store_root=store_root).start()
+    workers = [WorkerThread(queue).start()
                for _ in range(max(1, n_workers))]
     return _LocalRemoteExecutor(
         workers, owned_root, queue=queue, n_workers=max(1, n_workers),

@@ -43,7 +43,6 @@ __all__ = [
     "CI_REMOTE_TIMEOUT",
     "CI_WAVE_CELLS",
     "FAULTS",
-    "FAULTS_SEED",
     "TABLE_BACKEND",
     "TABLE_RAM_CAP_MB",
     "markdown_table",
@@ -187,12 +186,6 @@ FAULTS = _register(
     "`;`-separated `site:kind[=value][@rate][xN]` terms (kinds "
     "`raise`/`delay`/`truncate`/`kill`/`skew`) plus an optional "
     "`seed=N`; empty disables injection entirely (zero-overhead shim)")
-
-FAULTS_SEED = _register(
-    "REPRO_FAULTS_SEED", "",
-    "seed deriving every fault site's random stream (overrides a "
-    "`seed=` term in `REPRO_FAULTS`); the same seed and plan replay "
-    "the same fault schedule")
 
 CI_CHUNK_ROWS = _register(
     "REPRO_CI_CHUNK_ROWS", "",

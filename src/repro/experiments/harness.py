@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.ci.store import ExperimentStore, PersistentCICache
+from repro.ci.store import ExperimentStore
 from repro.core.result import SelectionResult
 from repro.data.loaders.base import Dataset
 from repro.fairness.report import FairnessReport, evaluate_classifier
@@ -88,7 +88,6 @@ def run_method(dataset: Dataset, selector,
                classifier_factory: ClassifierFactory | None = None,
                privileged: int | None = None,
                warm_ci_cache: bool = True,
-               ci_cache: PersistentCICache | str | os.PathLike | None = None,
                store: ExperimentStore | str | os.PathLike | None = None,
                store_namespace: str | None = None) -> MethodRun:
     """Select, train, and evaluate one method on one dataset.
@@ -98,27 +97,20 @@ def run_method(dataset: Dataset, selector,
     selector can query, so the selection phase starts from warm caches
     instead of re-materialising columns per CI test.
 
-    ``ci_cache`` attaches a persistent cross-run CI-result store (an open
-    :class:`~repro.ci.store.PersistentCICache` or a path) to any selector
-    that exposes a ``cache`` attribute (SeqSel/GrpSel): a rerun over the
-    same data then skips every already-decided test while ``n_ci_tests``
-    keeps its cold-run meaning — persistent hits are cache hits, never
-    ledger entries.  Pending writes are saved before returning.
-
     ``store`` (an open :class:`~repro.ci.store.ExperimentStore` or a root
-    path; mutually exclusive with ``ci_cache``) scopes a suite-wide cache
-    tree instead: the selector's CI queries go to the store's
-    ``store_namespace`` CI cache (default: the selector's lowercased
-    ``name``, so sibling selectors land in sibling namespaces and cold-run
-    counts stay comparable), and the finished selection itself is memoised
-    on ``(table fingerprint, selector config digest, tester cache_token)``
-    — a warm rerun skips selection entirely.  Selectors without a
-    ``config_digest`` (the tuple-repair baselines) run uncached, so one
-    store can serve a whole mixed-method suite.
+    path) is the one cross-run cache: the selector's CI queries go to the
+    store's ``store_namespace`` CI cache (default: the selector's
+    lowercased ``name``, so sibling selectors land in sibling namespaces
+    and cold-run counts stay comparable), and the finished selection
+    itself is memoised on ``(table fingerprint, selector config digest,
+    tester cache_token)`` — a warm rerun skips selection entirely and
+    reports the recorded cold-run ``n_ci_tests``.  The namespace cache is
+    attached only for the call, so the selector's own ``cache`` setting
+    is unchanged afterwards.  Selectors without a ``config_digest`` (the
+    tuple-repair baselines) run uncached, so one store can serve a whole
+    mixed-method suite.
     """
     factory = classifier_factory or default_classifier
-    if ci_cache is not None and store is not None:
-        raise TypeError("pass either ci_cache= or store=, not both")
     problem = dataset.problem()
     warm_seconds = 0.0
 
@@ -152,25 +144,7 @@ def run_method(dataset: Dataset, selector,
             store.save()
     else:
         warm()
-        ci_store: PersistentCICache | None = None
-        prior_cache: object = None
-        if ci_cache is not None:
-            ci_store = (ci_cache if isinstance(ci_cache, PersistentCICache)
-                        else PersistentCICache(ci_cache))
-            if not hasattr(selector, "cache"):
-                raise TypeError(
-                    f"selector {type(selector).__name__} does not accept a "
-                    "CI cache (no `cache` attribute)")
-            prior_cache = selector.cache
-            selector.cache = ci_store
-        try:
-            selection = selector.select(problem)
-        finally:
-            if ci_store is not None:
-                # The store is scoped to this call: restore the selector so
-                # a later cacheless run of the same object stays cacheless.
-                selector.cache = prior_cache
-                ci_store.save()
+        selection = selector.select(problem)
     features = problem.training_features(selection.selected)
 
     scaler = StandardScaler()

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.ci.adaptive import AdaptiveCI
 from repro.ci.executor import BatchExecutor
-from repro.ci.store import ExperimentStore, PersistentCICache
+from repro.ci.store import ExperimentStore
 from repro.core.grpsel import GrpSel
 from repro.core.seqsel import SeqSel
 from repro.core.subset_search import MarginalThenFull
@@ -27,21 +27,6 @@ from repro.data.transforms import cognito_expand
 from repro.experiments.harness import run_method
 from repro.fairness.causal_metrics import conditional_mutual_information
 from repro.rng import SeedLike
-
-
-def _derived_store(ci_cache, label: str) -> PersistentCICache | None:
-    """Open a per-selector sibling store next to the given cache path."""
-    if ci_cache is None:
-        return None
-    if isinstance(ci_cache, PersistentCICache):
-        # An open store cannot be honoured here: each selector needs its
-        # own file (see table2_row), so the instance's loaded entries and
-        # autosave settings would be silently ignored.  Fail loudly.
-        raise TypeError(
-            "table2_row derives one store per selector; pass a base *path* "
-            "for ci_cache, not an open PersistentCICache")
-    root, ext = os.path.splitext(os.fspath(ci_cache))
-    return PersistentCICache(f"{root}.{label}{ext or '.json'}")
 
 
 @dataclass
@@ -87,7 +72,6 @@ def expand_dataset(dataset: Dataset, max_new: int = 150,
 
 def table2_row(dataset: Dataset, seed: SeedLike = 0,
                n_derived: int = 150,
-               ci_cache: str | os.PathLike | None = None,
                store: ExperimentStore | str | os.PathLike | None = None,
                executor: BatchExecutor | None = None) -> Table2Row:
     """Compute one row of Table 2 for a loaded dataset.
@@ -96,29 +80,21 @@ def table2_row(dataset: Dataset, seed: SeedLike = 0,
     the expansion is what puts the datasets in the hundreds-of-candidates
     regime the paper's counts reflect.
 
-    ``ci_cache`` (a base *path*) lets a rerun over unchanged data skip
-    every already-decided CI test.
-    Each selector gets its *own* derived store (``<path>.grpsel`` /
-    ``<path>.seqsel``): both run the same seeded AdaptiveCI over the same
-    table, so a single shared store would let whichever selector runs
-    first answer the other's queries — deflating the second selector's
-    reported count to ~0 even on a cold first run and corrupting exactly
-    the SeqSel-vs-GrpSel comparison this table reports.  With per-selector
-    stores, cold-run counts are untouched and a rerun of the whole row
-    executes zero tests.
-
-    ``store`` (an :class:`~repro.ci.store.ExperimentStore` or root path;
-    mutually exclusive with ``ci_cache``) is the suite-wide form of the
-    same discipline: per-selector sibling namespaces (``grpsel`` /
-    ``seqsel``) under one cache tree, plus selection memoisation — a warm
-    rerun of the whole row executes zero CI tests *and* skips both
-    selector traversals, reporting the recorded cold-run counts.
+    ``store`` (an :class:`~repro.ci.store.ExperimentStore` or root path)
+    lets a rerun over unchanged data skip every already-decided CI test.
+    Each selector gets its *own* namespace (``grpsel`` / ``seqsel``):
+    both run the same seeded AdaptiveCI over the same table, so one
+    shared cache would let whichever selector runs first answer the
+    other's queries — deflating the second selector's reported count to
+    ~0 even on a cold first run and corrupting exactly the
+    SeqSel-vs-GrpSel comparison this table reports.  Selections are
+    memoised too, so a warm rerun of the whole row executes zero CI
+    tests, skips both selector traversals, and reports the recorded
+    cold-run counts.
 
     ``executor`` parallelises both selectors' cache-miss CI batches (see
     :mod:`repro.ci.executor`); counts and verdicts are executor-invariant.
     """
-    if ci_cache is not None and store is not None:
-        raise TypeError("pass either ci_cache= or store=, not both")
     if n_derived > 0:
         dataset = expand_dataset(dataset, max_new=n_derived)
     problem = dataset.problem()
@@ -139,10 +115,7 @@ def table2_row(dataset: Dataset, seed: SeedLike = 0,
                                             namespace="seqsel")
         store.save()
     else:
-        grp_run = run_method(dataset, grp_selector,
-                             ci_cache=_derived_store(ci_cache, "grpsel"))
-        seq_store = _derived_store(ci_cache, "seqsel")
-        seq_selector.cache = seq_store if seq_store is not None else False
+        grp_run = run_method(dataset, grp_selector)
         seq_selection = seq_selector.select(problem)
 
     test = dataset.test

@@ -1,8 +1,8 @@
 """CI-test-count experiments (Table 2 right, Figures 4 and 5).
 
-Counts are measured through :class:`~repro.ci.base.CITestLedger` on the
-d-separation oracle, so they reflect pure algorithmic cost — exactly the
-quantity the paper's complexity analysis predicts:
+Counts are each selector's ``n_ci_tests`` on the d-separation oracle, so
+they reflect pure algorithmic cost — exactly the quantity the paper's
+complexity analysis predicts:
 ``O(2^|A| n)`` for SeqSel vs ``O(2^|A| k log n)`` for GrpSel.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ci.base import CITestLedger
 from repro.ci.executor import BatchExecutor
 from repro.ci.oracle import OracleCI
 from repro.core.grpsel import GrpSel
@@ -39,28 +38,23 @@ def count_tests(n_features: int, n_biased: int, seed: SeedLike = 0,
                 executor: BatchExecutor | None = None) -> CountPoint:
     """Run SeqSel and GrpSel with an oracle tester and count CI tests.
 
-    ``executor`` routes the selectors' CI batches (counts are
-    executor-invariant by the engine's contract; the injected inner
-    ledgers here additionally force in-process execution, since their
-    entries are the very quantity being measured).
+    ``executor`` runs the selectors' oracle queries (counts are
+    executor-invariant by the engine's contract).
     """
     planted = planted_bias_problem(n_features, n_biased, n_samples=0, seed=seed)
     oracle = OracleCI(planted.scm.dag)
     strategy = MarginalThenFull()
 
-    seq_ledger = CITestLedger(oracle)
-    SeqSel(tester=seq_ledger, subset_strategy=strategy,
-           executor=executor).select(planted.problem)
-
-    grp_ledger = CITestLedger(oracle)
-    GrpSel(tester=grp_ledger, subset_strategy=strategy,
-           seed=seed, executor=executor).select(planted.problem)
+    seq = SeqSel(tester=oracle, subset_strategy=strategy,
+                 executor=executor).select(planted.problem)
+    grp = GrpSel(tester=oracle, subset_strategy=strategy,
+                 seed=seed, executor=executor).select(planted.problem)
 
     return CountPoint(
         n_features=n_features,
         n_biased=n_biased,
-        seqsel_tests=seq_ledger.n_tests,
-        grpsel_tests=grp_ledger.n_tests,
+        seqsel_tests=seq.n_ci_tests,
+        grpsel_tests=grp.n_ci_tests,
     )
 
 

@@ -186,16 +186,10 @@ class FaultPlan:
 
     @classmethod
     def from_env(cls) -> "FaultPlan | None":
-        """The plan ``REPRO_FAULTS`` / ``REPRO_FAULTS_SEED`` describe,
-        or ``None`` when injection is disabled."""
+        """The plan ``REPRO_FAULTS`` describes (its seed is the inline
+        ``seed=`` term, else 0), or ``None`` when injection is disabled."""
         text = env.FAULTS.read()
-        if not text:
-            return None
-        specs, inline_seed = parse_spec(text)
-        seed = env.FAULTS_SEED.read_int()
-        if seed is None:
-            seed = inline_seed if inline_seed is not None else 0
-        return cls(specs, seed=seed)
+        return cls(text) if text else None
 
     def describe(self) -> str:
         """Canonical replay handle: a spec string embedding the seed."""

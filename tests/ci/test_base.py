@@ -147,6 +147,15 @@ class TestLedger:
         assert ledger.total_seconds > 0
 
 
+class TestLedgerNesting:
+    def test_a_ledger_never_wraps_a_ledger(self):
+        """One ledger per run: a ledger that wrapped another would count
+        every test twice and hand executors a tester that collects
+        state."""
+        with pytest.raises(TypeError, match="never wraps"):
+            CITestLedger(CITestLedger(GTestCI()))
+
+
 class TestHelpers:
     def test_contingency_counts(self):
         x = np.array([0, 0, 1, 1, 1])

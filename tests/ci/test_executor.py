@@ -5,13 +5,11 @@ import pytest
 
 from repro.ci.adaptive import AdaptiveCI
 from repro.ci.base import CIQuery, CIResult, CITestLedger, CITester
-from repro.ci.executor import (ProcessExecutor, RemoteExecutor,
-                               SerialExecutor, default_executor,
-                               executor_by_name)
+from repro.ci.executor import (ProcessExecutor, SerialExecutor,
+                               default_executor, executor_by_name)
 from repro.ci.gtest import GTestCI
 from repro.ci.rcit import RCIT
 from repro.data.table import Table
-from repro.distributed.queue import MemoryQueue
 from repro.exceptions import CITestError
 
 
@@ -249,27 +247,6 @@ class TestValueSeededTestersShip:
             results = executor.run(tester, table, qs)
             assert executor._pool is not None  # sharded, not kept serial
         assert [r.p_value for r in results] == [r.p_value for r in serial]
-
-
-class TestReplaySafety:
-    def test_failed_shard_replay_never_inflates_an_injected_ledger(self):
-        """Regression: the error-path replay re-executed a failed shard
-        per query even on a state-collecting tester, appending duplicate
-        ledger entries — corrupting the counts the invariant suite locks."""
-        table = make_table()
-        qs = queries(table)
-        # Serial inner executor: the failure reaches the outer executor
-        # raw, so attribution is only possible by replaying through the
-        # stateful ledger itself — which every executor must refuse.
-        for executor in (pooled(),
-                         RemoteExecutor(queue=MemoryQueue(), n_workers=2,
-                                        min_batch=2)):
-            inner = CITestLedger(PoisonedTester(), executor=SerialExecutor())
-            with executor, pytest.raises(CITestError) as excinfo:
-                executor.run(inner, table, qs)
-            assert excinfo.value.query is None  # attribution skipped
-            executed = [e.query for e in inner.entries]
-            assert len(executed) == len(set(executed))  # no duplicates
 
 
 class TestBrokenPoolRecovery:

@@ -184,18 +184,6 @@ class TestPoolReuse:
             executor.run(GTestCI(), other, queries)
             assert executor._pool is not first_pool
 
-    def test_stateful_tester_never_ships_to_workers(self):
-        table = build_table(seed=1, n_rows=80, n_features=5)
-        queries = [CIQuery.make(f"f{i}", "y", ("a",)) for i in range(5)]
-        inner = CITestLedger(GTestCI())
-        with ProcessExecutor(n_workers=2, min_batch=2,
-                             mp_context="fork") as executor:
-            executor.run(inner, table, queries)
-            assert executor._pool is None  # serial fallback, no pool at all
-        # The injected ledger's entries stayed observable in this process —
-        # the Figures 4-5 inner-ledger counts cannot silently read zero.
-        assert inner.n_tests == len(queries)
-
 
 class TestPoolKeyStability:
     def test_parent_side_memo_state_does_not_respawn_the_pool(self):
@@ -301,18 +289,3 @@ class TestProcessBoundaryErrorReplay:
             with pytest.raises(CITestError) as excinfo:
                 executor.run(ExplodingTester(poison="f3"), table, queries)
         assert excinfo.value.query == CIQuery.make("f3", "y", ("a",))
-
-    def test_non_replay_safe_tester_reports_query_none(self):
-        """A shipped-to-nobody stateful tester (serial fallback) still
-        follows the contract: failure attributed as query=None because
-        replaying through a state-collecting ledger is forbidden."""
-        table, queries = self._workload()
-        inner = CITestLedger(ExplodingTester(poison="f3"),
-                             executor=SerialExecutor())
-        with ProcessExecutor(n_workers=2, min_batch=2,
-                             mp_context="fork") as executor:
-            with pytest.raises(CITestError) as excinfo:
-                executor.run(inner, table, queries)
-        assert excinfo.value.query is None
-        executed = [e.query for e in inner.entries]
-        assert len(executed) == len(set(executed))  # replay never ran

@@ -217,25 +217,6 @@ class TestLedgerPersistence:
         again.test(table, "f1", "y", ["a"])
         assert again.n_tests == 0 and again.cache_hits == 1
 
-    def test_nested_ledger_forwards_inner_token(self, tmp_path):
-        """A ledger wrapping a ledger (the Figures 4-5 injection pattern)
-        must not erase the innermost tester's hyperparameters from the
-        persistent key."""
-        path = tmp_path / "cache.json"
-        table = make_table()
-        cold = CITestLedger(CITestLedger(GTestCI(min_expected=5.0)),
-                            cache=PersistentCICache(path))
-        cold.test(table, "f1", "y", ["a"])
-        cold.flush_cache()
-        warm = CITestLedger(CITestLedger(GTestCI(min_expected=0.0)),
-                            cache=PersistentCICache(path))
-        warm.test(table, "f1", "y", ["a"])
-        assert warm.n_tests == 1 and warm.cache_hits == 0
-        same = CITestLedger(CITestLedger(GTestCI(min_expected=5.0)),
-                            cache=PersistentCICache(path))
-        same.test(table, "f1", "y", ["a"])
-        assert same.n_tests == 0 and same.cache_hits == 1
-
     def test_save_creates_missing_parent_directory(self, tmp_path):
         path = tmp_path / "nested" / "dir" / "cache.json"
         ledger = CITestLedger(GTestCI(), cache=PersistentCICache(path))
@@ -363,13 +344,6 @@ class TestSelectorAndHarnessWiring:
         assert cached.n_ci_tests == plain.n_ci_tests
         assert cached.selected_set == plain.selected_set
 
-    def test_run_method_rejects_cacheless_selector(self, tmp_path, german):
-        from repro.baselines.all_features import AllFeatures
-        from repro.experiments.harness import run_method
-        with pytest.raises(TypeError, match="cache"):
-            run_method(german, AllFeatures(),
-                       ci_cache=str(tmp_path / "c.json"))
-
 
 @pytest.fixture(scope="module")
 def german():
@@ -380,21 +354,25 @@ def german():
 class TestHarnessPersistentCache:
     def test_run_method_warm_rerun_zero_tests(self, tmp_path, german):
         """The headline harness contract: re-running a seeded experiment
-        over unchanged data executes zero CI tests the second time."""
+        over unchanged data executes zero CI tests the second time — the
+        memoised selection answers without running the selector — and
+        reports the cold run's counts."""
         from repro.ci.adaptive import AdaptiveCI
+        from repro.ci.store import ExperimentStore
         from repro.core.seqsel import SeqSel
         from repro.core.subset_search import MarginalThenFull
         from repro.experiments.harness import run_method
-        path = tmp_path / "cache.json"
 
         def selector():
             return SeqSel(tester=AdaptiveCI(seed=0),
                           subset_strategy=MarginalThenFull())
 
-        cold = run_method(german, selector(), ci_cache=str(path))
+        cold = run_method(german, selector(), store=str(tmp_path))
         assert cold.selection.n_ci_tests > 0
-        warm = run_method(german, selector(), ci_cache=str(path))
-        assert warm.selection.n_ci_tests == 0
+        store = ExperimentStore(tmp_path)
+        warm = run_method(german, selector(), store=store)
+        assert store.selection_hits == 1
+        assert warm.selection.n_ci_tests == cold.selection.n_ci_tests
         assert warm.selection.selected_set == cold.selection.selected_set
 
     def test_selector_cache_scoped_to_the_call(self, tmp_path, german):
@@ -406,8 +384,7 @@ class TestHarnessPersistentCache:
         from repro.experiments.harness import run_method
         selector = SeqSel(tester=AdaptiveCI(seed=0),
                           subset_strategy=MarginalThenFull())
-        cached = run_method(german, selector,
-                            ci_cache=str(tmp_path / "cache.json"))
+        cached = run_method(german, selector, store=str(tmp_path))
         assert selector.cache is False  # restored to its prior value
         plain = run_method(german, selector)
         assert plain.selection.n_ci_tests == cached.selection.n_ci_tests > 0

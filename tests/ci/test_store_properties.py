@@ -353,9 +353,9 @@ class FailingAfterOneTest:
 
 class TestStoreSavedOnFailure:
     def test_run_method_persists_partial_ci_results(self, tmp_path):
-        """Regression: the store= branch of run_method saved only on
-        success, so a crash mid-selection discarded every verdict already
-        computed — unlike the ci_cache= branch, which saves in finally."""
+        """Regression: run_method's store was saved only on success, so
+        a crash mid-selection discarded every verdict already computed;
+        it is now saved in a finally."""
         from repro.data.loaders import load_german
         from repro.experiments.harness import run_method
         dataset = load_german(seed=0, n_train=200, n_test=100)

@@ -100,12 +100,31 @@ class TestOracleEquivalence:
         problem = FairFeatureSelectionProblem.from_table(table)
         strategy = MarginalThenFull()
 
-        seq_ledger = CITestLedger(OracleCI(scm.dag))
-        SeqSel(tester=seq_ledger, subset_strategy=strategy).select(problem)
-        grp_ledger = CITestLedger(OracleCI(scm.dag))
-        GrpSel(tester=grp_ledger, subset_strategy=strategy,
-               seed=0).select(problem)
-        assert grp_ledger.n_tests < seq_ledger.n_tests / 2
+        oracle = OracleCI(scm.dag)
+        seq = SeqSel(tester=oracle, subset_strategy=strategy).select(problem)
+        grp = GrpSel(tester=oracle, subset_strategy=strategy,
+                     seed=0).select(problem)
+        assert grp.n_ci_tests < seq.n_ci_tests / 2
+
+    def test_selector_runs_on_a_ledger_passed_as_its_tester(self):
+        """A ledger given as the tester is the run's ledger, never wrapped
+        in a second one: it counts every test, each run still reports its
+        own share, and the ledger's own cache and executor cannot be
+        overridden by the selector's."""
+        spec = FairnessGraphSpec(n_features=20, n_biased=5, seed=0)
+        scm, _ = fairness_scm(spec)
+        problem = FairFeatureSelectionProblem.from_table(
+            scm.sample(10, seed=0))
+        strategy = MarginalThenFull()
+        ledger = CITestLedger(OracleCI(scm.dag))
+        first = SeqSel(tester=ledger,
+                       subset_strategy=strategy).select(problem)
+        assert first.n_ci_tests == ledger.n_tests > 0
+        second = GrpSel(tester=ledger, subset_strategy=strategy,
+                        seed=0).select(problem)
+        assert ledger.n_tests == first.n_ci_tests + second.n_ci_tests
+        with pytest.raises(ValueError, match="cache"):
+            SeqSel(tester=ledger, cache=True).select(problem)
 
 
 class TestEdgeCases:

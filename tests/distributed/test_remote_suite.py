@@ -36,7 +36,7 @@ def outcome_key(outcome):
             outcome.report.accuracy)
 
 
-def spawn_worker(queue_dir, store=None, max_idle=60.0, extra_env=None):
+def spawn_worker(queue_dir, max_idle=60.0, extra_env=None):
     """A real ``python -m repro worker`` subprocess on this spool."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
@@ -44,8 +44,6 @@ def spawn_worker(queue_dir, store=None, max_idle=60.0, extra_env=None):
     env.update(extra_env or {})
     command = [sys.executable, "-m", "repro", "worker",
                "--queue", str(queue_dir), "--max-idle", str(max_idle)]
-    if store is not None:
-        command += ["--store", str(store)]
     return subprocess.Popen(command, cwd=REPO_ROOT,
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, env=env)
@@ -91,13 +89,17 @@ class TestRemoteSuite:
     def test_killed_worker_heals_by_requeue(self, tmp_path, monkeypatch):
         """SIGKILL a worker mid-suite: its lease lapses (no heartbeat),
         the dispatcher reclaims, and a healthy worker completes the
-        suite with results identical to inline."""
+        suite with results identical to inline.  The victim stalls after
+        its first claim, so the kill always lands while it holds a leg —
+        the legs take milliseconds, and a victim left to run could
+        finish the whole suite between two polls."""
         monkeypatch.setenv("REPRO_CI_REMOTE_LEASE", "1.0")
         legs = small_legs()
         inline = run_suite(legs, jobs=1)
         spool = tmp_path / "spool"
-        victim = spawn_worker(spool, extra_env={"REPRO_CI_REMOTE_LEASE":
-                                                "1.0"})
+        victim = spawn_worker(spool, extra_env={
+            "REPRO_CI_REMOTE_LEASE": "1.0",
+            "REPRO_FAULTS": "worker.execute:delay=300x1"})
         outcome: dict = {}
 
         def dispatch():

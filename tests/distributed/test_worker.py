@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.ci.base import CIQuery
+from repro.ci.base import CIQuery, CITestLedger
 from repro.ci.executor import SerialExecutor, default_executor
 from repro.ci.gtest import GTestCI
 from repro.ci.store import ExperimentStore
@@ -151,8 +151,9 @@ class TestWorkerModeGuard:
 
 class TestWorkerStoreSync:
     def test_shard_verdicts_land_in_the_shared_store(self, tmp_path):
-        """A worker given ``--store`` merge-saves computed verdicts into
-        the per-method remote namespace, warm-starting later runs."""
+        """Verdicts the workers compute reach the shared store through
+        the dispatching run's ledger — the one writer of verdicts to a
+        store — so later runs warm-start from them."""
         rng = np.random.default_rng(11)
         table = Table({"y": rng.integers(0, 2, 80),
                        "a": rng.integers(0, 3, 80),
@@ -163,16 +164,19 @@ class TestWorkerStoreSync:
                    for i, z in enumerate([(), ("a",), ()])]
         tester = GTestCI()
         store_root = tmp_path / "store"
-        executor = local_remote_executor(n_workers=1, min_batch=2,
-                                         store_root=store_root)
+        executor = local_remote_executor(n_workers=1, min_batch=2)
         try:
-            results = executor.run(tester, table, queries)
+            ledger = CITestLedger(
+                tester, cache=ExperimentStore(store_root).ci_cache("g-test"),
+                executor=executor)
+            results = ledger.test_batch(table, queries)
+            ledger.flush_cache()
         finally:
             executor.close()
         baseline = SerialExecutor().run(tester, table, queries)
         assert [(r.independent, r.p_value) for r in results] == \
                [(r.independent, r.p_value) for r in baseline]
-        cache = ExperimentStore(store_root).ci_cache("remote-g-test")
+        cache = ExperimentStore(store_root).ci_cache("g-test")
         token = tuple(tester.cache_token())
         for query, result in zip(queries, results):
             record = cache.get(table.fingerprint, query.key, tester.method,

@@ -50,6 +50,25 @@ class TestCountExperiments:
         point = count_tests(50, 5, seed=1)
         assert point.p_percent == pytest.approx(10.0)
 
+    def test_executor_sees_the_oracle_and_counts_hold(self):
+        """Regression: each selector wrapped an inner ledger, so the
+        executor a caller passed received that ledger instead of the
+        oracle queries (a process pool then fell back to serial)."""
+        from repro.ci.executor import SerialExecutor
+
+        class RecordingExecutor(SerialExecutor):
+            def __init__(self):
+                self.testers = set()
+
+            def run(self, tester, table, queries):
+                self.testers.add(type(tester).__name__)
+                return super().run(tester, table, queries)
+
+        executor = RecordingExecutor()
+        point = count_tests(128, 4, seed=0, executor=executor)
+        assert executor.testers == {"OracleCI"}
+        assert point == count_tests(128, 4, seed=0)
+
 
 class TestSpuriousness:
     def test_grpsel_fewer_spurious_results(self):

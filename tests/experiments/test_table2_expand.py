@@ -56,28 +56,22 @@ class TestTable2RowWithoutExpansion:
 class TestTable2PersistentCache:
     def test_cold_counts_uncorrupted_and_warm_rerun_free(self, german,
                                                          tmp_path):
-        """Regression: a single store shared by both selectors let GrpSel's
+        """Regression: a single cache shared by both selectors let GrpSel's
         run answer SeqSel's queries, reporting ~0 SeqSel tests on a *cold*
-        run — the per-selector stores must keep cold counts identical to
-        the uncached row, while a full rerun hits both stores."""
+        run — the per-selector namespaces must keep cold counts identical
+        to the storeless row, while a full rerun replays both memoised
+        selections with their cold counts."""
+        from repro.ci.store import ExperimentStore
         plain = table2_row(german, seed=0, n_derived=0)
-        path = tmp_path / "table2-cache.json"
-        cold = table2_row(german, seed=0, n_derived=0, ci_cache=str(path))
+        cold = table2_row(german, seed=0, n_derived=0, store=str(tmp_path))
         assert cold.seqsel_tests == plain.seqsel_tests
         assert cold.grpsel_tests == plain.grpsel_tests
-        assert (tmp_path / "table2-cache.grpsel.json").exists()
-        assert (tmp_path / "table2-cache.seqsel.json").exists()
+        assert (tmp_path / "ci" / "grpsel.json").exists()
+        assert (tmp_path / "ci" / "seqsel.json").exists()
 
-        warm = table2_row(german, seed=0, n_derived=0, ci_cache=str(path))
-        assert warm.seqsel_tests == 0
-        assert warm.grpsel_tests == 0
+        store = ExperimentStore(tmp_path)
+        warm = table2_row(german, seed=0, n_derived=0, store=store)
+        assert store.selection_hits == 2
+        assert warm.seqsel_tests == cold.seqsel_tests
+        assert warm.grpsel_tests == cold.grpsel_tests
         assert warm.cmi_pred == pytest.approx(cold.cmi_pred)
-
-    def test_open_store_instance_rejected(self, german, tmp_path):
-        """An open store can't be honoured (each selector needs its own
-        file), so passing one must fail loudly instead of being silently
-        ignored."""
-        from repro.ci.store import PersistentCICache
-        store = PersistentCICache(tmp_path / "t2.json")
-        with pytest.raises(TypeError, match="base .?path"):
-            table2_row(german, seed=0, n_derived=0, ci_cache=store)

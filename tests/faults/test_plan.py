@@ -73,12 +73,10 @@ class TestDeterminism:
         b = self._firing_trace(faults.FaultPlan(spec, seed=2))
         assert a != b
 
-    def test_inline_seed_and_env_seed(self, monkeypatch):
+    def test_inline_seed(self, monkeypatch):
         assert faults.FaultPlan("queue.claim:raise;seed=9").seed == 9
         monkeypatch.setenv(env.FAULTS.name, "queue.claim:raise;seed=9")
-        monkeypatch.setenv(env.FAULTS_SEED.name, "4")
-        plan = faults.FaultPlan.from_env()
-        assert plan.seed == 4  # the dedicated variable wins
+        assert faults.FaultPlan.from_env().seed == 9
 
     def test_times_cap_bounds_total_firings(self):
         plan = faults.FaultPlan("queue.claim:raise x2".replace(" ", ""))

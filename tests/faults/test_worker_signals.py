@@ -2,7 +2,7 @@
 
 A real ``python -m repro worker`` process is killed mid-task; the
 contract is that it completes the claimed task (posting its result to
-the spool), syncs its store, and exits 0 — the dispatcher never sees
+the spool) and exits 0 — the dispatcher never sees
 the difference between a drained worker and one that served forever.
 """
 
@@ -23,14 +23,13 @@ SRC_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(repro.__file__))))
 
 
-def start_worker(spool, store):
+def start_worker(spool):
     environment = dict(os.environ)
     environment["PYTHONPATH"] = os.path.join(SRC_ROOT, "src")
     environment.pop("REPRO_FAULTS", None)  # chaos stays out of this one
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "worker", "--queue", str(spool),
-         "--store", str(store), "--id", "victim", "--max-idle", "30",
-         "--lease", "5"],
+         "--id", "victim", "--max-idle", "30", "--lease", "5"],
         env=environment, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
@@ -50,7 +49,7 @@ def test_signal_mid_task_finishes_it_and_exits_clean(tmp_path, signum):
     payload = pickle.dumps({"kind": "call", "fn": time.sleep, "item": 1.0},
                            protocol=pickle.HIGHEST_PROTOCOL)
     (task_id,) = submit_batch(queue, [payload], timeout=0)
-    process = start_worker(tmp_path / "q", tmp_path / "store")
+    process = start_worker(tmp_path / "q")
     try:
         assert wait_for_claim(queue), "worker never claimed the task"
         process.send_signal(signum)  # lands mid-sleep, i.e. mid-task
@@ -74,7 +73,7 @@ def test_second_signal_is_not_swallowed(tmp_path):
     payload = pickle.dumps({"kind": "call", "fn": time.sleep, "item": 30.0},
                            protocol=pickle.HIGHEST_PROTOCOL)
     submit_batch(queue, [payload], timeout=0)
-    process = start_worker(tmp_path / "q", tmp_path / "store")
+    process = start_worker(tmp_path / "q")
     try:
         assert wait_for_claim(queue), "worker never claimed the task"
         process.send_signal(signal.SIGTERM)
