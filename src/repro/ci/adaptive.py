@@ -60,19 +60,13 @@ class AdaptiveCI(CITester):
         return CIResult(result.independent, result.p_value, result.statistic,
                         result.query, method=f"adaptive->{result.method}")
 
-    def test(self, table: Table, x, y, z=()) -> CIResult:
-        query = CIQuery.make(x, y, z)
-        self._check_query(table, query)
-        backend = self._backend_for(table, query)
-        return self._relabel(backend.test(table, query.x, query.y, query.z))
-
     def test_batch(self, table: Table, queries) -> list[CIResult]:
         """Batch per backend, preserving the relative order within each.
 
         Discrete queries go to the discrete backend's batch path in one
         call (sharing its code caches); the rest go to the continuous
-        backend likewise.  Per-query results are bitwise identical to
-        :meth:`test`.
+        backend likewise.  A lone :meth:`test` is a one-query batch routed
+        the same way, so per-query results are partition-invariant.
         """
         normalised = as_queries(queries)
         for query in normalised:

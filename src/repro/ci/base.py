@@ -18,21 +18,21 @@ candidate against every admissible subset; phase 2: every surviving
 candidate against the target under one fixed conditioning set).  Two layers
 turn those bursts into batch-oriented evaluation over shared encoded state:
 
-* :meth:`CITester.test_batch` evaluates a sequence of queries in one call.
-  The base implementation falls back to per-query :meth:`CITester.test`;
-  discrete backends override it to reuse per-table integer-code caches
-  (:meth:`repro.data.table.Table.discrete_codes`), so stratification of a
-  common conditioning set is computed once per table rather than per query.
-  Continuous backends (RCIT/KCIT/Fisher-z) override it with the same
-  shape: queries are grouped by their ``(y, z)`` pair and each group's
-  shared legs — standardized blocks and median bandwidths
+* :meth:`CITester.test_batch` is every tester's one evaluation path:
+  it validates the batch, groups the queries by their ``(y, z)`` pair
+  and calls the tester's ``_group_eval`` once per group.
+  :meth:`CITester.test` is a one-query batch, so a lone query is a
+  group of one.  The discrete backends' group kernel counts every
+  candidate in one offset bincount over the table's integer-code
+  caches (:meth:`repro.data.table.Table.discrete_codes`); the
+  continuous backends (RCIT/KCIT/Fisher-z) compute each group's shared
+  legs — standardized blocks and median bandwidths
   (:meth:`repro.data.table.Table.standardized_block` /
   :meth:`~repro.data.table.Table.median_bandwidth`), the Z feature map
-  and its ridge factorisation, the Y residuals — are computed once per
-  group.  Fused results are bitwise identical to sequential
-  :meth:`CITester.test` because every random draw is derived per
-  variable block (:func:`repro.rng.derive`), never consumed across
-  queries.
+  and its ridge factorisation, the Y residuals — once.  Fused results
+  are bitwise identical to sequential :meth:`CITester.test` because
+  every random draw is derived per variable block
+  (:func:`repro.rng.derive`), never consumed across queries.
 * :meth:`CITestLedger.test_batch` adds exact cost accounting on top.  Its
   invariants: (1) recorded entries are precisely the tests a sequential
   early-exit loop would have executed — with ``stop_on_independent=True``
@@ -177,9 +177,15 @@ def as_queries(queries: Iterable[CIQuery | tuple]) -> list[CIQuery]:
 class CITester:
     """Base class for CI tests.
 
-    Subclasses implement :meth:`_test` over numpy matrices; this class
-    handles name resolution, input validation, and verdict thresholding.
-    ``alpha`` is the significance level: p-value below ``alpha`` rejects the
+    Every query reaches a tester through :meth:`test_batch`, which
+    validates the batch, groups the queries by :meth:`_group_key` and
+    calls :meth:`_group_eval` once per group; :meth:`test` is a
+    one-query batch.  Subclasses implement one of two extension points:
+    :meth:`_group_eval`, for testers that share a group's work (the
+    Y and Z legs) across its candidates, or :meth:`_test`, for per-query
+    testers over numpy matrices.  This class handles name resolution,
+    input validation, and verdict thresholding.  ``alpha`` is the
+    significance level: p-value below ``alpha`` rejects the
     independence null (the paper's default threshold is 0.01).
 
     A tester holds no state its callers observe: counting and storing
@@ -196,26 +202,35 @@ class CITester:
 
     def test(self, table: Table, x: Iterable[str] | str, y: Iterable[str] | str,
              z: Iterable[str] | str = ()) -> CIResult:
-        """Test ``X ⊥ Y | Z`` on the given table."""
-        query = CIQuery.make(x, y, z)
-        self._check_query(table, query)
-        p_value, statistic = self._test(
-            table.matrix(query.x), table.matrix(query.y),
-            table.matrix(query.z) if query.z else None,
-        )
-        return self._finalize(p_value, statistic, query)
+        """Test ``X ⊥ Y | Z`` on the given table: a one-query
+        :meth:`test_batch`."""
+        return self.test_batch(table, [CIQuery.make(x, y, z)])[0]
 
     def test_batch(self, table: Table,
                    queries: Iterable["CIQuery" | tuple]) -> list[CIResult]:
         """Evaluate a batch of queries; results align with the input order.
 
-        Equivalent to (and by default implemented as) one :meth:`test` call
-        per query, so results are bitwise identical to the sequential path.
-        Backends override this to share per-table encoded state across the
-        batch.  Cost accounting and early exit live in
-        :meth:`CITestLedger.test_batch`, not here.
+        Every query is validated first; the queries are then grouped by
+        :meth:`_group_key` and each group is evaluated by one
+        :meth:`_group_eval` call.  The group kernels are
+        partition-invariant, so results are bitwise identical to one
+        :meth:`test` call per query.  Cost accounting and early exit
+        live in :meth:`CITestLedger.test_batch`, not here.
         """
-        return [self.test(table, q.x, q.y, q.z) for q in as_queries(queries)]
+        normalised = as_queries(queries)
+        for query in normalised:
+            self._check_query(table, query)
+        groups: dict[tuple, list[int]] = {}
+        for i, query in enumerate(normalised):
+            groups.setdefault(self._group_key(query), []).append(i)
+        results: list[CIResult | None] = [None] * len(normalised)
+        for (y_names, z_names), indices in groups.items():
+            pairs = self._group_eval(table, y_names, z_names,
+                                     [normalised[i].x for i in indices])
+            for i, (p_value, statistic) in zip(indices, pairs):
+                results[i] = self._finalize(p_value, statistic,
+                                            normalised[i])
+        return results
 
     def independent(self, table: Table, x, y, z=()) -> bool:
         """Boolean convenience wrapper around :meth:`test`."""
@@ -253,37 +268,27 @@ class CITester:
             method=self.method,
         )
 
+    def _group_key(self, query: CIQuery) -> tuple:
+        """The ``(y_names, z_names)`` group a query is evaluated in."""
+        return (query.y, query.z)
+
+    def _group_eval(self, table: Table, y_names: tuple[str, ...],
+                    z_names: tuple[str, ...],
+                    x_blocks: list[tuple[str, ...]]
+                    ) -> list[tuple[float, float]]:
+        """``(p_value, statistic)`` per X block sharing one (Y, Z) pair.
+
+        The default builds the group's Y and Z matrices once and calls
+        the matrix-level :meth:`_test` for each X block.
+        """
+        y = table.matrix(y_names)
+        z = table.matrix(z_names) if z_names else None
+        return [self._test(table.matrix(names), y, z) for names in x_blocks]
+
     def _test(self, x: np.ndarray, y: np.ndarray,
               z: np.ndarray | None) -> tuple[float, float]:
         """Return ``(p_value, statistic)`` for matrices X, Y, Z|None."""
         raise NotImplementedError
-
-    def _grouped_batch(self, table: Table, normalised: list[CIQuery],
-                       key=None) -> list[CIResult]:
-        """Shared scaffold for fused same-``(Y, Z)`` batch evaluation.
-
-        Groups the (already validated) queries by ``key(query)`` —
-        default ``(query.y, query.z)`` — and evaluates each group through
-        the subclass's ``_group_eval(table, y_names, z_names, x_blocks)``,
-        which returns one ``(p_value, statistic)`` pair per X block.
-        Used by the continuous backends (RCIT/KCIT/Fisher-z) so the
-        grouping/scatter logic cannot drift between them; result order
-        matches the input.
-        """
-        if key is None:
-            key = lambda query: (query.y, query.z)  # noqa: E731
-        groups: dict[tuple, list[int]] = {}
-        for i, query in enumerate(normalised):
-            groups.setdefault(key(query), []).append(i)
-        results: list[CIResult | None] = [None] * len(normalised)
-        for (y_names, z_names), indices in groups.items():
-            pairs = self._group_eval(  # type: ignore[attr-defined]
-                table, y_names, z_names,
-                [normalised[i].x for i in indices])
-            for i, (p_value, statistic) in zip(indices, pairs):
-                results[i] = self._finalize(p_value, statistic,
-                                            normalised[i])
-        return results
 
 
 @dataclass
@@ -316,6 +321,11 @@ class CITestLedger(CITester):
     instance, so its entries only ever serve that instance; seed it with
     an int to share verdicts across runs.  ``executor`` controls how
     cache-miss batches execute; see :mod:`repro.ci.executor`.
+
+    Every verdict passes through :meth:`test_batch`, so the cache, count
+    and timing logic lives there once: :meth:`test` is a one-query batch,
+    and the ``stop_on_independent`` loop submits one one-query batch per
+    query, stopping at the first independent verdict.
     """
 
     def __init__(self, inner: CITester,
@@ -430,43 +440,26 @@ class CITestLedger(CITester):
         if self.store is not None:
             self.store.save()
 
-    def test(self, table: Table, x, y, z=()) -> CIResult:
-        query = CIQuery.make(x, y, z)
-        if self._cache_enabled:
-            cached = self._cache_get(table, query)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached
-        start = time.perf_counter()
-        result = self.inner.test(table, x, y, z)
-        elapsed = time.perf_counter() - start
-        self.entries.append(LedgerEntry(query, result, elapsed))
-        if self._cache_enabled:
-            self._cache_put(table, query, result)
-        return result
-
     def test_batch(self, table: Table, queries: Iterable[CIQuery | tuple],
                    stop_on_independent: bool = False
                    ) -> list[CIResult | None]:
         """Batched testing with exact sequential cost accounting.
 
         With ``stop_on_independent=True`` queries are consumed lazily, in
-        order, and evaluation stops at the first independent verdict (the
-        phase-1 ``∃ A' ⊆ A`` pattern); the returned list holds only the
-        evaluated prefix.  No test beyond the stopping point is ever
-        executed — not even speculatively — so ``n_tests`` matches a
-        sequential loop exactly (the reference the wavefront property
-        suite compares against).  Without early exit the result list
-        aligns with the input and the cache-missing remainder is submitted
-        to the inner tester as one batch — through the configured executor
-        — sharing encoded state across queries.
+        order, each as a one-query batch, and evaluation stops at the
+        first independent verdict (the phase-1 ``∃ A' ⊆ A`` pattern); the
+        returned list holds only the evaluated prefix.  No test beyond the
+        stopping point is ever executed — not even speculatively — so
+        ``n_tests`` matches a sequential loop exactly (the reference the
+        wavefront property suite compares against).  Without early exit
+        the result list aligns with the input and the cache-missing
+        remainder is submitted to the inner tester as one batch — through
+        the configured executor — sharing encoded state across queries.
         """
         if stop_on_independent:
             prefix: list[CIResult] = []
             for query in queries:
-                if not isinstance(query, CIQuery):
-                    query = CIQuery.make(*query)
-                result = self.test(table, query.x, query.y, query.z)
+                result = self.test_batch(table, [query])[0]
                 prefix.append(result)
                 if result.independent:
                     break

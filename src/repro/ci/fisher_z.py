@@ -5,16 +5,17 @@ pairs (x, y) with a Bonferroni-style union bound, which preserves the group
 semantics: the group is independent of Y given Z iff every member is, under
 composition/decomposition (faithfulness).
 
-:meth:`FisherZCI.test_batch` fuses a same-``(Y, Z)`` burst: the ``[1, Z]``
+The group kernel (``FisherZCI._group_eval``) fuses a same-``(Y, Z)``
+burst of a :meth:`~repro.ci.base.CITester.test_batch`: the ``[1, Z]``
 design is factored (QR) **once per group**, the Y columns are residualised
 once, and every same-cardinality candidate block is residualised through
 one stacked 3-D matmul against the shared orthonormal basis (numpy runs a
 3-D matmul as one GEMM per slice, so each slice is bitwise identical to
-the 2-D product a lone query computes).  Sequential :meth:`test` routes
-through the same kernel with a group of one, so fused results are bitwise
-identical to sequential evaluation.  Rank-deficient designs (a constant Z
-column, say) fall back to the per-query stacked ``lstsq`` of the matrix
-path, whose SVD cutoff handles the degeneracy.
+the 2-D product a lone query computes).  A lone
+:meth:`~repro.ci.base.CITester.test` is a group of one, so fused results
+are bitwise identical to sequential evaluation.  Rank-deficient designs
+(a constant Z column, say) fall back to the per-query stacked ``lstsq``
+of the matrix path, whose SVD cutoff handles the degeneracy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
-from repro.ci.base import CIQuery, CITester, as_queries
+from repro.ci.base import CITester
 from repro.data.table import Table
 from repro.exceptions import CITestError
 
@@ -68,27 +69,6 @@ class FisherZCI(CITester):
         # persistent stores written by the old scheme must read as misses
         # rather than mixing two numeric schemes in one run.
         return (("derivation", 2),)
-
-    # -- public API ---------------------------------------------------------
-
-    def test(self, table: Table, x, y, z=()):
-        query = CIQuery.make(x, y, z)
-        self._check_query(table, query)
-        p_value, statistic = self._group_eval(table, query.y, query.z,
-                                              [query.x])[0]
-        return self._finalize(p_value, statistic, query)
-
-    def test_batch(self, table: Table, queries):
-        """Fused batched evaluation, one design factorisation per group.
-
-        Bitwise identical to sequential :meth:`test` calls: the kernel is
-        deterministic and the per-candidate work operates on that
-        candidate's slice only.
-        """
-        normalised = as_queries(queries)
-        for query in normalised:
-            self._check_query(table, query)
-        return self._grouped_batch(table, normalised)
 
     # -- kernels ------------------------------------------------------------
 

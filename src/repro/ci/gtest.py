@@ -16,17 +16,21 @@ strata.  Queries against a :class:`~repro.data.table.Table` additionally
 reuse its :meth:`~repro.data.table.Table.discrete_codes` cache, so a batch
 of queries sharing a conditioning set encodes the stratification once.
 
-Multi-query fusion: :meth:`GTestCI.test_batch` goes further for the
-dominant selection workload (a phase-2 burst where *every* candidate shares
-one ``(Y, Z)`` pair) — queries in a batch are grouped by their ``(y, z)``
-name pair, each candidate's X codes are shifted into a private block of one
-flat index space, and the whole group is counted in a *single* offset
-bincount pass; p-values for the group come from one vectorised
-``chi2.sf`` call.  Per-query count tensors are sliced back out of the flat
-counts before the statistic is computed, so results are bitwise identical
-to sequential :meth:`GTestCI.test` calls, and groups whose fused tensor
+Multi-query fusion: the group kernel (``GTestCI._group_eval``) serves
+the dominant selection workload (a phase-2 burst where *every* candidate
+shares one ``(Y, Z)`` pair) — :meth:`~repro.ci.base.CITester.test_batch`
+groups a batch by its ``(y, z)`` name pair, each candidate's X codes are
+shifted into a private block of one flat index space, and the whole group
+is counted in a *single* offset bincount pass; p-values for the group come
+from one vectorised ``chi2.sf`` call.  Per-query count tensors are sliced
+back out of the flat counts before the statistic is computed, and a lone
+:meth:`~repro.ci.base.CITester.test` is a group of one, so fused results
+are bitwise identical to sequential calls.  Groups whose fused tensor
 would exceed :data:`MAX_DENSE_CELLS` are chunked (with a per-query
 stratified fallback for queries that are individually over budget).
+The table-free matrix path (:meth:`GTestCI._test`, via
+:func:`fused_counts`) is the reference the group kernel is checked
+against.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import warnings
 import numpy as np
 from scipy import stats
 
-from repro.ci.base import CIQuery, CIResult, CITester, as_queries, encode_rows
+from repro.ci.base import CITester, encode_rows
 from repro.data.backend import iter_slices, resolve_chunk_rows
 from repro.data.table import Table
 from repro.exceptions import CITestError
@@ -112,75 +116,34 @@ class GTestCI(CITester):
     def cache_token(self) -> tuple:
         return (("min_expected", self.min_expected),)
 
-    # -- public API ---------------------------------------------------------
-
-    def test(self, table: Table, x, y, z=()) -> CIResult:
-        query = CIQuery.make(x, y, z)
-        self._check_query(table, query)
-        p_value, statistic = self._test_query(table, query)
-        return self._finalize(p_value, statistic, query)
-
-    def test_batch(self, table: Table, queries) -> list[CIResult]:
-        """Batched evaluation over the table's shared code caches.
-
-        Queries are grouped by their ``(y, z)`` pair; a group of two or
-        more (the phase-2 burst shape) is evaluated by the fused
-        multi-query kernel — one offset bincount for all candidates and
-        one vectorised ``chi2.sf`` call — instead of one pass per query.
-        Results are bitwise identical to sequential :meth:`test` calls.
-        """
-        normalised = as_queries(queries)
-        for query in normalised:
-            self._check_query(table, query)
-        results: list[CIResult | None] = [None] * len(normalised)
-        groups: dict[tuple, list[int]] = {}
-        for i, query in enumerate(normalised):
-            groups.setdefault((query.y, query.z), []).append(i)
-        for indices in groups.values():
-            if len(indices) == 1:
-                query = normalised[indices[0]]
-                results[indices[0]] = self._finalize(
-                    *self._test_query(table, query), query)
-            else:
-                group = [normalised[i] for i in indices]
-                for i, (p_value, statistic) in zip(
-                        indices, self._test_fused(table, group)):
-                    results[i] = self._finalize(p_value, statistic,
-                                                normalised[i])
-        return results
-
     # -- kernels ------------------------------------------------------------
 
-    def _test_query(self, table: Table, query: CIQuery) -> tuple[float, float]:
-        """Evaluate one query through the table's integer-code cache."""
-        x_codes, n_x = table.discrete_codes(query.x)
-        y_codes, n_y = table.discrete_codes(query.y)
-        z_codes, n_z = table.discrete_codes(query.z)
-        return self._from_codes(x_codes, n_x, y_codes, n_y, z_codes, n_z)
-
-    def _test_fused(self, table: Table,
-                    queries: list[CIQuery]) -> list[tuple[float, float]]:
-        """Evaluate a group of queries sharing one ``(y, z)`` pair.
+    def _group_eval(self, table: Table, y_names: tuple[str, ...],
+                    z_names: tuple[str, ...],
+                    x_blocks: list[tuple[str, ...]]
+                    ) -> list[tuple[float, float]]:
+        """``(p_value, statistic)`` per X block sharing one (Y, Z) pair.
 
         Candidates of equal X cardinality are stacked: each candidate's
         codes are shifted into a private ``n_z * n_x * n_y`` block of one
         flat index space, the whole stack is counted in a *single*
         :func:`numpy.bincount` pass, and the per-stratum statistic terms
         are computed over one ``(k * n_z, n_x, n_y)`` tensor whose strata
-        blocks are exactly the arrays the sequential path builds — so
-        every reduction runs over the same elements in the same order and
-        results are bitwise identical to per-query evaluation.  All
-        p-values for the group come from one vectorised ``chi2.sf`` call.
+        blocks are exactly the arrays :func:`fused_counts` builds for one
+        query — so every reduction runs over the same elements in the
+        same order and results are bitwise identical to per-query
+        evaluation, a group of one (``k = 1``) included.  All p-values
+        for the group come from one vectorised ``chi2.sf`` call.
 
         Stacks whose fused tensor (or stacked code matrix) would exceed
         :data:`MAX_DENSE_CELLS` are split into chunks under the budget; a
         query that is over the budget on its own falls back to the
-        per-stratum kernel, exactly as :meth:`test` would.
+        per-stratum kernel, exactly as the matrix path :meth:`_test` does.
         """
-        y_codes, n_y = table.discrete_codes(queries[0].y)
-        z_codes, n_z = table.discrete_codes(queries[0].z)
-        xs = [table.discrete_codes(query.x) for query in queries]
-        n_queries = len(queries)
+        y_codes, n_y = table.discrete_codes(y_names)
+        z_codes, n_z = table.discrete_codes(z_names)
+        xs = [table.discrete_codes(names) for names in x_blocks]
+        n_queries = len(x_blocks)
         statistics = np.zeros(n_queries)
         dofs = np.zeros(n_queries, dtype=np.int64)
 

@@ -14,14 +14,16 @@ for cross-checks and ablations.  Construction:
 
 Cost is O(n^3); keep n in the hundreds.
 
-:meth:`KCIT.test_batch` shares the O(n^3) work across a same-``(Y, Z)``
-group: the subsample draw, the centred ``K_Z``, its ridge inverse ``R``,
-and the conditional ``K_{Y|Z}`` are computed once per group and reused by
-every candidate — each candidate then only pays its own ``K_{X'|Z}``
-chain.  Sequential :meth:`test` runs the same kernel with a group of one,
-so fused results are bitwise identical.  All traces are evaluated as
-elementwise sums (``trace(A @ B) == sum(A * B.T)``) and centring is the
-O(n^2) row/column-mean subtraction — never a full matmul.
+The group kernel (``KCIT._group_eval``) shares the O(n^3) work across a
+same-``(Y, Z)`` group of a :meth:`~repro.ci.base.CITester.test_batch`:
+the subsample draw, the centred ``K_Z``, its ridge inverse ``R``, and the
+conditional ``K_{Y|Z}`` are computed once per group and reused by every
+candidate — each candidate then only pays its own ``K_{X'|Z}`` chain.
+Every group draws the same subsample (the seed is a value), and a lone
+:meth:`~repro.ci.base.CITester.test` is a group of one, so fused results
+are bitwise identical.  All traces are evaluated as elementwise sums
+(``trace(A @ B) == sum(A * B.T)``) and centring is the O(n^2)
+row/column-mean subtraction — never a full matmul.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
-from repro.ci.base import CIQuery, CITester, as_queries
+from repro.ci.base import CITester
 from repro.ci.rcit import _standardize, median_bandwidth
 from repro.data.table import Table
 from repro.exceptions import CITestError
@@ -81,26 +83,6 @@ class KCIT(CITester):
         # as misses.
         return (("seed", self._seed), ("ridge", self.ridge),
                 ("max_samples", self.max_samples), ("derivation", 2))
-
-    # -- public API ---------------------------------------------------------
-
-    def test(self, table: Table, x, y, z=()):
-        query = CIQuery.make(x, y, z)
-        self._check_query(table, query)
-        p_value, statistic = self._group_eval(table, query.y, query.z,
-                                              [query.x])[0]
-        return self._finalize(p_value, statistic, query)
-
-    def test_batch(self, table: Table, queries):
-        """Group-shared batched evaluation (see the module docstring).
-
-        Every group of a batch draws the same subsample (the seed is a
-        value), so results match sequential :meth:`test` calls exactly.
-        """
-        normalised = as_queries(queries)
-        for query in normalised:
-            self._check_query(table, query)
-        return self._grouped_batch(table, normalised)
 
     # -- kernels ------------------------------------------------------------
 

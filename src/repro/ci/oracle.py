@@ -22,9 +22,9 @@ from repro.exceptions import CITestError
 class OracleCI(CITester):
     """CI tester backed by d-separation on a ground-truth DAG.
 
-    The ``table`` argument of :meth:`test` is accepted (for interface
-    compatibility) but ignored; answers come from the graph, and every
-    queried name must be a node of it.
+    The ``table`` argument of :meth:`test` and :meth:`test_batch` is
+    accepted (for interface compatibility) but ignored; answers come from
+    the graph, and every queried name must be a node of it.
 
     Selection algorithms issue thousands of queries sharing the same
     ``(Y, Z)`` pair (phase 1: Y = S with Z ranging over a couple of
@@ -76,9 +76,6 @@ class OracleCI(CITester):
             self._reach_cache[key] = cached
         return cached
 
-    def test(self, table: Table | None, x, y, z=()) -> CIResult:
-        return self.test_batch(table, [CIQuery.make(x, y, z)])[0]
-
     def test_batch(self, table: Table | None,
                    queries: Iterable[CIQuery | tuple]) -> list[CIResult]:
         results = []
@@ -106,12 +103,6 @@ class OracleCI(CITester):
                 method=self.method,
             ))
         return results
-
-    # Backend protocol for repro.causal.graphoid checks (table-free).
-    def independent_sets(self, x: Iterable[str], y: Iterable[str],
-                         z: Iterable[str] = ()) -> bool:
-        """Set-valued query without a table (graphoid backend)."""
-        return d_separated(self.dag, set(x), set(y), set(z))
 
 
 class GraphoidOracleBackend:

@@ -19,10 +19,11 @@ independence test.
 Fused batch engine
 ------------------
 
-:meth:`RCIT.test_batch` mirrors the discrete engine's same-``(Y, Z)``
-fusion (:meth:`repro.ci.gtest.GTestCI.test_batch`): queries are grouped by
-their ``(y, effective z)`` name pair — the exact shape of a SeqSel/GrpSel
-phase-2 burst — and each group computes its expensive shared legs **once**:
+RCIT's group kernel (``RCIT._group_eval``) mirrors the discrete engine's
+same-``(Y, Z)`` fusion: :meth:`~repro.ci.base.CITester.test_batch` groups
+queries by their ``(y, z)`` name pair — the exact shape of a
+SeqSel/GrpSel phase-2 burst; :class:`RIT` groups by ``(y, ())`` because
+it drops Z — and each group computes its expensive shared legs **once**:
 the standardized blocks and median bandwidths (cached on the
 :class:`~repro.data.table.Table`), the Z feature map ``fz``, its ridge Gram
 Cholesky factorisation, and the residualised Y features.  Same-cardinality
@@ -37,10 +38,9 @@ int at construction (:func:`repro.rng.value_seed`), and every variable
 block consumes a generator derived from
 ``(seed, purpose, fingerprint_of(block names))`` via
 :func:`repro.rng.derive` — never a stream shared across blocks or
-queries.  Sequential :meth:`test` routes through the same group kernel
-with a group of one, so fused results are bitwise identical to
-sequential evaluation and invariant under any executor's shard
-boundaries.
+queries.  A lone :meth:`~repro.ci.base.CITester.test` is a group of
+one, so fused results are bitwise identical to sequential evaluation
+and invariant under any executor's shard boundaries.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 from scipy import stats
 from scipy.linalg import cho_factor, cho_solve
 
-from repro.ci.base import CIQuery, CITester, as_queries
+from repro.ci.base import CIQuery, CITester
 from repro.data.table import Table, standardize_matrix
 from repro.exceptions import CITestError
 from repro.rng import SeedLike, as_generator, derive, derived_seed, value_seed
@@ -169,16 +169,6 @@ class RCIT(CITester):
 
     # -- derivation ---------------------------------------------------------
 
-    def _effective_z(self, query: CIQuery) -> tuple[str, ...]:
-        """The conditioning set this tester actually conditions on.
-
-        :class:`RIT` overrides this to ``()`` — it *drops* Z — which both
-        routes its fused grouping correctly (all queries share the empty
-        conditioning leg) and keeps its derivation honest: an RIT verdict
-        must never be keyed or grouped as if it had conditioned on Z.
-        """
-        return query.z
-
     def _block_rng(self, table: Table,
                    names: tuple[str, ...]) -> np.random.Generator:
         """Feature-draw generator for one variable block.
@@ -213,34 +203,6 @@ class RCIT(CITester):
         """
         return min(100, max(self.n_features_xy,
                             self.n_features_xy * n_columns))
-
-    # -- public API ---------------------------------------------------------
-
-    def test(self, table: Table, x, y, z=()):
-        query = CIQuery.make(x, y, z)
-        self._check_query(table, query)
-        p_value, statistic = self._group_eval(
-            table, query.y, self._effective_z(query), [query.x])[0]
-        return self._finalize(p_value, statistic, query)
-
-    def test_batch(self, table: Table, queries):
-        """Fused batched evaluation over the table's shared block caches.
-
-        Queries are grouped by their ``(y, effective z)`` name pair; each
-        group standardizes its blocks, estimates bandwidths, draws the Z
-        feature map, factors the ridge Gram, and residualises Y exactly
-        once, then maps every candidate through stacked RFF tensors.
-        Results are bitwise identical to sequential :meth:`test` calls
-        (the sequential path runs the same kernel with a group of one)
-        and invariant under executor shard boundaries (every random draw
-        is derived per block, never consumed across queries).
-        """
-        normalised = as_queries(queries)
-        for query in normalised:
-            self._check_query(table, query)
-        return self._grouped_batch(
-            table, normalised,
-            key=lambda query: (query.y, self._effective_z(query)))
 
     # -- kernels ------------------------------------------------------------
 
@@ -329,7 +291,12 @@ class RCIT(CITester):
 
 
 class RIT(RCIT):
-    """Unconditional randomized independence test (RCIT with empty Z)."""
+    """Unconditional randomized independence test (RCIT with empty Z).
+
+    RIT *drops* Z: :meth:`_group_key` groups every query as ``(y, ())``,
+    so the group kernel never conditions on Z and all queries against
+    one Y share the empty conditioning leg.
+    """
 
     method = "rit"
 
@@ -339,5 +306,5 @@ class RIT(RCIT):
         # verdict in any store that keys on the token alone.
         return super().cache_token() + (("effective_z", "dropped"),)
 
-    def _effective_z(self, query: CIQuery) -> tuple[str, ...]:
-        return ()
+    def _group_key(self, query: CIQuery) -> tuple:
+        return (query.y, ())

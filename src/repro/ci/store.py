@@ -420,15 +420,15 @@ class ExperimentStore:
 
     def cached_select(self, selector,
                       problem: "FairFeatureSelectionProblem",
-                      namespace: str | None = None,
                       on_miss=None) -> "SelectionResult":
         """``selector.select(problem)`` with both cache layers attached.
 
         On a memo hit the selector is not invoked at all.  On a miss the
-        selector runs with this store's ``namespace`` CI cache plugged
-        into its ledger (its prior ``cache`` setting is restored after),
-        and the finished result is recorded — but only when the run was
-        genuinely *cold* (``result.cache_hits == 0``): a resumed sweep
+        selector runs with this store's CI cache namespace named after
+        the selector's lowercased ``name`` plugged into its ledger (its
+        prior ``cache`` setting is restored after), and the finished
+        result is recorded — but only when the run was genuinely *cold*
+        (``result.cache_hits == 0``): a resumed sweep
         re-executes just the remainder of an interrupted run, and
         memoising that partial ``n_ci_tests`` as the permanent cold-run
         summary would corrupt the very counts warm reruns exist to
@@ -436,12 +436,10 @@ class ExperimentStore:
         its selection is never memoised — warm reruns still execute zero
         CI tests through the namespace cache, they just re-walk the
         selector; delete the namespace file to re-record a true cold
-        run.)  ``namespace`` defaults to the selector's lowercased
-        ``name`` — which is what keeps sibling selectors in sibling
-        caches without every caller spelling it out.  ``on_miss`` (if
-        given) runs just before a cache-missed selection — expensive
-        preparation (table warm-up) belongs there, not ahead of the memo
-        probe.
+        run.)  Naming the namespace after the selector is what keeps
+        sibling selectors in sibling caches.  ``on_miss`` (if given)
+        runs just before a cache-missed selection — expensive preparation
+        (table warm-up) belongs there, not ahead of the memo probe.
         """
         cached = self.get_selection(problem, selector)
         if cached is not None:
@@ -452,8 +450,7 @@ class ExperimentStore:
                 "cache (no `cache` attribute)")
         if on_miss is not None:
             on_miss()
-        name = namespace or getattr(
-            selector, "name", type(selector).__name__).lower()
+        name = getattr(selector, "name", type(selector).__name__).lower()
         prior_cache = selector.cache
         selector.cache = self.ci_cache(name)
         try:

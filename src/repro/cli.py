@@ -33,9 +33,10 @@ Commands:
 ``--tester`` picks the backend family
 (:func:`repro.ci.default_tester`), ``--subsets`` the phase-1 subset
 strategy (:func:`repro.core.subset_search.strategy_by_name`), ``--jobs``
-the CI-batch worker processes, ``--store`` a cross-run cache tree, and
-``--backend`` the table column storage (in-RAM vs memory-mapped; results
-are bitwise identical — the flag is exported to worker processes).
+the CI-batch worker processes, and ``--store`` a cross-run cache tree.
+The table column storage (in-RAM vs memory-mapped; results are bitwise
+identical) is chosen with the ``REPRO_TABLE_BACKEND`` environment
+variable, which worker processes inherit.
 """
 
 from __future__ import annotations
@@ -44,11 +45,9 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro import env
 from repro.ci import default_tester
 from repro.ci.executor import BatchExecutor, ProcessExecutor
 from repro.ci.store import ExperimentStore
-from repro.data.backend import ENV_BACKEND
 from repro.core.grpsel import GrpSel
 from repro.core.seqsel import SeqSel
 from repro.core.subset_search import strategy_by_name
@@ -72,27 +71,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         help="experiment-store directory: caches CI verdicts and finished "
              "selections across runs (per-selector namespaces), so a rerun "
              "over unchanged data re-executes nothing")
-    _add_backend_flag(parser)
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", choices=("memory", "mmap"), default=None,
-        help="table column-storage backend: 'memory' (in-RAM, the "
-             "default) or 'mmap' (columns spilled to memory-mapped "
-             "files so out-of-core datasets open without materialising; "
-             "results are bitwise identical). Default: the "
-             f"{ENV_BACKEND} env var, else memory")
-
-
-def _apply_backend(args: argparse.Namespace) -> None:
-    """Activate ``--backend`` for this process *and* its workers.
-
-    Exports the env var, which every new table reads, so spawned
-    suite/CI worker processes inherit the choice too.
-    """
-    if getattr(args, "backend", None):
-        env.TABLE_BACKEND.write(args.backend)
 
 
 def _add_ci_flags(parser: argparse.ArgumentParser,
@@ -198,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "`repro worker` processes serving this spool "
                             "directory instead of a local process pool; "
                             "results are identical")
-    _add_backend_flag(suite)
 
     stream = sub.add_parser(
         "stream",
@@ -246,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="spool lease seconds before an unheartbeaten "
                              "claim is reclaimed (default: "
                              "REPRO_CI_REMOTE_LEASE)")
-    _add_backend_flag(worker)
 
     lint = sub.add_parser(
         "lint",
@@ -295,8 +271,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     store = _store_from_args(args)
     if store is not None:
         with store:
-            result = store.cached_select(selector, problem,
-                                         namespace=args.algorithm)
+            result = store.cached_select(selector, problem)
     else:
         result = selector.select(problem)
     print(result.summary())
@@ -493,7 +468,6 @@ def cmd_datasets(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_backend(args)
     handlers = {"select": cmd_select, "evaluate": cmd_evaluate,
                 "suite": cmd_suite, "stream": cmd_stream,
                 "worker": cmd_worker, "lint": cmd_lint,

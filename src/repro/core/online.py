@@ -97,10 +97,14 @@ class OnlineSelector:
                 f"choose from {'/'.join(_DELTA_POLICIES)}")
         self.delta = delta
         # One engine (and one ledger) spans the selector's lifetime: the
-        # ledger accumulates counts across observe() calls.
+        # ledger accumulates counts across observe() calls.  A ledger
+        # given as the tester may already hold counts, so the selector
+        # reports differences from its totals at this point.
         self._engine = WavefrontEngine(self.tester, self.subset_strategy,
                                        cache=cache, executor=executor)
         self._ledger = self._engine.open_ledger()
+        self._tests_before = self._ledger.n_tests
+        self._hits_before = self._ledger.cache_hits
         self._c1: list[str] = []
         self._c2: list[str] = []
         self._rejected: list[str] = []
@@ -125,7 +129,10 @@ class OnlineSelector:
         Snapshot semantics: built once per :meth:`observe` and memoised
         until the next mutation, so hot anytime consumers (a UI polling
         between batches) pay dict/list construction once, not per access.
-        Treat the returned result as read-only.
+        Treat the returned result as read-only.  ``n_ci_tests`` and
+        ``cache_hits`` count this selector's work only, also when its
+        tester is a :class:`~repro.ci.base.CITestLedger` shared with
+        other runs.
         """
         if self._snapshot is None:
             result = SelectionResult(algorithm=self.name)
@@ -138,14 +145,14 @@ class OnlineSelector:
                 result.reasons[f] = Reason.PHASE2_IRRELEVANT
             for f in self._rejected:
                 result.reasons[f] = Reason.REJECTED_BIASED
-            result.n_ci_tests = self._ledger.n_tests
-            result.cache_hits = self._ledger.cache_hits
+            result.n_ci_tests = self.n_ci_tests
+            result.cache_hits = self._ledger.cache_hits - self._hits_before
             self._snapshot = result
         return self._snapshot
 
     @property
     def n_ci_tests(self) -> int:
-        return self._ledger.n_tests
+        return self._ledger.n_tests - self._tests_before
 
     @property
     def delta_hits(self) -> int:

@@ -37,8 +37,8 @@ delete it.
 
 Selection: ``REPRO_TABLE_BACKEND`` (``memory``/``mmap``) picks the
 process-wide default, read whenever a table is built without an explicit
-backend (the CLI's ``--backend`` flag sets it, so worker processes
-inherit the choice).  ``REPRO_CI_CHUNK_ROWS`` forces a
+backend (spawned worker processes inherit the variable, so they make the
+same choice).  ``REPRO_CI_CHUNK_ROWS`` forces a
 streaming chunk length for the counting kernels; when unset, chunking
 engages only once a column sweep would exceed the
 ``REPRO_TABLE_RAM_CAP_MB`` working-set budget (default 512 MiB), so small

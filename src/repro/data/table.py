@@ -204,10 +204,6 @@ class Table:
             raise SchemaError(f"unknown column: {name!r}")
         return self._backend.get(name)
 
-    def column(self, name: str) -> np.ndarray:
-        """Alias of ``table[name]``."""
-        return self[name]
-
     def matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
         """Stack the named columns into an ``(n_rows, k)`` float matrix."""
         use = list(names) if names is not None else self.columns
@@ -288,17 +284,8 @@ class Table:
         :meth:`fingerprint_of`."""
         state = self._col_hashes.get(name)
         if state is None:
-            arr = self[name]
             state = hashlib.blake2b(digest_size=16)
-            state.update(name.encode())
-            state.update(str(arr.dtype).encode())
-            state.update(self.schema.spec(name).kind.value.encode())
-            if arr.dtype.kind == "O":
-                # repr of the whole list: not incrementally extendable,
-                # so object columns never adopt a parent state.
-                state.update(repr(arr.tolist()).encode())
-            else:
-                hash_array_blocks(state, arr)
+            self._hash_column(state, name)
             self._col_hashes[name] = state
         return state
 
@@ -308,6 +295,8 @@ class Table:
         digest.update(str(arr.dtype).encode())
         digest.update(self.schema.spec(name).kind.value.encode())
         if arr.dtype.kind == "O":
+            # repr of the whole list: not incrementally extendable, so
+            # object columns never adopt a parent state.
             digest.update(repr(arr.tolist()).encode())
         else:
             # Fixed-block incremental hashing: identical digest to hashing

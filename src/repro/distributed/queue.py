@@ -140,11 +140,12 @@ def decode_result(payload: bytes):
 
 def _queue_defaults(lease: float | None, retries: int | None,
                     ) -> tuple[float, int]:
+    # Both variables have registered defaults, so neither read is None,
+    # and a 0 from the environment reaches the lease check below.
     if lease is None:
-        lease = env.CI_REMOTE_LEASE.read_float() or 30.0
+        lease = env.CI_REMOTE_LEASE.read_float()
     if retries is None:
         retries = env.CI_REMOTE_RETRIES.read_int(minimum=0)
-        retries = 2 if retries is None else retries
     if lease <= 0:
         raise RemoteTaskError(f"lease must be > 0 seconds, got {lease}")
     return float(lease), int(retries)

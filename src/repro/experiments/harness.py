@@ -87,21 +87,20 @@ def classifier_by_name(name: str) -> ClassifierFactory:
 def run_method(dataset: Dataset, selector,
                classifier_factory: ClassifierFactory | None = None,
                privileged: int | None = None,
-               warm_ci_cache: bool = True,
-               store: ExperimentStore | str | os.PathLike | None = None,
-               store_namespace: str | None = None) -> MethodRun:
+               store: ExperimentStore | str | os.PathLike | None = None
+               ) -> MethodRun:
     """Select, train, and evaluate one method on one dataset.
 
-    ``warm_ci_cache`` pre-builds the CI engine's shared encoded state
-    (table fingerprint, float columns, discrete codes) for every column a
-    selector can query, so the selection phase starts from warm caches
-    instead of re-materialising columns per CI test.
+    Before a selection runs, the CI engine's shared encoded state (table
+    fingerprint, float columns, discrete codes) is pre-built for every
+    column a selector can query, so the selection phase starts from warm
+    caches instead of re-materialising columns per CI test.
 
     ``store`` (an open :class:`~repro.ci.store.ExperimentStore` or a root
     path) is the one cross-run cache: the selector's CI queries go to the
-    store's ``store_namespace`` CI cache (default: the selector's
-    lowercased ``name``, so sibling selectors land in sibling namespaces
-    and cold-run counts stay comparable), and the finished selection
+    store's CI cache namespace named after the selector's lowercased
+    ``name`` (so sibling selectors land in sibling namespaces and
+    cold-run counts stay comparable), and the finished selection
     itself is memoised on ``(table fingerprint, selector config digest,
     tester cache_token)`` — a warm rerun skips selection entirely and
     reports the recorded cold-run ``n_ci_tests``.  The namespace cache is
@@ -119,11 +118,10 @@ def run_method(dataset: Dataset, selector,
         # runs zero CI tests, so pre-encoding every column would be pure
         # waste exactly on the warm reruns the store exists to speed up.
         nonlocal warm_seconds
-        if warm_ci_cache:
-            warm_start = time.perf_counter()
-            problem.table.warm_cache(problem.sensitive + problem.admissible
-                                     + problem.candidates + [problem.target])
-            warm_seconds = time.perf_counter() - warm_start
+        warm_start = time.perf_counter()
+        problem.table.warm_cache(problem.sensitive + problem.admissible
+                                 + problem.candidates + [problem.target])
+        warm_seconds = time.perf_counter() - warm_start
 
     if store is not None:
         if not isinstance(store, ExperimentStore):
@@ -132,7 +130,6 @@ def run_method(dataset: Dataset, selector,
             if callable(getattr(selector, "config_digest", None)) \
                     and hasattr(selector, "cache"):
                 selection = store.cached_select(selector, problem,
-                                                namespace=store_namespace,
                                                 on_miss=warm)
             else:
                 warm()

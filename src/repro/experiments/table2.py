@@ -82,7 +82,8 @@ def table2_row(dataset: Dataset, seed: SeedLike = 0,
 
     ``store`` (an :class:`~repro.ci.store.ExperimentStore` or root path)
     lets a rerun over unchanged data skip every already-decided CI test.
-    Each selector gets its *own* namespace (``grpsel`` / ``seqsel``):
+    Each selector gets its *own* namespace, named after it (``grpsel`` /
+    ``seqsel``, see :meth:`~repro.ci.store.ExperimentStore.cached_select`):
     both run the same seeded AdaptiveCI over the same table, so one
     shared cache would let whichever selector runs first answer the
     other's queries — deflating the second selector's reported count to
@@ -109,10 +110,8 @@ def table2_row(dataset: Dataset, seed: SeedLike = 0,
     if store is not None:
         if not isinstance(store, ExperimentStore):
             store = ExperimentStore(store)
-        grp_run = run_method(dataset, grp_selector, store=store,
-                             store_namespace="grpsel")
-        seq_selection = store.cached_select(seq_selector, problem,
-                                            namespace="seqsel")
+        grp_run = run_method(dataset, grp_selector, store=store)
+        seq_selection = store.cached_select(seq_selector, problem)
         store.save()
     else:
         grp_run = run_method(dataset, grp_selector)

@@ -104,6 +104,20 @@ class TestCITester:
         with pytest.raises(CITestError):
             GTestCI(alpha=0.0)
 
+    def test_no_library_tester_overrides_test(self):
+        """`test` is a one-query `test_batch` for every tester, so a lone
+        query is a group of one by construction."""
+        from repro.ci.adaptive import AdaptiveCI
+        from repro.ci.fisher_z import FisherZCI
+        from repro.ci.gtest import ChiSquaredCI
+        from repro.ci.kcit import KCIT
+        from repro.ci.oracle import OracleCI
+        from repro.ci.permutation import PermutationCI
+        from repro.ci.rcit import RCIT, RIT
+        for cls in (GTestCI, ChiSquaredCI, RCIT, RIT, KCIT, FisherZCI,
+                    PermutationCI, OracleCI, AdaptiveCI, CITestLedger):
+            assert "test" not in vars(cls), cls.__name__
+
 
 class TestLedger:
     def test_counts_every_test(self):

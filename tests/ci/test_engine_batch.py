@@ -65,10 +65,10 @@ class TestBatchSequentialParity:
         assert len(results) == 2
         assert all(r.query is not None for r in results)
 
-    def test_table_and_matrix_paths_agree(self):
-        """The codes-cache fast path equals the matrix-based `_test` path."""
+    @staticmethod
+    def _assert_table_and_matrix_paths_agree(testers):
         table = make_table()
-        for tester in (GTestCI(), ChiSquaredCI()):
+        for tester in testers:
             for x, y, z in QUERIES:
                 via_table = tester.test(table, x, y, list(z))
                 x_names = [x] if isinstance(x, str) else list(x)
@@ -77,6 +77,20 @@ class TestBatchSequentialParity:
                     table.matrix(list(z)) if z else None)
                 assert via_table.p_value == min(max(p, 0.0), 1.0)
                 assert via_table.statistic == stat
+
+    def test_table_and_matrix_paths_agree(self):
+        """The codes-cache fast path equals the matrix-based `_test` path."""
+        self._assert_table_and_matrix_paths_agree((GTestCI(), ChiSquaredCI()))
+
+    def test_table_and_matrix_paths_agree_past_the_cell_budget(
+            self, monkeypatch):
+        """Past :data:`MAX_DENSE_CELLS` a lone query takes the group
+        kernel's stratified branch; it must equal the table-free
+        reference's stratified branch."""
+        from repro.ci import gtest
+        monkeypatch.setattr(gtest, "MAX_DENSE_CELLS", 1)
+        self._assert_table_and_matrix_paths_agree(
+            (GTestCI(), ChiSquaredCI(), GTestCI(min_expected=5.0)))
 
 
 class TestLedgerBatchAccounting:

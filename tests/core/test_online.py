@@ -190,7 +190,7 @@ class TestNoRetryWithoutNewEvidence:
         """With an unseeded-looking stochastic tester, skipping redundant
         retries keeps settled verdicts settled."""
         import numpy as np
-        from repro.ci.base import CIResult, CITester
+        from repro.ci.base import CITester
         from repro.core.problem import FairFeatureSelectionProblem
         from repro.data.table import Table
 
@@ -203,11 +203,9 @@ class TestNoRetryWithoutNewEvidence:
                 super().__init__(alpha=0.5)
                 self.calls = 0
 
-            def test(self, table, x, y, z=()):
+            def _test(self, x, y, z):
                 self.calls += 1
-                p = 0.0 if self.calls % 2 else 1.0
-                return CIResult(independent=p >= self.alpha, p_value=p,
-                                statistic=0.0, method=self.method)
+                return (0.0 if self.calls % 2 else 1.0, 0.0)
 
         rng = np.random.default_rng(0)
         n = 100
@@ -402,3 +400,30 @@ class TestOnlineStatistical:
 
         batch = SeqSel(tester=tester).select(problem)
         assert online.current.selected_set == batch.selected_set
+
+
+class TestSharedLedger:
+    def test_counts_are_per_selector_on_a_shared_ledger(self):
+        """A selector given a ledger other runs already counted on reports
+        its own tests and hits, like a selector on a fresh ledger."""
+        from repro.ci.base import CITestLedger
+        from repro.ci.gtest import GTestCI
+        from repro.core.subset_search import FullSetOnly
+        problem = TestNoRetryWithoutNewEvidence.make_problem()
+        problem = FairFeatureSelectionProblem(
+            table=problem.table, sensitive=["s"], admissible=[],
+            candidates=["r1", "r2"], target="y")
+        ledger = CITestLedger(GTestCI())
+        SeqSel(tester=ledger, subset_strategy=FullSetOnly()).select(problem)
+        before = ledger.n_tests
+        assert before > 0
+
+        shared = OnlineSelector(tester=ledger, subset_strategy=FullSetOnly())
+        fresh = OnlineSelector(tester=GTestCI(),
+                               subset_strategy=FullSetOnly())
+        for online in (shared, fresh):
+            online.observe(problem, ["r1", "r2"])
+        assert shared.n_ci_tests == fresh.n_ci_tests
+        assert shared.current.n_ci_tests == fresh.current.n_ci_tests
+        assert shared.current.cache_hits == fresh.current.cache_hits
+        assert ledger.n_tests == before + fresh.n_ci_tests

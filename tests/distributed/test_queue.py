@@ -222,3 +222,14 @@ class TestQueueFromSpec:
     def test_base_interface_is_abstract(self):
         with pytest.raises(NotImplementedError):
             WorkQueue().claim()
+
+
+class TestQueueDefaults:
+    def test_zero_lease_from_env_is_rejected(self, monkeypatch):
+        """A zero lease from the environment meets the same check as an
+        explicit ``lease=0``: it must not be read as the default."""
+        with pytest.raises(RemoteTaskError, match="lease must be > 0"):
+            MemoryQueue(lease=0)
+        monkeypatch.setenv("REPRO_CI_REMOTE_LEASE", "0")
+        with pytest.raises(RemoteTaskError, match="lease must be > 0"):
+            MemoryQueue()
