@@ -66,6 +66,7 @@ Two further layers are pluggable on the ledger:
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import dataclass
@@ -255,6 +256,25 @@ class CITester:
                 raise CITestError(f"unknown column in CI query: {name!r}")
         if table.n_rows < 4:
             raise CITestError(f"too few samples for a CI test: {table.n_rows}")
+
+    @staticmethod
+    def _check_finite(table: Table, y_names: tuple[str, ...],
+                      z_names: tuple[str, ...],
+                      x_blocks: list[tuple[str, ...]]) -> None:
+        """Reject a NaN or an infinity in any column of a query group.
+
+        For the kernel testers, which would otherwise fail inside linear
+        algebra or return a NaN (or a false p = 1) p-value.  Each column
+        is scanned once per table
+        (:meth:`~repro.data.table.Table.nonfinite_columns`), so calling
+        this per query group costs a lookup per name.
+        """
+        bad = table.nonfinite_columns(
+            itertools.chain(y_names, z_names, *x_blocks))
+        if bad:
+            raise CITestError(
+                f"non-finite values (NaN or inf) in CI query column(s): "
+                f"{', '.join(map(repr, bad))}")
 
     def _finalize(self, p_value: float, statistic: float,
                   query: CIQuery) -> CIResult:

@@ -102,6 +102,7 @@ class FisherZCI(CITester):
                     x_blocks: list[tuple[str, ...]]
                     ) -> list[tuple[float, float]]:
         """``(p_value, statistic)`` per candidate sharing one (Y, Z) leg."""
+        self._check_finite(table, y_names, z_names, x_blocks)
         n = table.n_rows
         dof = self._dof(n, len(z_names))
         y = table.matrix(y_names)

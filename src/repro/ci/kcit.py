@@ -61,8 +61,9 @@ class KCIT(CITester):
 
     ``max_samples`` subsamples large inputs to keep the O(n^3) eigensolves
     tractable; ``ridge`` is the kernel-ridge regularisation (the paper's
-    epsilon).  The subsample draw is seeded by ``seed``, fixed to one int
-    at construction (:func:`repro.rng.value_seed`).
+    epsilon), which must be positive.  The subsample draw is seeded by
+    ``seed``, fixed to one int at construction
+    (:func:`repro.rng.value_seed`).
     """
 
     method = "kcit"
@@ -72,6 +73,8 @@ class KCIT(CITester):
         super().__init__(alpha=alpha)
         if max_samples < 10:
             raise CITestError("max_samples must be at least 10")
+        if not ridge > 0:
+            raise CITestError(f"ridge must be positive, got {ridge!r}")
         self.ridge = ridge
         self.max_samples = max_samples
         self._seed = value_seed(seed)
@@ -98,6 +101,7 @@ class KCIT(CITester):
                     x_blocks: list[tuple[str, ...]]
                     ) -> list[tuple[float, float]]:
         """``(p_value, statistic)`` per candidate sharing one (Y, Z) leg."""
+        self._check_finite(table, y_names, z_names, x_blocks)
         n = table.n_rows
         idx = None
         if n > self.max_samples:

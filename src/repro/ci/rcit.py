@@ -41,12 +41,19 @@ block consumes a generator derived from
 queries.  A lone :meth:`~repro.ci.base.CITester.test` is a group of
 one, so fused results are bitwise identical to sequential evaluation
 and invariant under any executor's shard boundaries.
+
+The group kernels run their full-size elementwise tails in place (the RFF
+phase shift, cosine and scaling; the centring; the residualisation on Z):
+the same operations in the same order as the out-of-place expressions, so
+the same bits, with one full-size buffer per feature map instead of four.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy import stats
+from scipy import special
 from scipy.linalg import cho_factor, cho_solve
 
 from repro.ci.base import CIQuery, CITester
@@ -59,6 +66,22 @@ from repro.rng import SeedLike, as_generator, derive, derived_seed, value_seed
 _standardize = standardize_matrix
 
 
+#: Subsample sizes up to this many rows keep their triangle indices in
+#: the memo of :func:`_upper_triangle` (about 1 MB each at 500 rows);
+#: larger ones rebuild them per call.
+_TRIANGLE_MEMO_ROWS = 512
+
+
+@functools.lru_cache(maxsize=8)
+def _upper_triangle(m: int) -> np.ndarray:
+    """Read-only flat (row-major) indices of the strict upper triangle of
+    an ``m x m`` matrix, in ``np.triu_indices(m, k=1)`` order."""
+    rows, cols = np.triu_indices(m, k=1)
+    flat = rows * m + cols
+    flat.setflags(write=False)
+    return flat
+
+
 def median_bandwidth(matrix: np.ndarray, max_points: int = 500,
                      rng: np.random.Generator | None = None) -> float:
     """Median pairwise Euclidean distance (the RBF median heuristic).
@@ -69,6 +92,16 @@ def median_bandwidth(matrix: np.ndarray, max_points: int = 500,
     ``max_points`` rows, as earlier releases did without an ``rng``,
     systematically shrinks the bandwidth on sorted tables: a sorted
     prefix spans a fraction of the data range.)
+
+    The squared distances are the strict upper triangle of
+    ``(sq_i + sq_j) - G_ij`` with ``G = (2 M) @ M.T``, clipped at zero,
+    gathered through triangle indices built once per subsample size.
+    Their median comes from one ``partition`` at ``N // 2`` (plus the
+    largest value below it when ``N`` is even), averaged exactly as
+    :func:`numpy.median` averages its two middle values, so the result is
+    bit-identical to ``sqrt(median(d2[triu_indices_from(d2, k=1)]))``.
+    A NaN distance (non-finite input) makes that median NaN; like a
+    degenerate (zero) median it yields the fallback bandwidth 1.0.
     """
     n = matrix.shape[0]
     if n > max_points:
@@ -79,11 +112,23 @@ def median_bandwidth(matrix: np.ndarray, max_points: int = 500,
             rng = as_generator(0)
         idx = rng.choice(n, size=max_points, replace=False)
         matrix = matrix[idx]
+        n = max_points
+    if n < 2:
+        return 1.0
     sq = np.sum(matrix ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * matrix @ matrix.T
-    d2 = np.maximum(d2, 0.0)
-    upper = d2[np.triu_indices_from(d2, k=1)]
-    med = float(np.sqrt(np.median(upper))) if upper.size else 1.0
+    d2 = sq[:, None] + sq[None, :]
+    d2 -= 2.0 * matrix @ matrix.T
+    upper = np.take(d2, _upper_triangle(n) if n <= _TRIANGLE_MEMO_ROWS
+                    else _upper_triangle.__wrapped__(n))
+    np.maximum(upper, 0.0, out=upper)
+    if np.isnan(upper).any():
+        return 1.0
+    half = upper.size // 2
+    upper.partition(half)
+    middle = upper[half]
+    if upper.size % 2 == 0:
+        middle = (upper[:half].max() + middle) / 2.0
+    med = float(np.sqrt(middle))
     return med if med > 1e-12 else 1.0
 
 
@@ -108,11 +153,17 @@ def random_fourier_features(matrix: np.ndarray, n_features: int,
     """RFF approximation of an RBF kernel with the given bandwidth."""
     frequencies, phases = rff_draw(rng, matrix.shape[1], n_features,
                                    bandwidth)
-    return np.sqrt(2.0 / n_features) * np.cos(matrix @ frequencies + phases)
+    return RCIT._rff_map(matrix, frequencies, phases, n_features)
 
 
 def _gamma_pvalue(statistic: float, weights: np.ndarray) -> float:
-    """Satterthwaite–Welch gamma approximation for sum_i w_i chi2_1."""
+    """Satterthwaite–Welch gamma approximation for sum_i w_i chi2_1.
+
+    The tail is the regularized upper incomplete gamma function, exactly
+    what ``scipy.stats.gamma.sf(statistic, a=shape, scale=scale)``
+    evaluates for a non-negative statistic, without its per-call
+    argument handling.
+    """
     weights = weights[weights > 1e-14]
     if weights.size == 0:
         return 1.0
@@ -122,7 +173,7 @@ def _gamma_pvalue(statistic: float, weights: np.ndarray) -> float:
         return 1.0
     shape = mean ** 2 / var
     scale = var / mean
-    return float(stats.gamma.sf(statistic, a=shape, scale=scale))
+    return float(special.gammaincc(shape, statistic / scale))
 
 
 class RCIT(CITester):
@@ -130,10 +181,10 @@ class RCIT(CITester):
 
     Parameters mirror the R package: ``n_features_xy`` random features for
     X and Y (default 5 as in RCIT's ``num_f2``), ``n_features_z`` for the
-    conditioning set (default 100, ``num_f``), ridge regularisation
-    ``ridge`` for the residualisation step, and a seed for the random
-    features so results are reproducible.  ``None`` and ``Generator``
-    seeds are drawn down to one int here, once (see
+    conditioning set (default 100, ``num_f``), a positive ridge
+    regularisation ``ridge`` for the residualisation step, and a seed for
+    the random features so results are reproducible.  ``None`` and
+    ``Generator`` seeds are drawn down to one int here, once (see
     :func:`repro.rng.value_seed`).
     """
 
@@ -152,6 +203,8 @@ class RCIT(CITester):
         super().__init__(alpha=alpha)
         if n_features_xy < 1 or n_features_z < 1:
             raise CITestError("feature counts must be positive")
+        if not ridge > 0:
+            raise CITestError(f"ridge must be positive, got {ridge!r}")
         self.n_features_xy = n_features_xy
         self.n_features_z = n_features_z
         self.ridge = ridge
@@ -209,10 +262,18 @@ class RCIT(CITester):
     @staticmethod
     def _rff_map(matrix: np.ndarray, frequencies: np.ndarray,
                  phases: np.ndarray, m: int) -> np.ndarray:
-        """The RFF projection; works on 2-D blocks and the fused 3-D
-        stacks alike."""
-        return np.sqrt(2.0 / m) * np.cos(np.matmul(matrix, frequencies)
-                                         + phases)
+        """The RFF projection ``sqrt(2/m) * cos(matrix @ frequencies +
+        phases)``; works on 2-D blocks and the fused 3-D stacks alike.
+
+        Evaluated in place on the product's buffer: the same operations in
+        the same order, hence the same bits, without three full-size
+        temporaries.
+        """
+        out = np.matmul(matrix, frequencies)
+        out += phases
+        np.cos(out, out=out)
+        out *= np.sqrt(2.0 / m)
+        return out
 
     def _features_for(self, table: Table, names: tuple[str, ...],
                       n_features: int) -> np.ndarray:
@@ -223,7 +284,8 @@ class RCIT(CITester):
         frequencies, phases = rff_draw(self._block_rng(table, names),
                                        block.shape[1], n_features, bandwidth)
         feats = self._rff_map(block, frequencies, phases, n_features)
-        return feats - feats.mean(axis=0, keepdims=True)
+        feats -= feats.mean(axis=0, keepdims=True)
+        return feats
 
     def _stacked_x_features(self, table: Table,
                             blocks: list[tuple[str, ...]]) -> np.ndarray:
@@ -246,13 +308,15 @@ class RCIT(CITester):
             frequencies[j], phases[j, 0] = rff_draw(
                 self._block_rng(table, names), d, m, bandwidth)
         feats = self._rff_map(stacked, frequencies, phases, m)
-        return feats - feats.mean(axis=1, keepdims=True)
+        feats -= feats.mean(axis=1, keepdims=True)
+        return feats
 
     def _group_eval(self, table: Table, y_names: tuple[str, ...],
                     z_names: tuple[str, ...],
                     x_blocks: list[tuple[str, ...]]
                     ) -> list[tuple[float, float]]:
         """``(p_value, statistic)`` per candidate sharing one (Y, Z) leg."""
+        self._check_finite(table, y_names, z_names, x_blocks)
         n = table.n_rows
         fy = self._features_for(table, y_names,
                                 self._n_features_for(len(y_names)))
@@ -262,7 +326,7 @@ class RCIT(CITester):
             gram = fz.T @ fz + self.ridge * n * np.eye(fz.shape[1])
             # One Cholesky factorisation serves the whole group.
             projector = cho_solve(cho_factor(gram), fz.T)
-            fy = fy - fz @ (projector @ fy)
+            fy -= fz @ (projector @ fy)
         cov_y = fy.T @ fy / n
         eig_y = np.maximum(np.linalg.eigvalsh(cov_y), 0.0)
 
@@ -274,7 +338,7 @@ class RCIT(CITester):
             fx = self._stacked_x_features(
                 table, [x_blocks[j] for j in members])
             if fz is not None:
-                fx = fx - np.matmul(fz, np.matmul(projector, fx))
+                fx -= np.matmul(fz, np.matmul(projector, fx))
             for slot, j in enumerate(members):
                 out[j] = self._query_pvalue(fx[slot], fy, eig_y, n)
         return out

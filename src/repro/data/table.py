@@ -152,6 +152,9 @@ class Table:
         self._std_blocks: dict[tuple[str, ...], np.ndarray] = {}
         self._bandwidth_cache: dict[tuple, float] = {}
         self._subset_fingerprints: dict[tuple[str, ...], str] = {}
+        # Per-column "holds only finite values" verdicts (see
+        # nonfinite_columns): one scan per column, then a dict lookup.
+        self._finite: dict[str, bool] = {}
         # Prefix caches (the incremental-kernel substrate).  Per-column
         # *running* blake2b states over (name, dtype, kind, bytes): a
         # lineage child copies a parent's state and extends it with only
@@ -429,6 +432,26 @@ class Table:
             codes[window] = np.searchsorted(uniq, values[window])
         return codes, int(uniq.size)
 
+    def nonfinite_columns(self, names: Iterable[str]) -> list[str]:
+        """The columns among ``names`` that hold a NaN or an infinity.
+
+        Each column is scanned once, in fixed row blocks, and the verdict
+        is memoised (columns are immutable), so the continuous CI testers
+        can validate every query group for one dict lookup per name.
+        """
+        bad = []
+        for name in names:
+            finite = self._finite.get(name)
+            if finite is None:
+                finite = all(
+                    np.isfinite(self._float_chunk(name, window)).all()
+                    for window in iter_slices(self._n_rows,
+                                              MOMENT_BLOCK_ROWS))
+                self._finite[name] = finite
+            if not finite:
+                bad.append(name)
+        return bad
+
     def standardized_block(self, names: Sequence[str] | str) -> np.ndarray:
         """Cached read-only standardized float block of the named columns.
 
@@ -665,6 +688,7 @@ class Table:
         state["_std_blocks"] = {}
         state["_bandwidth_cache"] = {}
         state["_subset_fingerprints"] = {}
+        state["_finite"] = {}
         # Running hash states are not picklable (and all prefix state is
         # derived): workers rebuild lazily from the column values.
         state["_col_hashes"] = {}

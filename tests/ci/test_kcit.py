@@ -50,6 +50,26 @@ class TestKCIT:
         with pytest.raises(CITestError):
             KCIT(max_samples=2)
 
+    @pytest.mark.parametrize("ridge", [0, 0.0, -1.0, float("nan")])
+    def test_non_positive_ridge_rejected(self, ridge):
+        # ridge=0 made the residual maker the zero matrix (p = 1.0 for
+        # every conditional query); ridge=-1 returned arbitrary p-values.
+        with pytest.raises(CITestError, match="ridge"):
+            KCIT(ridge=ridge)
+
+    @pytest.mark.parametrize("max_samples", [500, 100])
+    @pytest.mark.parametrize("column", ["x", "y", "z"])
+    def test_non_finite_column_named(self, column, max_samples):
+        # A NaN used to come back as p = nan, thresholded as dependent;
+        # the subsampled path must reject it even when the subsample
+        # misses the bad row.
+        t = nonlinear_table()
+        values = np.array(t[column], dtype=float)
+        values[3] = np.nan
+        t = t.with_column(column, values)
+        with pytest.raises(CITestError, match=f"'{column}'"):
+            KCIT(max_samples=max_samples).test(t, "x", "y", ["z"])
+
     def test_agrees_with_rcit_on_clear_cases(self):
         """RCIT approximates KCIT: verdicts match when signal is strong.
 

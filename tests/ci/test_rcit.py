@@ -2,9 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from repro.ci.rcit import RCIT, RIT, median_bandwidth, random_fourier_features
+from repro.ci.adaptive import AdaptiveCI
+from repro.ci.fisher_z import FisherZCI
+from repro.ci.rcit import (RCIT, RIT, _gamma_pvalue, median_bandwidth,
+                           random_fourier_features, rff_draw)
 from repro.data.table import Table
+from repro.exceptions import CITestError
+
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a test extra
+    given = None
 
 
 def nonlinear_table(n=1500, seed=0):
@@ -57,6 +68,194 @@ class TestHelpers:
         assert feats.shape == (80, 25)
         bound = np.sqrt(2.0 / 25) + 1e-9
         assert np.all(np.abs(feats) <= bound)
+
+    def test_rff_map_in_place_bitwise_equals_expression(self):
+        """The in-place map computes exactly the out-of-place expression,
+        on 2-D blocks and on the fused 3-D stacks."""
+        rng = np.random.default_rng(2)
+        block = rng.normal(size=(300, 3))
+        frequencies, phases = rff_draw(rng, 3, 7, 1.3)
+        expected = np.sqrt(2.0 / 7) * np.cos(block @ frequencies + phases)
+        assert (RCIT._rff_map(block, frequencies, phases, 7).tobytes()
+                == expected.tobytes())
+        stack = rng.normal(size=(4, 300, 2))
+        frequencies = rng.normal(size=(4, 2, 5))
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(4, 1, 5))
+        expected = np.sqrt(2.0 / 5) * np.cos(np.matmul(stack, frequencies)
+                                             + phases)
+        assert (RCIT._rff_map(stack, frequencies, phases, 5).tobytes()
+                == expected.tobytes())
+
+
+def reference_bandwidth(matrix, seed):
+    """The median heuristic as the plain formula: every pairwise squared
+    distance, the strict upper triangle, ``np.median``."""
+    n = matrix.shape[0]
+    if n > 500:
+        rng = np.random.default_rng(seed)
+        matrix = matrix[rng.choice(n, size=500, replace=False)]
+    sq = np.sum(matrix ** 2, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * matrix @ matrix.T,
+                    0.0)
+    upper = d2[np.triu_indices_from(d2, k=1)]
+    med = float(np.sqrt(np.median(upper))) if upper.size else 1.0
+    return med if med > 1e-12 else 1.0
+
+
+class TestMedianBandwidthBitwise:
+    """One partition over a cached triangle gives exactly the bits of the
+    ``np.median`` formula, on both sides of ``max_points``."""
+
+    @staticmethod
+    def both(matrix, seed):
+        with np.errstate(all="ignore"):
+            return (median_bandwidth(matrix,
+                                     rng=np.random.default_rng(seed)),
+                    reference_bandwidth(matrix, seed))
+
+    @pytest.mark.parametrize("n_rows", [499, 500, 501, 700])
+    def test_odd_and_even_triangles(self, n_rows):
+        # 499 rows: N = 124,251 pairs (odd); 500 and every subsample:
+        # N = 124,750 (even).
+        matrix = np.random.default_rng(n_rows).normal(size=(n_rows, 2))
+        ours, reference = self.both(matrix, seed=3)
+        assert ours == reference
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_fall_back_to_one(self, bad):
+        matrix = np.random.default_rng(0).normal(size=(300, 3))
+        matrix[17] = bad
+        assert self.both(matrix, seed=0) == (1.0, 1.0)
+
+    def test_triangle_memo_is_read_only(self):
+        matrix = np.random.default_rng(1).normal(size=(40, 2))
+        median_bandwidth(matrix)
+        from repro.ci.rcit import _upper_triangle
+        assert not _upper_triangle(40).flags.writeable
+
+    if given is not None:
+        @settings(max_examples=60, deadline=None)
+        @given(n_rows=st.integers(min_value=1, max_value=700),
+               n_cols=st.integers(min_value=1, max_value=6),
+               seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+               scale=st.sampled_from([1e-6, 1.0, 1e3]),
+               ties=st.booleans(), constant=st.booleans(),
+               bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+        @example(n_rows=499, n_cols=1, seed=0, scale=1.0, ties=False,
+                 constant=False, bad=None)
+        @example(n_rows=600, n_cols=6, seed=1, scale=1.0, ties=True,
+                 constant=True, bad=None)
+        def test_bitwise_equal_to_median_formula(self, n_rows, n_cols, seed,
+                                                 scale, ties, constant, bad):
+            rng = np.random.default_rng(seed)
+            matrix = scale * rng.normal(size=(n_rows, n_cols))
+            if ties:  # a rounded column: a handful of levels, heavy ties
+                matrix[:, 0] = np.round(matrix[:, 0] / scale)
+            if constant:
+                matrix[:, -1] = 2.5
+            if bad is not None:
+                matrix[rng.integers(n_rows)] = bad
+            ours, reference = self.both(matrix, seed)
+            assert ours == reference
+
+
+def reference_gamma_pvalue(statistic, weights):
+    """The gamma tail through ``scipy.stats.gamma.sf``."""
+    weights = weights[weights > 1e-14]
+    if weights.size == 0:
+        return 1.0
+    mean = float(weights.sum())
+    var = float(2.0 * (weights ** 2).sum())
+    if var <= 0:
+        return 1.0
+    return float(stats.gamma.sf(statistic, a=mean ** 2 / var,
+                                scale=var / mean))
+
+
+class TestGammaTail:
+    @pytest.mark.parametrize("statistic",
+                             [0.0, 5e-324, 1e-300, 1e-9, 0.37, 12.5, 1e6,
+                              np.inf])
+    @pytest.mark.parametrize("weights", [
+        [0.3, 0.2, 0.05],
+        [1e150, 3e149],           # extreme scale, large
+        [2e-14, 5e-14, 1e-13],    # extreme scale, just above the cutoff
+        [0.9] + [1e-12] * 40,     # shape far from scale
+    ])
+    def test_equals_scipy_gamma_sf(self, statistic, weights):
+        weights = np.asarray(weights)
+        assert (_gamma_pvalue(statistic, weights)
+                == reference_gamma_pvalue(statistic, weights))
+
+    def test_boundary_values(self):
+        weights = np.array([0.4, 0.1])
+        assert _gamma_pvalue(0.0, weights) == 1.0
+        assert _gamma_pvalue(np.inf, weights) == 0.0
+        assert _gamma_pvalue(3.0, np.array([1e-15])) == 1.0
+
+    def test_random_cases_equal_scipy_gamma_sf(self):
+        rng = np.random.default_rng(9)
+        for _ in range(500):
+            weights = rng.exponential(size=rng.integers(1, 30)) \
+                * 10.0 ** rng.uniform(-10, 10)
+            statistic = float(rng.exponential() * weights.sum()
+                              * rng.uniform(0, 3))
+            assert (_gamma_pvalue(statistic, weights)
+                    == reference_gamma_pvalue(statistic, weights))
+
+
+def null_table(n=300, seed=0, bad_column=None, bad=np.nan):
+    """``x ⊥ y | z`` on a 300-row table, optionally with one bad cell."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=n)
+    data = {"z": z, "x": z + rng.normal(size=n), "y": z + rng.normal(size=n)}
+    if bad_column is not None:
+        data[bad_column][5] = bad
+    return Table(data)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("ridge", [0, 0.0, -1.0, float("nan")])
+    def test_non_positive_ridge_rejected(self, ridge):
+        # ridge=0 used to construct and then fail every conditional query
+        # inside the Cholesky factorisation.
+        with pytest.raises(CITestError, match="ridge"):
+            RCIT(ridge=ridge)
+
+    @pytest.mark.parametrize("column", ["x", "y", "z"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_named(self, column, bad):
+        # NaN used to surface as LinAlgError (in X) or a scipy ValueError
+        # (in Z).
+        table = null_table(bad_column=column, bad=bad)
+        for tester in (RCIT(seed=0), AdaptiveCI(seed=0), FisherZCI()):
+            with pytest.raises(CITestError, match=f"'{column}'"):
+                tester.test(table, "x", "y", ["z"])
+
+    def test_rit_ignores_non_finite_conditioning_column(self):
+        # RIT drops Z, so a bad Z column is never read.
+        table = null_table(bad_column="z")
+        assert RIT(seed=0).test(table, "x", "y", ["z"]).p_value >= 0.0
+
+    def test_finite_data_unaffected(self):
+        table = null_table()
+        assert RCIT(seed=0).test(table, "x", "y", ["z"]).independent
+
+    def test_each_column_scanned_once_per_table(self, monkeypatch):
+        table = null_table()
+        scans = []
+        original = Table._float_chunk
+
+        def counting(self, name, window):
+            scans.append(name)
+            return original(self, name, window)
+
+        monkeypatch.setattr(Table, "_float_chunk", counting)
+        tester = RCIT(seed=0)
+        tester.test_batch(table, [("x", "y", ["z"]), (("x", "z"), "y")])
+        tester.test_batch(table, [("z", "y", ["x"])])
+        tester.test(table, "x", "y", ["z"])
+        assert sorted(scans) == ["x", "y", "z"]
 
 
 class TestRCITVerdicts:
