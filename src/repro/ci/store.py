@@ -31,15 +31,19 @@ Format: single JSON documents with explicit ``format`` tags and
 ``version`` numbers.  Unreadable, foreign, or future-versioned files are
 treated as empty (the caches are pure accelerators — losing one is always
 safe); saving rewrites the file atomically via a temp file + rename,
-*merging* with whatever is on disk first so interleaved savers (sibling
-processes sharing one suite store) never erase each other's committed
-entries.  Stochastic testers are value-seeded at construction
-(:func:`repro.rng.value_seed`), and the drawn seed is part of their
-``cache_token``, so every stored verdict is a pure function of its key.
+*merging* with whatever is on disk first.  The re-read, merge and write
+run under an exclusive ``fcntl.flock`` on the file's directory (and a
+process-wide lock for threads), so concurrent savers — threads, or
+sibling processes sharing one suite store — never erase each other's
+entries, however their saves interleave.  Stochastic testers are
+value-seeded at construction (:func:`repro.rng.value_seed`), and the
+drawn seed is part of their ``cache_token``, so every stored verdict is
+a pure function of its key.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import tempfile
@@ -60,11 +64,8 @@ SELECTIONS_TAG = "repro-selection-cache"
 SELECTIONS_VERSION = 1
 
 # Serialises the read-merge-write critical section of every save in this
-# process, so in-process concurrent saves (threaded sweeps sharing a path)
-# can never interleave destructively.  Cross-process savers are protected
-# by the merge pass + atomic rename: a committed entry survives any
-# ordering of whole saves, though two truly simultaneous cross-process
-# writes may each miss the other's *uncommitted-at-read-time* additions.
+# process (threaded sweeps sharing a path); _merge_save adds the
+# cross-process half with a directory flock.
 _SAVE_LOCK = threading.RLock()
 
 
@@ -131,7 +132,6 @@ def _write_document(path: str, tag: str, version: int,
     # quarantine recovery above exists for.
     encoded = faults.inject_bytes("store.save", encoded)
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     descriptor, tmp_path = tempfile.mkstemp(
         dir=directory, prefix=".ci-cache-", suffix=".tmp")
     try:
@@ -144,6 +144,35 @@ def _write_document(path: str, tag: str, version: int,
         except OSError:
             pass
         raise
+
+
+def _merge_save(path: str, tag: str, version: int,
+                entries: Mapping[str, dict]) -> dict[str, dict]:
+    """Merge ``entries`` over the on-disk document and write the result.
+
+    Re-read, merge and write run under ``_SAVE_LOCK`` and an exclusive
+    ``fcntl.flock`` on the file's *directory*, so a concurrent saver in
+    another process waits instead of writing a merge that misses these
+    entries.  Locking the directory leaves no sidecar file behind; on a
+    filesystem without ``flock`` the save still merges, unlocked.  Our
+    entries win key conflicts.  Returns the merged map; raises
+    ``OSError`` when the write fails (the file on disk is then intact).
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    with _SAVE_LOCK:
+        descriptor = os.open(directory, os.O_RDONLY)
+        try:
+            try:
+                fcntl.flock(descriptor, fcntl.LOCK_EX)
+            except OSError:
+                pass  # e.g. NFS refuses flock on a read-only descriptor
+            merged = _read_document(path, tag, version)
+            merged.update(entries)
+            _write_document(path, tag, version, merged)
+        finally:
+            os.close(descriptor)  # releases the flock
+    return merged
 
 
 def _key_string(fingerprint: str, query_key: tuple, method: str,
@@ -171,10 +200,10 @@ class PersistentCICache:
     method}``; the ledger reconstructs full
     :class:`~repro.ci.base.CIResult` objects around them.  ``put`` marks
     the store dirty; :meth:`save` merges with the on-disk state and writes
-    atomically (own entries win on key conflicts, which for deterministic
-    testers are byte-identical anyway).  With ``autosave_every=n`` the
-    store additionally saves itself every ``n`` new records, so long
-    sweeps survive interruption.  The instance is a context manager —
+    atomically under a directory lock (own entries win on key conflicts,
+    which for deterministic testers are byte-identical anyway).  With
+    ``autosave_every=n`` the store additionally saves itself every ``n``
+    new records, so long sweeps survive interruption.  The instance is a context manager —
     leaving the block saves pending writes.
     """
 
@@ -197,27 +226,23 @@ class PersistentCICache:
 
     def save(self) -> None:
         """Merge with the on-disk state and write atomically (no-op when
-        clean).  Entries another saver committed since our load survive;
-        our entries win any key conflict."""
+        clean).  Entries any other saver wrote, before or during this
+        save, survive; our entries win any key conflict."""
         if not self._dirty:
             return
-        with _SAVE_LOCK:
-            merged = self._load()
-            merged.update(self._entries)
-            self._entries = merged
-            try:
-                _write_document(self.path, FORMAT_TAG, FORMAT_VERSION,
-                                merged)
-            except OSError as exc:
-                # Keep the dirty count: entries stay in memory and the
-                # next save retries — a flaky disk costs durability
-                # timing, never data.
-                warnings.warn(
-                    f"CI cache save to {self.path!r} failed ({exc}); "
-                    "entries retained in memory for the next save",
-                    RuntimeWarning, stacklevel=2)
-                return
-            self._dirty = 0
+        try:
+            self._entries = _merge_save(self.path, FORMAT_TAG,
+                                        FORMAT_VERSION, self._entries)
+        except OSError as exc:
+            # Keep the dirty count: entries stay in memory and the next
+            # save retries — a flaky disk costs durability timing, never
+            # data.
+            warnings.warn(
+                f"CI cache save to {self.path!r} failed ({exc}); "
+                "entries retained in memory for the next save",
+                RuntimeWarning, stacklevel=2)
+            return
+        self._dirty = 0
 
     # -- record access ------------------------------------------------------
 
@@ -466,21 +491,17 @@ class ExperimentStore:
     def _save_selections(self) -> None:
         if not self._dirty:
             return
-        with _SAVE_LOCK:
-            merged = _read_document(self.selections_path, SELECTIONS_TAG,
-                                    SELECTIONS_VERSION)
-            merged.update(self._selections)
-            self._selections = merged
-            try:
-                _write_document(self.selections_path, SELECTIONS_TAG,
-                                SELECTIONS_VERSION, merged)
-            except OSError as exc:
-                warnings.warn(
-                    f"selection store save to {self.selections_path!r} "
-                    f"failed ({exc}); entries retained in memory for the "
-                    "next save", RuntimeWarning, stacklevel=2)
-                return
-            self._dirty = 0
+        try:
+            self._selections = _merge_save(
+                self.selections_path, SELECTIONS_TAG, SELECTIONS_VERSION,
+                self._selections)
+        except OSError as exc:
+            warnings.warn(
+                f"selection store save to {self.selections_path!r} "
+                f"failed ({exc}); entries retained in memory for the "
+                "next save", RuntimeWarning, stacklevel=2)
+            return
+        self._dirty = 0
 
     def save(self) -> None:
         """Flush the selections file and every opened CI-cache namespace."""

@@ -34,9 +34,6 @@ Commands:
 (:func:`repro.ci.default_tester`), ``--subsets`` the phase-1 subset
 strategy (:func:`repro.core.subset_search.strategy_by_name`), ``--jobs``
 the CI-batch worker processes, and ``--store`` a cross-run cache tree.
-The table column storage (in-RAM vs memory-mapped; results are bitwise
-identical) is chosen with the ``REPRO_TABLE_BACKEND`` environment
-variable, which worker processes inherit.
 """
 
 from __future__ import annotations

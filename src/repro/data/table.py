@@ -6,27 +6,25 @@ provides the minimal substrate for that story without pandas: named columns
 of equal length, role-aware schemas, selection/projection, inner equi-joins,
 and train/test splitting.
 
-Column storage is delegated to a pluggable
-:class:`~repro.data.backend.ColumnBackend`: in-RAM numpy arrays by default,
-or memory-mapped files (``REPRO_TABLE_BACKEND=mmap``) so datasets far
-larger than RAM open without materialising.  The table itself is a thin
-façade — roles, fingerprints, and the CI-engine caches — and its observable
-behaviour is a pure function of the column values, never of the backend
-(see the backend invariance contract in :mod:`repro.data.backend`).  The
-table never aliases caller arrays on construction (backends ingest by
-copy) so instances behave as values.
+Columns are immutable and shared.  A table's storage is a plain dict of
+read-only numpy arrays.  Data is copied exactly once, when it enters a
+table from outside: the constructor and :meth:`Table.with_column` copy
+the caller's array, :meth:`Table.with_appended_rows` concatenates, and
+each fresh array is frozen with ``setflags(write=False)``.  Derived
+tables (projections, role changes, renames, the columns a
+``with_column`` carries over) hold their parent's array objects, so a
+write costs O(new data) instead of O(whole table).  Read-only flags, not
+copies, give tables their value semantics: a caller's array is never
+aliased, and a table's own arrays reject in-place writes.
 
 Because instances behave as values (every relational operation returns a
 new table), each table also carries lazy per-instance caches used by the CI
 engine: a content :attr:`fingerprint`, per-column float conversions
 (:meth:`float_column`), and joint integer codes for discrete queries
-(:meth:`discrete_codes`).  The caches are valid as long as callers respect
-the documented no-mutation contract on :meth:`__getitem__` views.  On
-columns past the streaming budget the code/moment builders run chunked
-passes (exactly additive, hence bitwise chunk-invariant for the integer
-kernels; fixed internal block sizes for the float moment pass) and place
-their outputs in backend scratch storage, so derived state inherits the
-backend's locality.
+(:meth:`discrete_codes`).  On columns past the streaming budget the
+code/moment builders run chunked passes (exactly additive, hence bitwise
+chunk-invariant for the integer kernels; fixed internal block sizes for
+the float moment pass; see :mod:`repro.data.backend`).
 """
 
 from __future__ import annotations
@@ -37,10 +35,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import SchemaError
-from repro.data.backend import (ColumnBackend, HASH_BLOCK_ROWS,
-                                MOMENT_BLOCK_ROWS, hash_array_blocks,
-                                iter_slices, make_backend,
-                                resolve_chunk_rows)
+from repro.data.backend import (MOMENT_BLOCK_ROWS, hash_array_blocks,
+                                iter_slices, resolve_chunk_rows)
 from repro.data.schema import ColumnSpec, Kind, Role, TableSchema
 from repro.rng import SeedLike, as_generator
 
@@ -62,17 +58,39 @@ def standardize_matrix(matrix: np.ndarray) -> np.ndarray:
 def _infer_kind(values: np.ndarray) -> Kind:
     """Guess a :class:`Kind` for a raw column.
 
-    Integer columns with two distinct values are binary; other integer (or
-    small-cardinality) columns are discrete; everything else is continuous.
+    Columns with at most two distinct values are binary; other integer
+    (or small-cardinality integral float) columns are discrete; everything
+    else is continuous.  Bool and integer columns answer from ``min``,
+    ``max`` and one comparison pass instead of sorting: at most two
+    distinct values means no value lies strictly between the extremes.
     """
+    if values.dtype.kind in "biu":
+        if values.dtype.kind == "b" or values.size == 0:
+            return Kind.BINARY
+        lo, hi = values.min(), values.max()
+        between = int(hi) - int(lo) > 1 and np.any((values > lo)
+                                                    & (values < hi))
+        return Kind.DISCRETE if between else Kind.BINARY
     uniq = np.unique(values)
     if uniq.size <= 2:
         return Kind.BINARY
-    if np.issubdtype(values.dtype, np.integer):
-        return Kind.DISCRETE
     if np.issubdtype(values.dtype, np.floating) and np.all(uniq == np.round(uniq)) and uniq.size <= 20:
         return Kind.DISCRETE
     return Kind.CONTINUOUS
+
+
+def _owned_column(name: str, arr: np.ndarray,
+                  n_rows: int | None = None) -> np.ndarray:
+    """Check a column array the table will own (1-D, and ``n_rows`` long
+    when given) and freeze it.  ``arr`` must be fresh: nobody else may
+    hold a writeable reference to it."""
+    if arr.ndim != 1:
+        raise SchemaError(f"column {name!r} must be 1-D, got shape {arr.shape}")
+    if n_rows is not None and arr.shape[0] != n_rows:
+        raise SchemaError(
+            f"column {name!r} has {arr.shape[0]} rows, table has {n_rows}")
+    arr.setflags(write=False)
+    return arr
 
 
 class Table:
@@ -83,12 +101,9 @@ class Table:
     >>> t.n_rows, t.schema.sensitive
     (2, ['s'])
 
-    ``backend`` selects the column storage: a
-    :class:`~repro.data.backend.ColumnBackend` instance, a kind string
-    (``"memory"``/``"mmap"``), or ``None`` for the process default
-    (``REPRO_TABLE_BACKEND``).
-    Derived tables (projections, row selections, joins) inherit their
-    parent's backend *kind*.
+    The constructor copies every column once and freezes the copies;
+    tables derived from this one share those read-only arrays (see the
+    module docstring).
     """
 
     def __init__(
@@ -96,47 +111,54 @@ class Table:
         columns: Mapping[str, np.ndarray | Sequence],
         schema: TableSchema | None = None,
         roles: Mapping[str, Role] | None = None,
-        backend: ColumnBackend | str | None = None,
     ) -> None:
-        if isinstance(backend, ColumnBackend):
-            self._backend = backend
-        else:
-            self._backend = make_backend(backend)
-        names: list[str] = []
+        data: dict[str, np.ndarray] = {}
         kinds: dict[str, Kind] = {}
         lengths = set()
         infer = schema is None
         for name, values in columns.items():
-            arr = np.asarray(values)
-            if arr.ndim != 1:
-                raise SchemaError(f"column {name!r} must be 1-D, got shape {arr.shape}")
-            self._backend.put(name, arr)
-            names.append(name)
+            arr = _owned_column(name, np.array(values))
+            data[name] = arr
             if infer:
                 kinds[name] = _infer_kind(arr)
             lengths.add(arr.shape[0])
         if len(lengths) > 1:
             raise SchemaError(f"columns have mismatched lengths: {sorted(lengths)}")
-        self._n_rows = lengths.pop() if lengths else 0
-        self._names = frozenset(names)
 
         if schema is None:
             role_map = dict(roles or {})
-            unknown = set(role_map) - set(names)
+            unknown = set(role_map) - set(data)
             if unknown:
                 raise SchemaError(f"roles given for unknown columns: {sorted(unknown)}")
             schema = TableSchema(
                 [
                     ColumnSpec(name, kinds[name], role_map.get(name, Role.OTHER))
-                    for name in names
+                    for name in data
                 ]
             )
         else:
             if roles is not None:
                 schema = schema.with_roles(dict(roles))
-            missing = set(schema.names) ^ set(names)
+            missing = set(schema.names) ^ set(data)
             if missing:
                 raise SchemaError(f"schema/column mismatch on: {sorted(missing)}")
+        self._setup(data, schema, lengths.pop() if lengths else 0)
+
+    @classmethod
+    def _unchecked(cls, data: dict[str, np.ndarray], schema: TableSchema,
+                   n_rows: int) -> "Table":
+        """A table over ``data`` as given: no copy, no validation, no kind
+        inference.  The derivations below guarantee the invariants the
+        constructor checks: every array is read-only and ``n_rows`` long,
+        and ``schema`` names exactly ``data``'s columns."""
+        table = cls.__new__(cls)
+        table._setup(data, schema, n_rows)
+        return table
+
+    def _setup(self, data: dict[str, np.ndarray], schema: TableSchema,
+               n_rows: int) -> None:
+        self._data = data
+        self._n_rows = n_rows
         self.schema = schema
 
         # Lazy caches for the CI engine (see module docstring).
@@ -183,29 +205,24 @@ class Table:
     @property
     def n_cols(self) -> int:
         """Number of columns."""
-        return len(self._names)
+        return len(self._data)
 
     @property
     def columns(self) -> list[str]:
         """Column names in schema order."""
         return self.schema.names
 
-    @property
-    def backend(self) -> ColumnBackend:
-        """The column-storage backend (read-only façade state)."""
-        return self._backend
-
     def __len__(self) -> int:
         return self._n_rows
 
     def __contains__(self, name: str) -> bool:
-        return name in self._names
+        return name in self._data
 
     def __getitem__(self, name: str) -> np.ndarray:
-        """Return a *copy-free view* of one column (do not mutate)."""
-        if name not in self._names:
+        """Return one column: the table's own read-only array."""
+        if name not in self._data:
             raise SchemaError(f"unknown column: {name!r}")
-        return self._backend.get(name)
+        return self._data[name]
 
     def matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
         """Stack the named columns into an ``(n_rows, k)`` float matrix."""
@@ -228,9 +245,7 @@ class Table:
         dispatch on it: the same values annotated discrete vs continuous
         answer through different backends, so they must never share cache
         entries.  (Roles deliberately do not participate — they steer
-        selection, not test outcomes.  The storage backend does not either:
-        fingerprints hash the byte stream in fixed blocks, so in-memory and
-        memory-mapped tables with the same data share one fingerprint.)
+        selection, not test outcomes.)
 
         Composed from the per-column digests (in schema order), not from
         one flat byte stream: the per-column blake2b *states* are cached,
@@ -303,21 +318,15 @@ class Table:
             digest.update(repr(arr.tolist()).encode())
         else:
             # Fixed-block incremental hashing: identical digest to hashing
-            # the whole buffer at once, bounded peak memory on memmaps.
+            # the whole buffer at once, with bounded peak memory.
             hash_array_blocks(digest, arr)
 
     def float_column(self, name: str) -> np.ndarray:
-        """Cached read-only float conversion of one column."""
+        """Cached read-only float conversion of one column (a float64
+        column is returned as stored: it is already read-only)."""
         cached = self._float_cols.get(name)
         if cached is None:
-            raw = self[name]
-            cached = np.asarray(raw, dtype=float)
-            if cached is raw and raw.flags.writeable:
-                # Already float64 and in mutable storage: copy before
-                # freezing, so the read-only flag never leaks onto the
-                # table's own storage.  (Memmap-backed columns are
-                # already read-only and served as-is — no RAM copy.)
-                cached = cached.copy()
+            cached = np.asarray(self[name], dtype=float)
             cached.setflags(write=False)
             self._float_cols[name] = cached
         return cached
@@ -328,7 +337,7 @@ class Table:
         cached = self._float_cols.get(name)
         if cached is not None:
             return cached[window]
-        return np.asarray(self._backend.chunk(name, window), dtype=float)
+        return np.asarray(self[name][window], dtype=float)
 
     def discrete_codes(self, names: Sequence[str] | str) -> tuple[np.ndarray, int]:
         """Dense integer codes of the joint of rounded columns (cached).
@@ -345,7 +354,7 @@ class Table:
         two-pass sweep — per-chunk level discovery, then
         ``np.searchsorted`` labelling — which is bitwise identical to the
         single-pass ``np.unique(..., return_inverse=True)`` for any chunk
-        size, with the codes placed in backend scratch storage.
+        size.
         """
         key = (names,) if isinstance(names, str) else tuple(names)
         cached = self._codes_cache.get(key)
@@ -383,7 +392,7 @@ class Table:
             for window in iter_slices(self._n_rows, chunk)
         ]
         uniq = np.unique(np.concatenate(parts))
-        codes = self._backend.empty(self._n_rows, np.int64)
+        codes = np.empty(self._n_rows, np.int64)
         for window in iter_slices(self._n_rows, chunk):
             codes[window] = np.searchsorted(
                 uniq, np.round(self._float_chunk(name, window))
@@ -407,7 +416,7 @@ class Table:
         tail = np.round(self._float_chunk(name, slice(n0, self._n_rows))
                         ).astype(np.int64)
         uniq = np.union1d(parent_values, np.unique(tail))
-        codes = self._backend.empty(self._n_rows, np.int64)
+        codes = np.empty(self._n_rows, np.int64)
         if uniq.size == parent_values.size:
             codes[:n0] = parent_codes
         else:
@@ -427,7 +436,7 @@ class Table:
         parts = [np.unique(values[window])
                  for window in iter_slices(values.shape[0], chunk)]
         uniq = np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
-        codes = self._backend.empty(values.shape[0], np.int64)
+        codes = np.empty(values.shape[0], np.int64)
         for window in iter_slices(values.shape[0], chunk):
             codes[window] = np.searchsorted(uniq, values[window])
         return codes, int(uniq.size)
@@ -465,11 +474,11 @@ class Table:
 
         Columns longer than the fixed
         :data:`~repro.data.backend.MOMENT_BLOCK_ROWS` stream through a
-        two-pass moment computation (sum, then squared deviations) into
-        backend scratch storage instead of materialising the stacked
-        matrix.  The pass uses a *fixed* internal block size — never the
-        user chunk setting — so the result depends only on the column
-        values, identically across backends and ``REPRO_CI_CHUNK_ROWS``.
+        two-pass moment computation (sum, then squared deviations)
+        instead of materialising the stacked matrix.  The pass uses a
+        *fixed* internal block size — never the user chunk setting — so
+        the result depends only on the column values, identically under
+        every ``REPRO_CI_CHUNK_ROWS``.
         """
         key = (names,) if isinstance(names, str) else tuple(names)
         cached = self._std_blocks.get(key)
@@ -515,7 +524,7 @@ class Table:
                 sumsq[j] += (centered * centered).sum()
         scale = np.sqrt(sumsq / n)
         scale[scale < 1e-12] = 1.0
-        out = self._backend.empty((n, len(key)), np.float64)
+        out = np.empty((n, len(key)), np.float64)
         for window in iter_slices(n, MOMENT_BLOCK_ROWS):
             for j, name in enumerate(key):
                 out[window, j] = (self._float_chunk(name, window)
@@ -579,7 +588,7 @@ class Table:
                 combined = combined * levels + col_codes
             uniq, inverse = np.unique(combined, return_inverse=True)
             return inverse.astype(np.int64), int(uniq.size)
-        combined = self._backend.empty(self._n_rows, np.int64)
+        combined = np.empty(self._n_rows, np.int64)
         for window in iter_slices(self._n_rows, chunk):
             acc = np.zeros(window.stop - window.start, dtype=np.int64)
             for col_codes, levels in per_column:
@@ -640,7 +649,7 @@ class Table:
         same name, dtype, kind, and values).  Content-preserving by
         construction, so adopted entries equal a cold rebuild's."""
         shared = {n for n in names
-                  if n in parent._names
+                  if n in parent._data
                   and parent.schema.spec(n).kind is self.schema.spec(n).kind}
         for name in shared:
             state = parent._col_hashes.get(name)
@@ -677,10 +686,7 @@ class Table:
         many times the size of the raw columns; a process-pool worker
         rebuilds exactly the codes its shards need via
         :meth:`warm_cache`/lazy access.  The content fingerprint is kept —
-        it is a value, already paid for, and pool reuse keys on it.  The
-        backend handles its own serialization: a memory-mapped backend
-        ships column *paths* (never bytes or open handles) and workers
-        reopen the files lazily.
+        it is a value, already paid for, and pool reuse keys on it.
         """
         state = self.__dict__.copy()
         state["_float_cols"] = {}
@@ -697,13 +703,20 @@ class Table:
         state["_prefix_codes"] = {}
         return state
 
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled table and freeze its columns again (numpy
+        unpickles arrays writeable)."""
+        self.__dict__.update(state)
+        for arr in self._data.values():
+            arr.setflags(write=False)
+
     # -- relational operations --------------------------------------------
 
     def select(self, names: Iterable[str]) -> "Table":
-        """Projection: a new table with only the requested columns."""
+        """Projection: a new table sharing the requested columns."""
         use = list(names)
-        out = Table({n: self[n] for n in use}, schema=self.schema.select(use),
-                    backend=self._backend.kind)
+        data = {n: self[n] for n in use}
+        out = Table._unchecked(data, self.schema.select(use), self._n_rows)
         out._adopt_column_caches(self, use)
         return out
 
@@ -716,6 +729,8 @@ class Table:
         1-D arrays); values are cast to each column's existing dtype and
         the schema (kinds and roles) carries over unchanged, so appended
         values are expected to stay within each column's declared kind.
+        Each grown column is one fresh concatenation, frozen; ``rows`` is
+        never aliased.
 
         The child seeds its incremental caches from this table
         (:meth:`_adopt_prefix`): per-column hash states extend with only
@@ -727,7 +742,7 @@ class Table:
         concatenated values.
         """
         extra = {name: np.asarray(values) for name, values in rows.items()}
-        mismatched = set(extra) ^ self._names
+        mismatched = set(extra) ^ self._data.keys()
         if mismatched:
             raise SchemaError(
                 f"appended rows must cover exactly the table's columns; "
@@ -744,12 +759,13 @@ class Table:
             arr = self[name]
             if tail.dtype != arr.dtype:
                 tail = tail.astype(arr.dtype)
-            data[name] = np.concatenate([arr, tail])
+            data[name] = _owned_column(name, np.concatenate([arr, tail]))
         if len(lengths) > 1:
             raise SchemaError(
                 f"appended columns have mismatched lengths: "
                 f"{sorted(lengths)}")
-        child = Table(data, schema=self.schema, backend=self._backend.kind)
+        n_rows = self._n_rows + (lengths.pop() if lengths else 0)
+        child = Table._unchecked(data, self.schema, n_rows)
         child._adopt_prefix(self)
         return child
 
@@ -764,8 +780,10 @@ class Table:
     def take(self, index: np.ndarray) -> "Table":
         """Row selection by integer or boolean index array."""
         idx = np.asarray(index)
-        return Table({n: self[n][idx] for n in self.columns},
-                     schema=self.schema, backend=self._backend.kind)
+        # Advanced indexing returns a fresh array: freeze it, no copy.
+        data = {n: _owned_column(n, col[idx]) for n, col in self._data.items()}
+        n_rows = next(iter(data.values())).shape[0] if data else 0
+        return Table._unchecked(data, self.schema, n_rows)
 
     def head(self, n: int) -> "Table":
         """First ``n`` rows."""
@@ -773,36 +791,40 @@ class Table:
 
     def with_column(self, name: str, values: np.ndarray | Sequence, role: Role = Role.OTHER,
                     kind: Kind | None = None) -> "Table":
-        """A new table with one extra (or replaced) column."""
-        arr = np.asarray(values)
-        if arr.shape[0] != self._n_rows:
-            raise SchemaError(
-                f"column {name!r} has {arr.shape[0]} rows, table has {self._n_rows}"
-            )
-        data = {n: self[n] for n in self.columns}
+        """A new table with one extra (or replaced) column.
+
+        ``values`` is copied once; every other column is shared with this
+        table.
+        """
+        return self._with_owned_column(name, np.array(values), role, kind)
+
+    def _with_owned_column(self, name: str, arr: np.ndarray, role: Role,
+                           kind: Kind | None) -> "Table":
+        """:meth:`with_column` over a fresh array the new table owns."""
+        arr = _owned_column(name, arr, self._n_rows)
+        data = dict(self._data)
         data[name] = arr
         spec = ColumnSpec(name, kind or _infer_kind(arr), role)
-        if name in self._names:
+        if name in self._data:
             schema = TableSchema([spec if c.name == name else c for c in self.schema])
         else:
             schema = self.schema.add(spec)
-        out = Table(data, schema=schema, backend=self._backend.kind)
+        out = Table._unchecked(data, schema, self._n_rows)
         out._adopt_column_caches(self, [n for n in self.columns if n != name])
         return out
 
     def with_roles(self, roles: Mapping[str, Role]) -> "Table":
-        """A new table with reassigned column roles."""
-        return Table({n: self[n] for n in self.columns},
-                     schema=self.schema.with_roles(dict(roles)),
-                     backend=self._backend.kind)
+        """A new table with reassigned column roles (columns shared)."""
+        return Table._unchecked(dict(self._data),
+                                self.schema.with_roles(dict(roles)),
+                                self._n_rows)
 
     def rename(self, mapping: Mapping[str, str]) -> "Table":
-        """A new table with columns renamed via ``mapping``."""
+        """A new table with columns renamed via ``mapping`` (columns
+        shared)."""
         schema = self.schema.rename(dict(mapping))
-        return Table(
-            {mapping.get(n, n): self[n] for n in self.columns}, schema=schema,
-            backend=self._backend.kind
-        )
+        data = {mapping.get(n, n): self._data[n] for n in self.columns}
+        return Table._unchecked(data, schema, self._n_rows)
 
     def join(self, other: "Table", on: str, how: str = "inner") -> "Table":
         """Equi-join on a shared key column (the PK-FK join of the paper).
@@ -840,7 +862,9 @@ class Table:
             if col in out:
                 raise SchemaError(f"join would duplicate column {col!r}")
             spec = other.schema.spec(col)
-            out = out.with_column(col, other[col][right_rows], role=spec.role, kind=spec.kind)
+            # The gather is a fresh array: the joined table owns it.
+            out = out._with_owned_column(col, other[col][right_rows],
+                                         spec.role, spec.kind)
         return out
 
     # -- ML conveniences ----------------------------------------------------
@@ -865,7 +889,7 @@ class Table:
     # -- misc ----------------------------------------------------------------
 
     def to_dict(self) -> dict[str, np.ndarray]:
-        """Copy of the underlying column mapping."""
+        """Writeable copies of the columns, in schema order."""
         return {n: np.array(self[n]) for n in self.columns}
 
     def equals(self, other: "Table") -> bool:

@@ -5,9 +5,9 @@ queue:
 
 * **contexts** — large shared state published once per
   ``(tester, table)`` pair (the pickled pair itself), referenced by
-  content-derived id from many tasks.  Memory-mapped tables pickle as
-  *paths*, so a context stays small and workers reopen the maps
-  read-only.
+  content-derived id from many tasks.  Tables pickle without their
+  derived caches, so a context carries only column values and workers
+  rebuild what their shards need.
 * **tasks** — units of work (a CI-query shard referencing a context, or
   a self-contained call).  Tasks are claimed by exactly one worker at a
   time; a claim carries a *lease* that the worker heartbeats while

@@ -5,8 +5,8 @@ from a :class:`~repro.distributed.queue.WorkQueue` and executes them:
 
 * **shard tasks** (from :class:`~repro.ci.executor.RemoteExecutor`)
   reference a published ``(tester, table)`` context — unpickled once per
-  context and cached; memory-mapped tables ship as paths and reopen
-  read-only here — and run through the same ``_run_shard`` helper the
+  context and cached, its columns frozen read-only again on unpickling —
+  and run through the same ``_run_shard`` helper the
   in-process pools use, so the error contract (failures as
   :class:`~repro.exceptions.CITestError` with ``error.query`` attached)
   is byte-for-byte the pooled one.  Shard results only travel back

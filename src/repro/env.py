@@ -43,7 +43,6 @@ __all__ = [
     "CI_REMOTE_TIMEOUT",
     "CI_WAVE_CELLS",
     "FAULTS",
-    "TABLE_BACKEND",
     "TABLE_RAM_CAP_MB",
     "markdown_table",
     "read",
@@ -196,10 +195,6 @@ CI_WAVE_CELLS = _register(
     "REPRO_CI_WAVE_CELLS", "",
     "explicit rows×queries cell budget for wave splitting; unset derives "
     "it from `REPRO_TABLE_RAM_CAP_MB`")
-
-TABLE_BACKEND = _register(
-    "REPRO_TABLE_BACKEND", "memory",
-    "table column-storage backend (`memory` or `mmap`)")
 
 TABLE_RAM_CAP_MB = _register(
     "REPRO_TABLE_RAM_CAP_MB", "512",

@@ -4,10 +4,10 @@ Three contracts from the ROADMAP, machine-checked on random inputs:
 
 * **robust loading** — corrupt, foreign, or future-versioned files always
   read as empty (a store is a pure accelerator; loading must never raise);
-* **committed entries survive concurrent saves** — saves merge with the
-  on-disk state before the atomic rename, so interleaved savers (sibling
-  processes or threads sharing one path) never erase each other's
-  committed entries;
+* **entries survive concurrent saves** — saves merge with the on-disk
+  state before the atomic rename, under a directory lock, so concurrent
+  savers (sibling processes or threads sharing one path) never erase
+  each other's entries;
 * **distinct cache tokens never collide** — differently-configured
   testers can never share an entry, whatever their token values; testers
   are value-seeded at construction, so the seed in a token is always the
@@ -17,7 +17,9 @@ Plus the same discipline for :class:`ExperimentStore`'s selections file.
 """
 
 import json
+import multiprocessing
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -30,12 +32,14 @@ from repro.ci.base import CITestLedger
 from repro.ci.gtest import GTestCI
 from repro.ci.kcit import KCIT
 from repro.ci.permutation import PermutationCI
+from repro.ci import store as store_mod
 from repro.ci.rcit import RCIT
 from repro.ci.store import (FORMAT_TAG, FORMAT_VERSION, SELECTIONS_TAG,
                             SELECTIONS_VERSION, ExperimentStore,
                             PersistentCICache, _key_string)
 from repro.core.grpsel import GrpSel
 from repro.core.problem import FairFeatureSelectionProblem
+from repro.core.result import SelectionResult
 from repro.core.seqsel import SeqSel
 from repro.core.subset_search import MarginalThenFull
 from repro.data.table import Table
@@ -213,6 +217,67 @@ class TestConcurrentSaves:
         monkeypatch.undo()
         broken.save()
         assert len(PersistentCICache(path)) == 2
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method")
+    @pytest.mark.parametrize("kind", ["ci", "selections"])
+    def test_simultaneous_process_saves_lose_nothing(self, tmp_path,
+                                                     monkeypatch, kind):
+        """Forked savers released together by a barrier each save one
+        disjoint entry; every entry must reach the file.  The slowed
+        write holds each save between its re-read and its rename, where
+        an unlocked saver would miss its siblings' entries."""
+        real_write = store_mod._write_document
+
+        def slow_write(*args, **kwargs):
+            time.sleep(0.2)
+            real_write(*args, **kwargs)
+
+        monkeypatch.setattr(store_mod, "_write_document", slow_write)
+        n_processes = 4
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(n_processes)
+        processes = [
+            context.Process(target=_save_after_barrier,
+                            args=(kind, tmp_path, index, barrier))
+            for index in range(n_processes)]
+        try:
+            for process in processes:
+                process.start()
+            for process in processes:
+                process.join(timeout=60)
+            assert [p.exitcode for p in processes] == [0] * n_processes
+        finally:
+            for process in processes:
+                if process.is_alive():
+                    process.kill()
+        if kind == "ci":
+            saved = PersistentCICache(tmp_path / "shared.json")
+            assert len(saved) == n_processes
+        else:
+            assert ExperimentStore(tmp_path).n_selections == n_processes
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["shared.json"] if kind == "ci" else ["selections.json"])
+
+
+def _save_after_barrier(kind, root, index, barrier):
+    """One forked saver: open the store, wait for every sibling, then
+    save one entry no sibling writes."""
+    if kind == "ci":
+        store = PersistentCICache(root / "shared.json")
+        barrier.wait(timeout=30)
+        store.put(f"fp{index}", query_key(f"x{index}"), "g-test", 0.01,
+                  RECORD)
+        store.save()
+    else:
+        store = ExperimentStore(root)
+        problem = small_problem()
+        selector = SeqSel(tester=GTestCI(alpha=0.01 * (index + 1)),
+                          subset_strategy=MarginalThenFull())
+        barrier.wait(timeout=30)
+        store.put_selection(problem, selector,
+                            SelectionResult(algorithm="seqsel"))
 
 
 def small_problem():

@@ -1,16 +1,13 @@
-"""Backend/chunk invariance property suite (hypothesis).
+"""Chunk invariance property suite (hypothesis).
 
-Machine-checks the backend invariance contract of
+Machine-checks the chunk invariance contract of
 :mod:`repro.data.backend`: every observable of a table — fingerprints,
 ``discrete_codes``, ``standardized_block``, CI verdicts, selector output
 and ``n_ci_tests`` — is a pure function of the column values, bitwise
-identical across the InMemory and Mmap backends and across every forced
-streaming chunk size (including the chunk=1 and chunk>n_rows edges).
-Also locks the mmap serialization contract: pickling drops open handles
-and ownership, and workers reopen columns by path.
+identical across every forced streaming chunk size (including the
+chunk=1 and chunk>n_rows edges).
 """
 
-import os
 import pickle
 
 import numpy as np
@@ -18,16 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ci import CIQuery, CITestLedger, GTestCI, RCIT
-from repro.ci.executor import ProcessExecutor, SerialExecutor
+from repro.ci import CITestLedger, GTestCI, RCIT
 from repro.core.problem import FairFeatureSelectionProblem
 from repro.core.seqsel import SeqSel
-from repro.data.backend import (ENV_CHUNK_ROWS, InMemoryBackend, MmapBackend,
-                                iter_slices, make_backend, resolve_chunk_rows)
+from repro.data.backend import ENV_CHUNK_ROWS, iter_slices, resolve_chunk_rows
 from repro.data.schema import Role
 from repro.data.table import Table
 
-BACKENDS = ("memory", "mmap")
 #: Forced streaming chunk lengths, covering the degenerate single-row
 #: sweep and the larger-than-table edge (which must behave as unchunked).
 CHUNKS = (0, 1, 3, 10_000)
@@ -46,13 +40,12 @@ def make_columns(seed: int, n_rows: int) -> dict[str, np.ndarray]:
     }
 
 
-def build(columns, backend, chunk, monkeypatch) -> Table:
+def build(columns, chunk, monkeypatch) -> Table:
     if chunk:
         monkeypatch.setenv(ENV_CHUNK_ROWS, str(chunk))
     else:
         monkeypatch.delenv(ENV_CHUNK_ROWS, raising=False)
-    return Table(columns, roles={"s": Role.SENSITIVE, "y": Role.TARGET},
-                 backend=backend)
+    return Table(columns, roles={"s": Role.SENSITIVE, "y": Role.TARGET})
 
 
 @st.composite
@@ -62,7 +55,7 @@ def seeds_and_sizes(draw):
 
 
 class TestObservableEquivalence:
-    """Every cross-(backend, chunk) variant reproduces the baseline."""
+    """Every chunk variant reproduces the baseline."""
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -70,22 +63,21 @@ class TestObservableEquivalence:
     def test_fingerprints_codes_blocks(self, params, monkeypatch):
         seed, n_rows = params
         columns = make_columns(seed, n_rows)
-        base = build(columns, "memory", 0, monkeypatch)
+        base = build(columns, 0, monkeypatch)
         base_fp = base.fingerprint
         base_sub = base.fingerprint_of(("d0", "c0"))
         base_codes, base_levels = base.discrete_codes(("d0", "d1", "z0"))
         base_block = np.array(base.standardized_block(("c0", "c1")))
-        for backend in BACKENDS:
-            for chunk in CHUNKS:
-                table = build(columns, backend, chunk, monkeypatch)
-                assert table.fingerprint == base_fp
-                assert table.fingerprint_of(("d0", "c0")) == base_sub
-                codes, levels = table.discrete_codes(("d0", "d1", "z0"))
-                assert levels == base_levels
-                assert np.array_equal(np.array(codes), base_codes)
-                assert np.array_equal(
-                    np.array(table.standardized_block(("c0", "c1"))),
-                    base_block)
+        for chunk in CHUNKS:
+            table = build(columns, chunk, monkeypatch)
+            assert table.fingerprint == base_fp
+            assert table.fingerprint_of(("d0", "c0")) == base_sub
+            codes, levels = table.discrete_codes(("d0", "d1", "z0"))
+            assert levels == base_levels
+            assert np.array_equal(np.array(codes), base_codes)
+            assert np.array_equal(
+                np.array(table.standardized_block(("c0", "c1"))),
+                base_block)
 
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -94,29 +86,27 @@ class TestObservableEquivalence:
         seed, n_rows = params
         columns = make_columns(seed, n_rows)
         gtest, rcit = GTestCI(), RCIT(seed=5)
-        base = build(columns, "memory", 0, monkeypatch)
+        base = build(columns, 0, monkeypatch)
         base_g = gtest.test(base, "d0", "y", ("z0",))
         base_r = rcit.test(base, "c0", "y", ("c1",))
-        for backend in BACKENDS:
-            for chunk in CHUNKS:
-                table = build(columns, backend, chunk, monkeypatch)
-                got_g = gtest.test(table, "d0", "y", ("z0",))
-                got_r = rcit.test(table, "c0", "y", ("c1",))
-                assert (got_g.p_value, got_g.statistic) == \
-                    (base_g.p_value, base_g.statistic)
-                assert (got_r.p_value, got_r.statistic) == \
-                    (base_r.p_value, base_r.statistic)
+        for chunk in CHUNKS:
+            table = build(columns, chunk, monkeypatch)
+            got_g = gtest.test(table, "d0", "y", ("z0",))
+            got_r = rcit.test(table, "c0", "y", ("c1",))
+            assert (got_g.p_value, got_g.statistic) == \
+                (base_g.p_value, base_g.statistic)
+            assert (got_r.p_value, got_r.statistic) == \
+                (base_r.p_value, base_r.statistic)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_selector_verdicts_and_counts(self, backend, chunk, monkeypatch):
+    def test_selector_verdicts_and_counts(self, chunk, monkeypatch):
         columns = make_columns(11, 120)
-        base = build(columns, "memory", 0, monkeypatch)
+        base = build(columns, 0, monkeypatch)
         problem = FairFeatureSelectionProblem(
             base, sensitive=["s"], admissible=["z0"],
             candidates=["d0", "d1", "c0", "c1"], target="y")
         expected = SeqSel(tester=RCIT(seed=3)).select(problem)
-        table = build(columns, backend, chunk, monkeypatch)
+        table = build(columns, chunk, monkeypatch)
         got = SeqSel(tester=RCIT(seed=3)).select(
             FairFeatureSelectionProblem(
                 table, sensitive=["s"], admissible=["z0"],
@@ -128,76 +118,22 @@ class TestObservableEquivalence:
     def test_fused_batch_counts_identical(self, monkeypatch):
         columns = make_columns(4, 90)
         queries = [(x, "y", ("z0",)) for x in ("d0", "d1", "c0", "c1")]
-        base = build(columns, "memory", 0, monkeypatch)
+        base = build(columns, 0, monkeypatch)
         ledger = CITestLedger(GTestCI(), cache=True)
         expected = [(r.p_value, r.statistic)
                     for r in ledger.test_batch(base, queries)]
-        for backend in BACKENDS:
-            for chunk in CHUNKS:
-                table = build(columns, backend, chunk, monkeypatch)
-                other = CITestLedger(GTestCI(), cache=True)
-                got = [(r.p_value, r.statistic)
-                       for r in other.test_batch(table, queries)]
-                assert got == expected
-                assert other.n_tests == ledger.n_tests
-                assert other.cache_hits == ledger.cache_hits
-
-
-class TestMmapSerialization:
-    """The pickling half of the contract: specs travel, handles do not."""
-
-    def test_getstate_drops_handles_and_ownership(self):
-        table = Table(make_columns(0, 40), backend="mmap")
-        table.warm_cache()
-        backend = table.backend
-        assert backend._handles  # warmed: at least one open memmap
-        state = backend.__getstate__()
-        assert state["_handles"] == {}
-        assert state["_owns_dir"] is False
-        assert state["_finalizer"] is None
-
-    def test_workers_reopen_by_path(self):
-        table = Table(make_columns(1, 40), backend="mmap")
-        fingerprint = table.fingerprint
-        table.warm_cache()
-        clone = pickle.loads(pickle.dumps(table))
-        # Lazy caches dropped, per the Table pickling contract.
-        assert clone._float_cols == {} and clone._codes_cache == {}
-        assert clone.backend._handles == {}
-        # Columns reopen lazily from the original paths.
-        assert clone.fingerprint == fingerprint
-        assert clone.equals(table)
-        for path, _, _ in clone.backend._specs.values():
-            assert os.path.dirname(path) == clone.backend._dir
-        # The clone never owns (so never deletes) the backing directory.
-        assert clone.backend._owns_dir is False
-        del clone
-        assert table.equals(pickle.loads(pickle.dumps(table)))
-
-    def test_process_executor_crosses_spawn_boundary(self):
-        table = Table(make_columns(2, 150), backend="mmap")
-        table.warm_cache()
-        queries = [CIQuery.make(x, "y", ("z0",))
-                   for x in ("d0", "d1", "c0")]
-        tester = RCIT(seed=9)
-        expected = [(r.p_value, r.statistic)
-                    for r in SerialExecutor().run(tester, table, queries)]
-        with ProcessExecutor(n_workers=2, min_batch=2,
-                             mp_context="spawn") as executor:
+        for chunk in CHUNKS:
+            table = build(columns, chunk, monkeypatch)
+            other = CITestLedger(GTestCI(), cache=True)
             got = [(r.p_value, r.statistic)
-                   for r in executor.run(tester, table, queries)]
-        assert got == expected
-
-    def test_owning_backend_cleans_up_directory(self):
-        table = Table(make_columns(3, 10), backend="mmap")
-        directory = table.backend._dir
-        assert os.path.isdir(directory)
-        del table
-        assert not os.path.exists(directory)
+                   for r in other.test_batch(table, queries)]
+            assert got == expected
+            assert other.n_tests == ledger.n_tests
+            assert other.cache_hits == ledger.cache_hits
 
 
 class TestBackendPrimitives:
-    """Unit coverage of the backend helpers themselves."""
+    """Unit coverage of the chunking helpers themselves."""
 
     def test_iter_slices_partitions_exactly(self):
         for n in (0, 1, 7, 64):
@@ -219,24 +155,9 @@ class TestBackendPrimitives:
         with pytest.raises(ValueError):
             resolve_chunk_rows(1000)
 
-    def test_make_backend_kinds(self):
-        assert isinstance(make_backend("memory"), InMemoryBackend)
-        assert isinstance(make_backend("mmap"), MmapBackend)
-        with pytest.raises(ValueError):
-            make_backend("arrow")
-
     def test_empty_columns_roundtrip(self):
-        for backend in BACKENDS:
-            table = Table({"a": np.array([], dtype=np.int64)},
-                          backend=backend)
-            assert table.n_rows == 0
-            assert table["a"].shape == (0,)
-            clone = pickle.loads(pickle.dumps(table))
-            assert clone.equals(table)
-
-    def test_object_columns_stay_in_ram(self):
-        values = np.array(["a", "b", "a"], dtype=object)
-        table = Table({"label": values, "x": np.arange(3)}, backend="mmap")
-        assert np.array_equal(table["label"], values)
+        table = Table({"a": np.array([], dtype=np.int64)})
+        assert table.n_rows == 0
+        assert table["a"].shape == (0,)
         clone = pickle.loads(pickle.dumps(table))
-        assert np.array_equal(clone["label"], values)
+        assert clone.equals(table)

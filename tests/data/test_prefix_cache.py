@@ -18,7 +18,7 @@ from repro.data.table import Table
 from repro.exceptions import SchemaError
 
 
-def make_parent(n=200, backend="memory"):
+def make_parent(n=200):
     rng = np.random.default_rng(3)
     return Table(
         {
@@ -28,7 +28,6 @@ def make_parent(n=200, backend="memory"):
             "y": rng.integers(0, 2, n),
         },
         roles={"s": Role.SENSITIVE, "a": Role.ADMISSIBLE, "y": Role.TARGET},
-        backend=backend,
     )
 
 
@@ -45,7 +44,7 @@ def tail_rows(n=50, seed=9, levels=4):
 def cold_twin(grown: Table) -> Table:
     """A freshly built table with the grown table's exact values."""
     return Table({n: np.array(grown[n]) for n in grown.columns},
-                 schema=grown.schema, backend=grown.backend.kind)
+                 schema=grown.schema)
 
 
 class TestWithAppendedRows:
@@ -109,9 +108,8 @@ class TestWithAppendedRows:
 class TestBitwiseEquivalence:
     """Grown-table observables equal a cold rebuild, bit for bit."""
 
-    @pytest.mark.parametrize("backend", ["memory", "mmap"])
-    def test_all_observables(self, backend):
-        parent = make_parent(backend=backend)
+    def test_all_observables(self):
+        parent = make_parent()
         # Warm every incremental cache on the parent first, so the child
         # takes the prefix-extension paths rather than cold ones.
         parent.warm_cache()

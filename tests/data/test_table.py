@@ -1,11 +1,55 @@
 """Tests for repro.data.table."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.data.schema import Kind, Role
 from repro.data.table import Table, _infer_kind
 from repro.exceptions import SchemaError
+
+#: Every bool and integer width ``_infer_kind`` answers without sorting.
+INT_DTYPES = ("bool", "int8", "int16", "int32", "int64",
+              "uint8", "uint16", "uint32", "uint64")
+
+
+def unique_kind(values: np.ndarray) -> Kind:
+    """The ``np.unique`` formula ``_infer_kind`` replaced for bool and
+    integer columns: the reference its fast path must equal."""
+    if np.unique(values).size <= 2:
+        return Kind.BINARY
+    return Kind.DISCRETE
+
+
+@st.composite
+def int_columns(draw):
+    """Bool/integer columns: empty, constant, the dtype extremes, two
+    non-adjacent values, three consecutive values, or arbitrary draws."""
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+    info = np.iinfo(dtype) if dtype.kind != "b" else None
+    lo, hi = (0, 1) if info is None else (int(info.min), int(info.max))
+    size = draw(st.integers(min_value=0, max_value=12))
+    pool = draw(st.sampled_from(["any", "extremes", "pair", "constant",
+                                 "window"]))
+    if pool == "extremes":
+        choices = [lo, hi]
+    elif pool == "window":
+        start = draw(st.integers(lo, max(lo, hi - 2)))
+        choices = list(range(start, min(start + 3, hi + 1)))
+    elif pool == "pair":
+        first = draw(st.integers(lo, hi))
+        second = draw(st.integers(lo, hi))
+        choices = [first, second]
+    elif pool == "constant":
+        choices = [draw(st.integers(lo, hi))]
+    else:
+        return draw(hnp.arrays(dtype, size))
+    return np.array([draw(st.sampled_from(choices)) for _ in range(size)],
+                    dtype=dtype)
 
 
 def make_table(n=10):
@@ -44,10 +88,23 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             Table({"a": np.zeros(3)}, roles={"ghost": Role.TARGET})
 
-    def test_kind_inference(self):
+    @settings(max_examples=300, deadline=None)
+    @given(values=int_columns())
+    @example(values=np.array([], dtype=np.uint64))
+    @example(values=np.array([3, 3, 3], dtype=np.uint8))
+    @example(values=np.array([-5, 7, -5], dtype=np.int16))
+    @example(values=np.array([-5, 0, 7], dtype=np.int32))
+    @example(values=np.array([2, 0, 1], dtype=np.int8))
+    @example(values=np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max]))
+    @example(values=np.array([0, 1, np.iinfo(np.uint64).max], dtype=np.uint64))
+    @example(values=np.array([True, False, True]))
+    def test_kind_inference(self, values):
         assert _infer_kind(np.array([0, 1, 0])) is Kind.BINARY
         assert _infer_kind(np.array([0, 1, 2, 3, 4])) is Kind.DISCRETE
         assert _infer_kind(np.array([0.1, 0.5, 0.7])) is Kind.CONTINUOUS
+        # Bool and integer columns skip the sort, and must still give
+        # exactly the kind np.unique gives.
+        assert _infer_kind(values) is unique_kind(values)
 
 
 class TestAccess:
@@ -290,10 +347,100 @@ class TestCIEngineCaches:
         assert t2.fingerprint != t.fingerprint
 
     def test_float_column_does_not_freeze_table_storage(self):
-        """Regression: caching a float64 column used to alias the stored
-        array and flip it read-only."""
-        t = Table({"a": np.array([1.0, 2.0, 3.0, 4.0])})
+        """Regression: caching a float64 column must freeze only what the
+        table owns.  The cached array is read-only; the caller's array
+        stays writeable and is never aliased."""
+        source = np.array([1.0, 2.0, 3.0, 4.0])
+        t = Table({"a": source})
         frozen = t.float_column("a")
         assert frozen.flags.writeable is False
-        assert t["a"].flags.writeable is True
-        t["a"][0] = 9.0  # documented-as-discouraged, but must not raise
+        assert source.flags.writeable is True
+        assert not np.shares_memory(frozen, source)
+        source[0] = 9.0
+        assert frozen[0] == 1.0
+
+
+def observables(table: Table, name: str):
+    codes, levels = table.discrete_codes(name)
+    return table[name].tolist(), table.fingerprint, codes.tolist(), levels
+
+
+class TestColumnContract:
+    """Columns are copied once at the boundary, frozen, and shared by
+    derived tables."""
+
+    @pytest.mark.parametrize("write", ["construct", "with_column",
+                                       "with_appended_rows"])
+    def test_caller_array_is_never_aliased(self, write):
+        source = np.array([3, 1, 4, 1, 5])
+        if write == "construct":
+            t = Table({"a": source})
+        elif write == "with_column":
+            t = Table({"b": np.zeros(5)}).with_column("a", source)
+        else:
+            t = Table({"a": np.array([2, 7])}).with_appended_rows(
+                {"a": source})
+        before = observables(t, "a")
+        assert source.flags.writeable is True
+        source[:] = 99
+        assert observables(t, "a") == before
+        # A cold rebuild from the stored values agrees: the write above
+        # never reached the table.
+        assert observables(Table(t.to_dict(), schema=t.schema), "a") \
+            == before
+
+    @pytest.mark.parametrize("derive, new", [
+        (lambda t: t.with_column("z", np.ones(10)), "z"),
+        (lambda t: t.with_column("x", np.ones(10)), "x"),
+        (lambda t: t.select(["y", "s"]), None),
+        (lambda t: t.drop(["x"]), None),
+        (lambda t: t.with_roles({"x": Role.CANDIDATE}), None),
+    ], ids=["with_column-add", "with_column-replace", "select", "drop",
+            "with_roles"])
+    def test_derived_tables_share_parent_arrays(self, derive, new):
+        parent = make_table()
+        child = derive(parent)
+        carried = [name for name in child.columns if name != new]
+        assert carried
+        for name in carried:
+            assert child[name] is parent[name]
+
+    def test_rename_shares_parent_arrays(self):
+        parent = make_table()
+        child = parent.rename({"x": "feature"})
+        assert child["feature"] is parent["x"]
+        assert child["s"] is parent["s"] and child["y"] is parent["y"]
+
+    def test_every_column_is_read_only(self):
+        parent = make_table()
+        right = Table({"s": np.array([0, 1]), "w": np.array([7.0, 8.0])})
+        train, test = parent.split(0.5, seed=0)
+        derived = [
+            parent,
+            parent.take(np.array([0, 3, 3])),
+            parent.take(parent["s"] == 1),
+            parent.head(4),
+            parent.join(right, on="s"),
+            train, test,
+            parent.with_appended_rows({n: parent[n][:2]
+                                       for n in parent.columns}),
+            pickle.loads(pickle.dumps(parent)),
+        ]
+        for table in derived:
+            for name in table.columns:
+                column = table[name]
+                assert column.flags.writeable is False
+                with pytest.raises(ValueError):
+                    column[0] = column[0]
+
+    def test_float_column_of_float64_is_the_stored_array(self):
+        t = make_table()
+        assert t.float_column("x") is t["x"]
+        assert t.float_column("s") is not t["s"]
+
+    def test_to_dict_returns_writeable_copies(self):
+        t = make_table()
+        copies = t.to_dict()
+        for name, values in copies.items():
+            assert values.flags.writeable is True
+            assert not np.shares_memory(values, t[name])

@@ -5,7 +5,7 @@ import os
 TOGGLE = "REPRO_FIXTURE_TOGGLE"
 
 
-def backend():
-    if os.getenv("REPRO_TABLE_BACKEND"):
-        return os.environ["REPRO_TABLE_BACKEND"]
-    return "memory"
+def tester():
+    if os.getenv("REPRO_CI_TESTER"):
+        return os.environ["REPRO_CI_TESTER"]
+    return "rcit"

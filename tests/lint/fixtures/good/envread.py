@@ -3,5 +3,5 @@
 from repro import env
 
 
-def backend():
-    return env.TABLE_BACKEND.read()
+def tester():
+    return env.CI_TESTER.read()

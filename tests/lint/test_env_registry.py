@@ -23,8 +23,8 @@ class TestReadSemantics:
         assert not env.CI_TESTER.is_set()
 
     def test_whitespace_is_stripped(self, monkeypatch):
-        monkeypatch.setenv(env.TABLE_BACKEND.name, "  mmap  ")
-        assert env.TABLE_BACKEND.read() == "mmap"
+        monkeypatch.setenv(env.CI_TESTER.name, "  gtest  ")
+        assert env.CI_TESTER.read() == "gtest"
 
     def test_read_int_unset_is_none(self, monkeypatch):
         monkeypatch.delenv(env.CI_JOBS.name, raising=False)
