@@ -8,9 +8,18 @@ reproduces every table and figure.
 
 from __future__ import annotations
 
+import json
+import os
+import platform
+from pathlib import Path
+
+import numpy as np
 import pytest
+import scipy
 
 from repro.data.loaders import load_adult, load_compas, load_german, load_meps
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +56,23 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under the benchmark timer."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1)
+
+
+def write_bench_artifact(name: str, workload: dict, results: dict) -> None:
+    """Write ``BENCH_<name>.json`` at the repo root; no-op without results.
+
+    Every artifact carries the same ``host`` block, so a recorded number
+    always names the machine and library versions it was taken on.
+    """
+    if not results:
+        return
+    payload = {"benchmark": name, "format_version": 1,
+               "host": {"cpu_count": os.cpu_count(),
+                        "python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "scipy": scipy.__version__,
+                        "machine": platform.machine()},
+               "workload": workload, "results": results}
+    path = REPO_ROOT / f"BENCH_{name}.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    print(f"\nwrote {path}")

@@ -7,18 +7,16 @@ the dataset*, the chunked two-pass joint-codes kernel returns codes
 wall-clocks.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from benchmarks.conftest import write_bench_artifact
 from repro.data.backend import resolve_chunk_rows
 from repro.data.schema import Role
 from repro.data.table import Table
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_backend.json"
 RESULTS: dict = {}
 
 N_ROWS = 200_000
@@ -30,15 +28,12 @@ RAM_CAP_MB = "1"
 
 @pytest.fixture(scope="module", autouse=True)
 def write_artifact():
+    """Persist whatever the benchmarks in this module measured."""
     yield
-    if RESULTS:
-        payload = {"benchmark": "backend", "format_version": 1,
-                   "workload": {"n_rows": N_ROWS,
-                                "n_candidates": N_CANDIDATES,
-                                "ram_cap_mb": float(RAM_CAP_MB)},
-                   "results": RESULTS}
-        ARTIFACT.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"\nwrote {ARTIFACT}")
+    write_bench_artifact("backend",
+                         {"n_rows": N_ROWS, "n_candidates": N_CANDIDATES,
+                          "ram_cap_mb": float(RAM_CAP_MB)},
+                         RESULTS)
 
 
 def make_columns() -> dict[str, np.ndarray]:

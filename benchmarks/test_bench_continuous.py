@@ -15,20 +15,18 @@ smoke job alongside the other ``BENCH_*.json`` files):
    group; recorded, not asserted.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from benchmarks.conftest import write_bench_artifact
 from repro.ci.base import CIQuery
 from repro.ci.fisher_z import FisherZCI
 from repro.ci.kcit import KCIT
 from repro.ci.rcit import RCIT
 from repro.data.table import Table
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_continuous.json"
 RESULTS: dict = {}
 
 N_ROWS = 2000
@@ -39,13 +37,9 @@ N_CANDIDATES = 120
 def write_artifact():
     """Persist whatever the benchmarks in this module measured."""
     yield
-    if RESULTS:
-        payload = {"benchmark": "continuous", "format_version": 1,
-                   "workload": {"n_rows": N_ROWS,
-                                "n_candidates": N_CANDIDATES},
-                   "results": RESULTS}
-        ARTIFACT.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"\nwrote {ARTIFACT}")
+    write_bench_artifact("continuous",
+                         {"n_rows": N_ROWS, "n_candidates": N_CANDIDATES},
+                         RESULTS)
 
 
 def continuous_burst(n_rows, n_candidates, seed=0):

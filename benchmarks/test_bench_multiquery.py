@@ -11,19 +11,17 @@ trajectory; the CI smoke job uploads it):
    warm :class:`~repro.ci.store.PersistentCICache` executes *zero* tests.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from benchmarks.conftest import write_bench_artifact
 from repro.ci.base import CIQuery, CITestLedger
 from repro.ci.gtest import GTestCI
 from repro.ci.store import PersistentCICache
 from repro.data.table import Table
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_multiquery.json"
 RESULTS: dict = {}
 
 N_ROWS = 2000
@@ -34,13 +32,9 @@ N_CANDIDATES = 144  # the Table-2 Cognito-expanded candidate regime
 def write_artifact():
     """Persist whatever the benchmarks in this module measured."""
     yield
-    if RESULTS:
-        payload = {"benchmark": "multiquery", "format_version": 1,
-                   "workload": {"n_rows": N_ROWS,
-                                "n_candidates": N_CANDIDATES},
-                   "results": RESULTS}
-        ARTIFACT.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"\nwrote {ARTIFACT}")
+    write_bench_artifact("multiquery",
+                         {"n_rows": N_ROWS, "n_candidates": N_CANDIDATES},
+                         RESULTS)
 
 
 @pytest.fixture(scope="module")

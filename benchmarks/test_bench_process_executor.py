@@ -17,22 +17,19 @@ Quantifies the engine's third execution layer and records it as a
    level: with the suite store warm, the burst executes zero tests.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from benchmarks.conftest import write_bench_artifact
 from repro.ci.base import CIQuery, CITestLedger
 from repro.ci.executor import ProcessExecutor, SerialExecutor
 from repro.ci.gtest import GTestCI
 from repro.ci.store import ExperimentStore
 from repro.data.table import Table
 
-ARTIFACT = (Path(__file__).resolve().parent.parent
-            / "BENCH_process_executor.json")
 RESULTS: dict = {}
 
 N_ROWS = 100_000
@@ -51,16 +48,10 @@ quad_core = (os.cpu_count() or 1) >= 4
 def write_artifact():
     """Persist whatever the benchmarks in this module measured."""
     yield
-    if RESULTS:
-        payload = {"benchmark": "process_executor", "format_version": 1,
-                   "workload": {"n_rows": N_ROWS,
-                                "n_candidates": N_CANDIDATES,
-                                "n_workers": N_WORKERS,
-                                "mp_context": MP_CONTEXT,
-                                "cpu_count": os.cpu_count()},
-                   "results": RESULTS}
-        ARTIFACT.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"\nwrote {ARTIFACT}")
+    write_bench_artifact("process_executor",
+                         {"n_rows": N_ROWS, "n_candidates": N_CANDIDATES,
+                          "n_workers": N_WORKERS, "mp_context": MP_CONTEXT},
+                         RESULTS)
 
 
 @pytest.fixture(scope="module")

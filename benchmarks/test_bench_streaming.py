@@ -17,13 +17,12 @@ Measures the streaming tentpole claims and records them as
   is O(tail).
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from benchmarks.conftest import write_bench_artifact
 from repro.ci.gtest import GTestCI
 from repro.ci.store import PersistentCICache
 from repro.core.online import OnlineSelector
@@ -32,7 +31,6 @@ from repro.core.seqsel import SeqSel
 from repro.core.subset_search import MarginalThenFull
 from repro.data.table import Table
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_streaming.json"
 RESULTS: dict = {}
 
 N_ROWS = 50_000
@@ -42,15 +40,12 @@ N_DRIFT_STEPS = 25
 
 @pytest.fixture(scope="module", autouse=True)
 def write_artifact():
+    """Persist whatever the benchmarks in this module measured."""
     yield
-    if RESULTS:
-        payload = {"benchmark": "streaming", "format_version": 1,
-                   "workload": {"n_rows": N_ROWS,
-                                "n_features": N_FEATURES,
-                                "n_drift_steps": N_DRIFT_STEPS},
-                   "results": RESULTS}
-        ARTIFACT.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"\nwrote {ARTIFACT}")
+    write_bench_artifact("streaming",
+                         {"n_rows": N_ROWS, "n_features": N_FEATURES,
+                          "n_drift_steps": N_DRIFT_STEPS},
+                         RESULTS)
 
 
 def biased_column(rng, s, n):

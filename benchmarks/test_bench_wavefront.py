@@ -20,21 +20,19 @@ Quantifies the two scheduling layers this PR added and records them as a
    everywhere; leg-outcome parity is asserted unconditionally.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from benchmarks.conftest import write_bench_artifact
 from repro.ci.base import CITestLedger
 from repro.ci.rcit import RCIT
 from repro.core.subset_search import ExhaustiveSubsets
 from repro.data.table import Table
 from repro.experiments.driver import expand_legs, run_suite
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_wavefront.json"
 RESULTS: dict = {}
 
 N_ROWS = 1500
@@ -57,18 +55,13 @@ cpu_count = os.cpu_count() or 1
 def write_artifact():
     """Persist whatever the benchmarks in this module measured."""
     yield
-    if RESULTS:
-        payload = {"benchmark": "wavefront", "format_version": 1,
-                   "workload": {"n_rows": N_ROWS,
-                                "n_candidates": N_CANDIDATES,
-                                "n_admissible": N_ADMISSIBLE,
-                                "driver_legs": DRIVER_LEGS,
-                                "driver_jobs": DRIVER_JOBS,
-                                "mp_context": MP_CONTEXT,
-                                "cpu_count": cpu_count},
-                   "results": RESULTS}
-        ARTIFACT.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"\nwrote {ARTIFACT}")
+    write_bench_artifact("wavefront",
+                         {"n_rows": N_ROWS, "n_candidates": N_CANDIDATES,
+                          "n_admissible": N_ADMISSIBLE,
+                          "driver_legs": DRIVER_LEGS,
+                          "driver_jobs": DRIVER_JOBS,
+                          "mp_context": MP_CONTEXT},
+                         RESULTS)
 
 
 @pytest.fixture(scope="module")

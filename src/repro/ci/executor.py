@@ -17,13 +17,6 @@ remainder through an executor, which decides *how* the inner tester's
   ``discrete_codes`` per worker) and the pool is kept alive across calls
   for the same pair, so a selection run pays the process start-up cost
   once, not per burst.
-* :class:`RemoteExecutor` — shards the batch onto a
-  :class:`~repro.distributed.queue.WorkQueue` served by external workers
-  (``python -m repro worker``), which may live in other processes or on
-  other machines sharing the spool directory.  The ``(tester, table)`` pair
-  is published once per configuration as a queue *context* (the exact
-  :class:`ProcessExecutor` pool key), so shards stay lightweight; lease
-  expiry and retry budgets make a dead worker a requeue, not a hang.
 
 Sharding splits a backend's fusion groups at shard boundaries — results
 stay bitwise identical (fusion is exact: discrete kernels count the same
@@ -44,22 +37,19 @@ the failure cannot be pinned to one query, e.g. a crashed worker process)
 transparent: the caller's thread sees the original exception.
 
 Executor choice is one knob: the executor a caller passes, else the
-``REPRO_CI_EXECUTOR`` environment variable (``serial`` / ``process`` /
-``remote``; worker count via ``REPRO_CI_JOBS``, multiprocessing start
-method via ``REPRO_CI_MP_CONTEXT``), else serial.  The environment
-variable is how the CI matrix runs the whole test suite under process
-execution to enforce the equivalence contract.
+``REPRO_CI_EXECUTOR`` environment variable (``serial`` / ``process``;
+worker count via ``REPRO_CI_JOBS``, multiprocessing start method via
+``REPRO_CI_MP_CONTEXT``), else serial.  The environment variable is how
+the CI matrix runs the whole test suite under process execution to
+enforce the equivalence contract.
 """
 
 from __future__ import annotations
 
-import hashlib
+import multiprocessing
 import os
-import pickle
 import threading
-import warnings
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Sequence
 
 from repro import env
@@ -68,7 +58,6 @@ from repro.exceptions import CITestError
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.ci.base import CIQuery, CIResult, CITester
     from repro.data.table import Table
-    from repro.distributed.queue import WorkQueue
 
 ENV_EXECUTOR = env.CI_EXECUTOR.name
 ENV_JOBS = env.CI_JOBS.name
@@ -111,6 +100,16 @@ def _run_shard(tester: "CITester", table: "Table",
             f"CI batch execution failed in a worker: {exc!r}")
         error.query = _find_offending_query(tester, table, shard)
         raise error from exc
+
+
+def _start_method(method: str, source: str) -> str:
+    """``method`` if this platform offers that multiprocessing start
+    method; otherwise a ``ValueError`` naming ``source``."""
+    methods = multiprocessing.get_all_start_methods()
+    if method not in methods:
+        raise ValueError(
+            f"{source} must be one of {methods}, got {method!r}")
+    return method
 
 
 def _contiguous_shards(queries: list, n_shards: int) -> list[list]:
@@ -179,7 +178,9 @@ class ProcessExecutor(BatchExecutor):
     ``mp_context`` selects the multiprocessing start method.  The default
     ``"spawn"`` works everywhere and is what the serialization contract is
     written against; ``"fork"`` starts workers far faster on POSIX and is
-    safe here because workers only compute on their private copies.
+    safe here because workers only compute on their private copies.  A
+    start method this platform lacks raises ``ValueError`` here, not at
+    the first pooled batch.
     """
 
     name = "process"
@@ -191,7 +192,7 @@ class ProcessExecutor(BatchExecutor):
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers or min(8, os.cpu_count() or 1)
         self.min_batch = min_batch
-        self.mp_context = mp_context
+        self.mp_context = _start_method(mp_context, "mp_context")
         self._pool: ProcessPoolExecutor | None = None
         self._pool_key: tuple | None = None
         # One instance may be shared across ledgers (default_executor()
@@ -220,8 +221,6 @@ class ProcessExecutor(BatchExecutor):
         if self._pool is not None and self._pool_key == key:
             return self._pool
         self.close()
-        import multiprocessing
-
         warm_names = sorted({name for query in queries
                              for name in query.x + query.y + query.z})
         self._pool = ProcessPoolExecutor(
@@ -299,254 +298,15 @@ class ProcessExecutor(BatchExecutor):
                 f"mp_context={self.mp_context!r})")
 
 
-# -- remote execution --------------------------------------------------------
-
-# Thread-local, not process-global: a WorkerThread serving a queue shares
-# its process with the dispatcher whose batches it executes, and only the
-# serving thread must lose the right to re-dispatch.
-_WORKER_STATE = threading.local()
-
-
-def worker_mode() -> bool:
-    """Whether the current thread is executing a remote work-queue task.
-
-    Inside a worker, anything that would dispatch *back* onto a queue —
-    ``REPRO_CI_EXECUTOR=remote`` inherited into the worker's environment,
-    or a :class:`RemoteExecutor` riding in on a pickled tester — must run
-    serially instead: a finite worker pool whose members wait on tasks
-    only that same pool can serve is a deadlock.
-    """
-    return bool(getattr(_WORKER_STATE, "active", False))
-
-
-@contextmanager
-def worker_mode_scope():
-    """Mark the current thread as a remote worker for the duration."""
-    previous = getattr(_WORKER_STATE, "active", False)
-    _WORKER_STATE.active = True
-    try:
-        yield
-    finally:
-        _WORKER_STATE.active = previous
-
-
-def _transportable(tester: "CITester") -> bool:
-    """Whether remote worker processes can unpickle ``tester`` at all.
-
-    Workers import shipped objects by module path; a tester class defined
-    in a test file or a notebook does not exist on their import path, so
-    only library-defined testers may travel.
-    """
-    module = type(tester).__module__ or ""
-    return module.split(".", 1)[0] == "repro"
-
-
-class RemoteExecutor(BatchExecutor):
-    """Shard the batch onto a work queue served by external workers.
-
-    The distributed sibling of :class:`ProcessExecutor`: same sharding,
-    same results, but the workers are whoever runs ``python -m repro
-    worker`` against the same spool directory — other processes on this
-    box, or other machines that mount it.  The ``(tester, table)`` pair
-    is published once per configuration as a queue *context* keyed by
-    the :class:`ProcessExecutor` pool key, so per-burst traffic is just
-    query lists and result payloads.  Workers only compute: verdicts come
-    back to the dispatching run's ledger, the one writer to any store.
-
-    ``queue`` may be a live :class:`~repro.distributed.queue.WorkQueue`,
-    a spool directory path, or ``None`` to read ``REPRO_CI_REMOTE_QUEUE``
-    lazily at first use.
-
-    Falls back to inline serial execution (identical results, by the
-    executor contract) for batches below ``min_batch``, testers whose
-    class workers cannot import (see ``allow_foreign`` — pass ``True``
-    only when every worker shares the dispatcher's process, e.g.
-    :class:`~repro.distributed.worker.WorkerThread`), and on any thread
-    already executing a remote task (:func:`worker_mode`).
-
-    Error contract: a failing query's :class:`CITestError` — with
-    ``error.query`` attached by the worker-side replay — ships back
-    verbatim in a failure payload and re-raises here.  Transport-level
-    failures (retry budget exhausted after worker deaths, batch timeout,
-    an unreachable queue) walk a graceful-degradation ladder by default
-    (``degrade=True``): the batch re-runs on a local
-    :class:`ProcessExecutor`, and if that too breaks, serially in this
-    process.  Degradation is sticky for the executor's lifetime (until
-    :meth:`close`), emits a :class:`RuntimeWarning` naming the cause,
-    and is invisible to results and counts — the executor contract
-    guarantees the fallback computes the identical answer.  With
-    ``degrade=False`` a transport failure surfaces as
-    :class:`CITestError` with ``query=None``, exactly like a
-    :class:`ProcessExecutor` pool break.
-    """
-
-    name = "remote"
-
-    def __init__(self, queue: "WorkQueue | str | None" = None,
-                 n_workers: int | None = None, min_batch: int = 16,
-                 timeout: float | None = None, poll: float | None = None,
-                 allow_foreign: bool = False,
-                 degrade: bool = True) -> None:
-        if n_workers is not None and n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = n_workers or min(8, os.cpu_count() or 1)
-        self.min_batch = min_batch
-        self.timeout = timeout
-        self.poll = poll
-        self.allow_foreign = allow_foreign
-        self.degrade = degrade
-        self._spec = queue if isinstance(queue, str) else ""
-        self._queue = queue if not isinstance(queue, str) else None
-        self._published: set[str] = set()
-        self._degraded = False
-        self._fallback: ProcessExecutor | None = None
-        self._lock = threading.RLock()
-
-    # -- queue lifecycle -----------------------------------------------------
-
-    def _queue_for_run(self) -> "WorkQueue":
-        if self._queue is None:
-            from repro.distributed.queue import queue_from_spec
-
-            spec = self._spec or env.CI_REMOTE_QUEUE.read()
-            self._queue = queue_from_spec(spec)
-        return self._queue
-
-    def close(self) -> None:
-        """Drop the queue handle and reset any sticky degradation back to
-        remote dispatch."""
-        with self._lock:
-            self._queue = None
-            self._published = set()
-            self._degraded = False
-            if self._fallback is not None:
-                self._fallback.close()
-                self._fallback = None
-
-    def __enter__(self) -> "RemoteExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __getstate__(self) -> dict:
-        # Like ProcessExecutor: the executor may travel inside a pickled
-        # ledger — ship configuration, never the live queue handle.
-        state = self.__dict__.copy()
-        state["_queue"] = None
-        state["_published"] = set()
-        state["_degraded"] = False
-        state["_fallback"] = None
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
-    # -- execution -----------------------------------------------------------
-
-    @staticmethod
-    def _context_id(tester: "CITester", table: "Table") -> str:
-        key = ProcessExecutor._pool_key_for(tester, table)
-        return hashlib.sha256(repr(key).encode()).hexdigest()[:24]
-
-    def _degraded_run(self, tester: "CITester", table: "Table",
-                      queries: Sequence["CIQuery"]) -> list["CIResult"]:
-        """The lower rungs of the ladder: local processes, then serial.
-
-        Both rungs compute the identical answer (executor contract), so
-        degradation never shows up in results or counts — only in the
-        warning emitted when the remote rung was abandoned.
-        """
-        with self._lock:
-            fallback = self._fallback
-            if fallback is None:
-                fallback = self._fallback = ProcessExecutor(
-                    n_workers=self.n_workers, min_batch=self.min_batch)
-        try:
-            return fallback.run(tester, table, queries)
-        except CITestError as exc:
-            if getattr(exc, "query", None) is not None:
-                raise  # a real failing query fails on every rung
-            # The local pool broke too (query=None): last rung, serial.
-            warnings.warn(
-                "degraded remote CI executor's process pool also failed "
-                f"({exc}); finishing the batch serially", RuntimeWarning,
-                stacklevel=2)
-            return _run_shard(tester, table, queries)
-
-    def run(self, tester: "CITester", table: "Table",
-            queries: Sequence["CIQuery"]) -> list["CIResult"]:
-        queries = list(queries)
-        if (len(queries) < max(2, self.min_batch)
-                or not (self.allow_foreign or _transportable(tester))
-                or worker_mode()):
-            return _run_shard(tester, table, queries)
-        if self._degraded:
-            return self._degraded_run(tester, table, queries)
-        from repro.distributed.dispatch import collect, submit_batch
-
-        with self._lock:
-            try:
-                queue = self._queue_for_run()
-                context_id = self._context_id(tester, table)
-                if context_id not in self._published:
-                    warm_names = sorted(
-                        {name for query in queries
-                         for name in query.x + query.y + query.z})
-                    queue.put_context(context_id, pickle.dumps(
-                        {"tester": tester, "table": table,
-                         "warm": warm_names},
-                        protocol=pickle.HIGHEST_PROTOCOL))
-                    self._published.add(context_id)
-                shards = _contiguous_shards(
-                    queries, min(self.n_workers, len(queries)))
-                payloads = [pickle.dumps(
-                    {"kind": "shard", "queries": shard},
-                    protocol=pickle.HIGHEST_PROTOCOL) for shard in shards]
-                task_ids = submit_batch(queue, payloads,
-                                        context_id=context_id,
-                                        timeout=self.timeout)
-                shard_results = collect(queue, task_ids,
-                                        timeout=self.timeout, poll=self.poll)
-            except CITestError:
-                raise  # worker-attributed failure, already on contract
-            except Exception as exc:
-                if not self.degrade:
-                    error = CITestError(
-                        f"remote CI batch failed in transport: {exc}")
-                    error.query = None
-                    raise error from exc
-                # Graceful degradation: abandon the remote rung for this
-                # executor's lifetime and recompute the batch locally —
-                # same results by the executor contract, so the only
-                # visible trace is this warning.
-                warnings.warn(
-                    "remote CI executor degrading to local execution "
-                    f"after a transport failure: {exc}", RuntimeWarning,
-                    stacklevel=2)
-                self.close()
-                self._degraded = True
-        if self._degraded:
-            return self._degraded_run(tester, table, queries)
-        return [result for shard in shard_results for result in shard]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"RemoteExecutor(n_workers={self.n_workers}, "
-                f"queue={self._spec or self._queue!r})")
-
-
 #: Every executor by its ``name`` attribute.
 EXECUTORS: dict[str, type[BatchExecutor]] = {
-    cls.name: cls
-    for cls in (SerialExecutor, ProcessExecutor, RemoteExecutor)
+    cls.name: cls for cls in (SerialExecutor, ProcessExecutor)
 }
 
 
 def executor_by_name(name: str, **kwargs) -> BatchExecutor:
     """Look up an executor by its ``name`` attribute
-    (``serial``/``process``/``remote``)."""
+    (``serial``/``process``)."""
     if name not in EXECUTORS:
         raise ValueError(f"unknown executor {name!r}; "
                          f"choose from {sorted(EXECUTORS)}")
@@ -568,48 +328,29 @@ def default_executor() -> BatchExecutor:
     be switched onto a different execution strategy without touching call
     sites — the equivalence contract guarantees identical results/counts:
 
-    * ``REPRO_CI_EXECUTOR`` — ``serial`` (the default), ``process``,
-      ``remote``
-    * ``REPRO_CI_JOBS`` — worker count for the pooled executors (shard
-      count for ``remote``)
+    * ``REPRO_CI_EXECUTOR`` — ``serial`` (the default) or ``process``
+    * ``REPRO_CI_JOBS`` — worker count for ``process`` (at least 1)
     * ``REPRO_CI_MP_CONTEXT`` — start method for ``process``
-      (``spawn``/``fork``/``forkserver``)
-    * ``REPRO_CI_REMOTE_QUEUE`` — the work queue ``remote`` dispatches
-      to; ``remote`` without it is an error.  On a thread already
-      serving remote tasks (:func:`worker_mode`) the choice is always
-      serial, whatever the environment says.
+      (``spawn``/``fork``/``forkserver``, as the platform offers them)
 
-    A pooled or remote executor runs only when ``REPRO_CI_EXECUTOR``
-    names it: unset means serial, never a guess.
+    The process executor runs only when ``REPRO_CI_EXECUTOR`` names it:
+    unset means serial, never a guess.  An invalid value fails here,
+    naming its variable, not at the first pooled batch.
 
-    Pooled executors are shared process-wide per configuration (they are
+    The process executor is shared process-wide per configuration (it is
     thread-safe), so every ledger in a run amortises one worker pool;
     serial executors are stateless and constructed fresh.
     """
     name = env.CI_EXECUTOR.read().lower()
-    if name == "remote":
-        if worker_mode():
-            # A worker serving a leg must not re-dispatch into the queue
-            # it is being served from — a finite pool would deadlock.
-            return SerialExecutor()
-        if not env.CI_REMOTE_QUEUE.is_set():
-            raise ValueError(
-                f"{env.CI_EXECUTOR.name}=remote requires "
-                f"{env.CI_REMOTE_QUEUE.name} to name a work queue "
-                "(a spool directory)")
     if name == "serial":
         return SerialExecutor()
     kwargs: dict = {}
-    jobs = env.CI_JOBS.read_int()
+    jobs = env.CI_JOBS.read_int(minimum=1)
     if jobs is not None:
-        kwargs["n_workers"] = max(1, jobs)
+        kwargs["n_workers"] = jobs
     context = env.CI_MP_CONTEXT.read()
     if context and name == "process":
-        kwargs["mp_context"] = context
-    if name == "remote":
-        # The spec joins the memo key: repointing the queue between runs
-        # must yield a fresh executor, not a cached stale queue.
-        kwargs["queue"] = env.CI_REMOTE_QUEUE.read()
+        kwargs["mp_context"] = _start_method(context, ENV_MP_CONTEXT)
     key = (name, *sorted(kwargs.items()))
     cached = _DEFAULT_EXECUTORS.get(key)
     if cached is None:

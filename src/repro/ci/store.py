@@ -51,8 +51,6 @@ import threading
 import warnings
 from typing import TYPE_CHECKING, Mapping
 
-from repro import faults
-
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.problem import FairFeatureSelectionProblem
     from repro.core.result import SelectionResult
@@ -79,7 +77,6 @@ def _quarantine(path: str) -> None:
     the corpse must not escalate a recoverable corruption into a crash.
     """
     try:
-        faults.inject("store.quarantine")
         os.replace(path, path + ".quarantine")
     except OSError:
         return
@@ -101,7 +98,6 @@ def _read_document(path: str, tag: str, version: int) -> dict[str, dict]:
     somebody's valid data, not corruption.
     """
     try:
-        faults.inject("store.load")
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (FileNotFoundError, OSError):
@@ -127,10 +123,6 @@ def _write_document(path: str, tag: str, version: int,
     """Atomically write one versioned store document (temp file + rename)."""
     payload = {"format": tag, "version": version, "entries": dict(entries)}
     encoded = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    # The fault site sees (and may truncate) the exact bytes that land on
-    # disk — a truncated write is precisely the torn-save crash the
-    # quarantine recovery above exists for.
-    encoded = faults.inject_bytes("store.save", encoded)
     directory = os.path.dirname(os.path.abspath(path))
     descriptor, tmp_path = tempfile.mkstemp(
         dir=directory, prefix=".ci-cache-", suffix=".tmp")

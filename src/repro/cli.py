@@ -16,16 +16,9 @@ Commands:
   arrive in batches (and rows optionally append per batch) over one
   :class:`~repro.core.online.OnlineSelector`, printing the anytime
   selection state after every batch,
-* ``python -m repro worker --queue runs/spool``
-  serve a distributed work queue: claim CI-test shards and experiment
-  legs published by remote-mode dispatchers (``suite --queue``, the
-  ``remote`` executor), execute them, and post results back,
 * ``python -m repro lint [paths]``
   run the contract linter (:mod:`repro.lint`) over the source tree and
   exit non-zero on findings,
-* ``python -m repro faults --plan "..."`` / ``--sites``
-  validate a fault-injection plan (printing its canonical replay string)
-  or list the registered injection sites,
 * ``python -m repro datasets``
   list bundled datasets and their role assignments.
 
@@ -168,11 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared experiment-store root for all legs "
                             "(merge-on-save; a warm rerun executes zero "
                             "CI tests)")
-    suite.add_argument("--queue", default=None, metavar="SPEC",
-                       help="run the suite distributed: dispatch legs to "
-                            "`repro worker` processes serving this spool "
-                            "directory instead of a local process pool; "
-                            "results are identical")
 
     stream = sub.add_parser(
         "stream",
@@ -200,27 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ci_flags(stream)
     _add_execution_flags(stream)
 
-    worker = sub.add_parser(
-        "worker",
-        help="serve a distributed work queue: execute CI-test shards and "
-             "experiment legs published by remote-mode dispatchers")
-    worker.add_argument("--queue", required=True, metavar="SPEC",
-                        help="work queue to serve: a filesystem spool "
-                             "directory shared with the dispatcher")
-    worker.add_argument("--id", default="", metavar="NAME", dest="worker_id",
-                        help="worker name stamped on claims (default: "
-                             "pid-derived)")
-    worker.add_argument("--max-idle", type=float, default=None, metavar="S",
-                        help="exit after this many seconds without a "
-                             "claimable task (default: serve forever)")
-    worker.add_argument("--max-tasks", type=int, default=None, metavar="N",
-                        help="exit after executing N tasks (worker "
-                             "rotation; default: unlimited)")
-    worker.add_argument("--lease", type=float, default=None, metavar="S",
-                        help="spool lease seconds before an unheartbeaten "
-                             "claim is reclaimed (default: "
-                             "REPRO_CI_REMOTE_LEASE)")
-
     lint = sub.add_parser(
         "lint",
         help="run the determinism/caching contract linter over the "
@@ -236,18 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--write-baseline", default=None, metavar="FILE",
                       help="write the current findings as a baseline file "
                            "and exit 0")
-
-    faults_cmd = sub.add_parser(
-        "faults",
-        help="validate a deterministic fault-injection plan or list the "
-             "registered injection sites")
-    faults_cmd.add_argument(
-        "--plan", default=None, metavar="SPEC",
-        help="plan spec to parse and echo canonically (default: the "
-             "active REPRO_FAULTS plan)")
-    faults_cmd.add_argument(
-        "--sites", action="store_true",
-        help="list every registered injection site and exit")
 
     sub.add_parser("datasets", help="list bundled datasets")
     return parser
@@ -306,13 +261,11 @@ def cmd_suite(args: argparse.Namespace) -> int:
                        subsets=args.subsets, n_train=args.n_train,
                        n_test=args.n_test)
     result = run_suite(legs, store=args.store, jobs=args.jobs,
-                       mp_context=args.mp_context, queue=args.queue)
-    mode = "remote worker(s)" if args.queue else \
-        f"{result.jobs} worker(s)"
+                       mp_context=args.mp_context)
     print(render_table(
         result.table(),
         title=f"Suite: {len(result.outcomes)} legs, "
-              f"{mode}, {result.seconds:.1f}s"))
+              f"{result.jobs} worker(s), {result.seconds:.1f}s"))
     return 0
 
 
@@ -390,14 +343,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_worker(args: argparse.Namespace) -> int:
-    from repro.distributed.worker import run_worker
-
-    return run_worker(args.queue, worker_id=args.worker_id,
-                      max_idle=args.max_idle, max_tasks=args.max_tasks,
-                      lease=args.lease)
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import default_target, lint_paths
     from repro.lint import report
@@ -421,33 +366,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if run.ok else 1
 
 
-def cmd_faults(args: argparse.Namespace) -> int:
-    from repro import faults
-
-    if args.sites:
-        print(render_table(
-            [{"site": site, "boundary": boundary}
-             for site, boundary in sorted(faults.SITES.items())],
-            title="Registered fault-injection sites"))
-        return 0
-    if args.plan is not None:
-        plan = faults.FaultPlan(args.plan)
-    else:
-        plan = faults.active_plan()
-        if plan is None:
-            print("no active fault plan (REPRO_FAULTS is unset); pass "
-                  "--plan SPEC to validate one, or --sites to list sites")
-            return 0
-    rows = [{"term": spec.render(),
-             "site": spec.site, "kind": spec.kind,
-             "value": f"{spec.value:g}", "rate": f"{spec.rate:g}",
-             "cap": spec.times if spec.times is not None else "-"}
-            for spec in plan.specs]
-    print(render_table(rows, title=f"Fault plan (seed={plan.seed})"))
-    print(f"replay with: REPRO_FAULTS=\"{plan.describe()}\"")
-    return 0
-
-
 def cmd_datasets(args: argparse.Namespace) -> int:
     rows = []
     for name, loader in sorted(LOADERS.items()):
@@ -467,8 +385,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"select": cmd_select, "evaluate": cmd_evaluate,
                 "suite": cmd_suite, "stream": cmd_stream,
-                "worker": cmd_worker, "lint": cmd_lint,
-                "faults": cmd_faults, "datasets": cmd_datasets}
+                "lint": cmd_lint, "datasets": cmd_datasets}
     return handlers[args.command](args)
 
 

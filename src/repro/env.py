@@ -36,13 +36,7 @@ __all__ = [
     "CI_JOBS",
     "CI_MP_CONTEXT",
     "CI_CHUNK_ROWS",
-    "CI_REMOTE_LEASE",
-    "CI_REMOTE_POLL",
-    "CI_REMOTE_QUEUE",
-    "CI_REMOTE_RETRIES",
-    "CI_REMOTE_TIMEOUT",
     "CI_WAVE_CELLS",
-    "FAULTS",
     "TABLE_RAM_CAP_MB",
     "markdown_table",
     "read",
@@ -140,51 +134,18 @@ CI_TESTER = _register(
 
 CI_EXECUTOR = _register(
     "REPRO_CI_EXECUTOR", "serial",
-    "batch executor for cache-miss CI batches (`serial`/`process`/"
-    "`remote`) when a caller passes none")
+    "batch executor for cache-miss CI batches (`serial`/`process`) when "
+    "a caller passes none")
 
 CI_JOBS = _register(
     "REPRO_CI_JOBS", "",
-    "worker count for the pooled executors; unset uses "
+    "worker count for the process executor (at least 1); unset uses "
     "`min(8, cpu_count)`")
 
 CI_MP_CONTEXT = _register(
     "REPRO_CI_MP_CONTEXT", "",
     "multiprocessing start method for the process executor "
     "(`spawn`/`fork`/`forkserver`); unset uses `spawn`")
-
-CI_REMOTE_QUEUE = _register(
-    "REPRO_CI_REMOTE_QUEUE", "",
-    "work-queue spool directory the remote executor and `repro worker` "
-    "share (a path every worker can reach; URLs are rejected); unset "
-    "disables remote execution (`REPRO_CI_EXECUTOR=remote` then errors)")
-
-CI_REMOTE_LEASE = _register(
-    "REPRO_CI_REMOTE_LEASE", "30",
-    "seconds a claimed remote task may go without a worker heartbeat "
-    "before it is reclaimed and requeued")
-
-CI_REMOTE_RETRIES = _register(
-    "REPRO_CI_REMOTE_RETRIES", "2",
-    "requeue budget per remote task; a task whose lease expires this "
-    "many times beyond its first attempt fails the batch")
-
-CI_REMOTE_TIMEOUT = _register(
-    "REPRO_CI_REMOTE_TIMEOUT", "600",
-    "seconds a remote dispatcher waits for its batch before raising "
-    "(`0` waits forever)")
-
-CI_REMOTE_POLL = _register(
-    "REPRO_CI_REMOTE_POLL", "0.05",
-    "poll interval (seconds) remote queue clients sleep between "
-    "result/claim probes")
-
-FAULTS = _register(
-    "REPRO_FAULTS", "",
-    "deterministic fault-injection plan for chaos testing: "
-    "`;`-separated `site:kind[=value][@rate][xN]` terms (kinds "
-    "`raise`/`delay`/`truncate`/`kill`/`skew`) plus an optional "
-    "`seed=N`; empty disables injection entirely (zero-overhead shim)")
 
 CI_CHUNK_ROWS = _register(
     "REPRO_CI_CHUNK_ROWS", "",

@@ -196,7 +196,7 @@ def _execute_leg(leg: ExperimentLeg,
 
 
 def map_parallel(fn: Callable, items: Sequence, jobs: int,
-                 mp_context: str = "spawn", queue=None) -> list:
+                 mp_context: str = "spawn") -> list:
     """Map ``fn`` over ``items``, ``jobs`` worker processes at a time.
 
     The driver's pool primitive, reused by
@@ -210,22 +210,10 @@ def map_parallel(fn: Callable, items: Sequence, jobs: int,
     cancelled — the error propagates as-is (workers attribute their own
     errors, see :func:`_execute_leg`) without first grinding through
     every later item; only legs already in flight run to completion.
-
-    ``queue`` switches the pool out for a
-    :class:`~repro.distributed.queue.WorkQueue`: items dispatch as
-    self-contained call tasks (:func:`repro.distributed.dispatch
-    .remote_map`) executed by whatever workers serve that queue, and
-    ``jobs``/``mp_context`` are ignored — worker count is the queue's
-    business.  ``fn`` must then be importable by those workers (library
-    or stdlib), not merely picklable.
     """
     items = list(items)
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-    if queue is not None and items:
-        from repro.distributed.dispatch import remote_map
-
-        return remote_map(fn, items, queue)
     if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     import multiprocessing
@@ -247,8 +235,7 @@ def map_parallel(fn: Callable, items: Sequence, jobs: int,
 def run_suite(legs: Sequence[ExperimentLeg],
               store: ExperimentStore | str | os.PathLike | None = None,
               jobs: int | None = None,
-              mp_context: str = "spawn",
-              queue=None) -> SuiteResult:
+              mp_context: str = "spawn") -> SuiteResult:
     """Run every leg, ``jobs`` at a time in worker processes.
 
     ``store`` (an :class:`~repro.ci.store.ExperimentStore` or root path)
@@ -257,14 +244,6 @@ def run_suite(legs: Sequence[ExperimentLeg],
     selections without executing a single CI test.  ``jobs`` defaults to
     one worker per leg, capped at the CPU count; ``jobs=1`` runs inline
     (no pool), which is also the fallback for a single leg.
-
-    ``queue`` (a :class:`~repro.distributed.queue.WorkQueue` or a spool
-    directory path) runs the suite
-    *distributed* instead: legs travel as work-queue tasks to whatever
-    ``python -m repro worker`` processes serve that queue, each worker
-    opening its own store on the shared root exactly like a pool worker
-    would.  Results — verdicts, counts, reports — are identical to the
-    pooled and inline paths by the executor/store contracts.
 
     Legs are validated up front so misspelled names fail in the parent
     before any worker spawns.  Results come back in leg order.
@@ -297,15 +276,9 @@ def run_suite(legs: Sequence[ExperimentLeg],
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
 
-    work_queue = None
-    if queue is not None:
-        from repro.distributed.queue import queue_from_spec
-
-        work_queue = queue_from_spec(queue)
     start = time.perf_counter()
     runner = functools.partial(_execute_leg, store_root=store_root)
-    outcomes = map_parallel(runner, legs, jobs, mp_context=mp_context,
-                            queue=work_queue)
+    outcomes = map_parallel(runner, legs, jobs, mp_context=mp_context)
     return SuiteResult(outcomes=outcomes,
                        seconds=time.perf_counter() - start,
                        jobs=jobs)

@@ -1,7 +1,7 @@
 """Contract linter: AST-level enforcement of the engine's determinism
 and caching invariants.
 
-``python -m repro lint [paths]`` runs seven purpose-built checks over
+``python -m repro lint [paths]`` runs six purpose-built checks over
 the source tree (stdlib :mod:`ast` only — no external lint framework):
 
 ========  =================  ==================================================
@@ -19,9 +19,6 @@ RL105     chunk-additivity   no float ``+=`` across user-sized chunks; floats
                              accumulate only under fixed block sizes
 RL106     env-registry       ``REPRO_*`` variables are read only through
                              :mod:`repro.env`
-RL107     fault-sites        I/O primitives in ``repro/distributed/`` and
-                             ``repro/ci/store.py`` route through a
-                             :mod:`repro.faults` injection site
 ========  =================  ==================================================
 
 Suppress a deliberate exception with ``# repro-lint: disable=<rule>`` on
@@ -40,7 +37,6 @@ from repro.lint.core import (Checker, Finding, Rule, iter_python_files,
                              run_checkers)
 from repro.lint.envvars import EnvRegistryChecker
 from repro.lint.executors import ExecutorPurityChecker
-from repro.lint.faultsites import FaultSiteChecker
 from repro.lint.fusion import FusionWidthChecker
 from repro.lint.seeds import SeedDisciplineChecker
 from repro.lint.tokens import CacheTokenChecker
@@ -57,7 +53,6 @@ _CHECKER_TYPES = (
     FusionWidthChecker,
     ChunkAdditivityChecker,
     EnvRegistryChecker,
-    FaultSiteChecker,
 )
 
 

@@ -5,8 +5,8 @@ The paper's headline efficiency claims are *counts* (Table 2, Figures
 pin the counts for a fixed seeded workload to recorded constants and then
 assert two invariances on top:
 
-* **executor invariance** — serial, process, and remote execution all
-  report the recorded counts and the identical selection;
+* **executor invariance** — serial and process execution both report
+  the recorded counts and the identical selection;
 * **store invariance** — a cold run against a fresh persistent store
   reports the recorded counts (attaching a cache must not change cold
   semantics), a warm rerun executes zero tests, and a warm early-exit
@@ -71,18 +71,11 @@ def make_problem(n=500, seed=0, n_features=N_FEATURES):
 
 
 def executor_factories():
-    # ``remote`` dispatches shards over a real filesystem spool served by
-    # same-process worker threads — the full transport round-trip, so the
-    # distributed path is count-locked exactly like the pools.
-    from repro.distributed.worker import local_remote_executor
-
     return [
         pytest.param(lambda: None, id="serial"),
         pytest.param(lambda: ProcessExecutor(n_workers=2, min_batch=2,
                                              mp_context="fork"),
                      id="process"),
-        pytest.param(lambda: local_remote_executor(n_workers=2, min_batch=2),
-                     id="remote"),
     ]
 
 

@@ -55,6 +55,10 @@ class TestExecutors:
         with pytest.raises(ValueError, match="n_workers"):
             ProcessExecutor(n_workers=0)
 
+    def test_unknown_start_method_fails_at_construction(self):
+        with pytest.raises(ValueError, match="mp_context"):
+            ProcessExecutor(mp_context="bogus")
+
 
 class TestLedgerExecutorAccounting:
     def test_counts_and_entries_unchanged(self):
@@ -202,13 +206,18 @@ class TestDefaultExecutorEnv:
         assert isinstance(CITestLedger(GTestCI()).executor, ProcessExecutor)
 
     def test_invalid_env_values_fail_loudly(self, monkeypatch):
-        for name in ("rocket", "threads"):
+        for name in ("rocket", "threads", "remote"):
             monkeypatch.setenv("REPRO_CI_EXECUTOR", name)
             with pytest.raises(ValueError, match="unknown executor"):
                 default_executor()
         monkeypatch.setenv("REPRO_CI_EXECUTOR", "process")
-        monkeypatch.setenv("REPRO_CI_JOBS", "many")
-        with pytest.raises(ValueError, match="REPRO_CI_JOBS"):
+        for jobs in ("many", "0", "-3"):
+            monkeypatch.setenv("REPRO_CI_JOBS", jobs)
+            with pytest.raises(ValueError, match="REPRO_CI_JOBS"):
+                default_executor()
+        monkeypatch.delenv("REPRO_CI_JOBS")
+        monkeypatch.setenv("REPRO_CI_MP_CONTEXT", "bogus")
+        with pytest.raises(ValueError, match="REPRO_CI_MP_CONTEXT"):
             default_executor()
 
     def test_explicit_executor_beats_env(self, monkeypatch):

@@ -1,11 +1,11 @@
 """Property-based equivalence of the batch executors.
 
 The ROADMAP's contract is that executors are *mechanism only*: for any
-table and query batch, routing through :class:`SerialExecutor`,
-:class:`ProcessExecutor`, or :class:`RemoteExecutor` returns bitwise
-identical ``CIResult`` lists and never changes the ledger's ``n_tests``
-or ``cache_hits``.  This file machine-checks that claim on random
-workloads (hypothesis), including in-batch duplicates and memoisation.
+table and query batch, routing through :class:`SerialExecutor` or
+:class:`ProcessExecutor` returns bitwise identical ``CIResult`` lists and
+never changes the ledger's ``n_tests`` or ``cache_hits``.  This file
+machine-checks that claim on random workloads (hypothesis), including
+in-batch duplicates and memoisation.
 
 Process executors here use the ``fork`` start method — pool start-up per
 random example would otherwise dominate the suite — while one dedicated
@@ -62,11 +62,8 @@ def workloads(draw):
 def pooled_executors():
     """Fresh pooled executors, small-batch thresholds forced down so the
     pooled code path actually runs on hypothesis-sized batches."""
-    from repro.distributed.worker import local_remote_executor
-
     return [
         ProcessExecutor(n_workers=2, min_batch=2, mp_context="fork"),
-        local_remote_executor(n_workers=2, min_batch=2),
     ]
 
 
@@ -278,14 +275,3 @@ class TestProcessBoundaryErrorReplay:
             with pytest.raises(CITestError) as excinfo:
                 executor.run(BatchOnlyFailingTester(), table, queries)
         assert excinfo.value.query is None
-
-    def test_attribution_survives_remote_transport(self):
-        """Same contract over the work-queue transport: the attributed
-        error ships back as a failure payload, not a transport error."""
-        from repro.distributed.worker import local_remote_executor
-
-        table, queries = self._workload()
-        with local_remote_executor(n_workers=2, min_batch=2) as executor:
-            with pytest.raises(CITestError) as excinfo:
-                executor.run(ExplodingTester(poison="f3"), table, queries)
-        assert excinfo.value.query == CIQuery.make("f3", "y", ("a",))

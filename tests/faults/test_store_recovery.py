@@ -6,6 +6,10 @@ valid data": corrupt documents move aside as ``<file>.quarantine`` and
 the next merge-on-save rebuilds a clean file; failed saves keep their
 entries in memory and retry; well-formed foreign documents are left
 untouched.
+
+Each failure is made directly: a torn save is a document cut in half on
+disk, a failed write or read is ``_write_document`` or the module's
+``open`` monkeypatched to raise ``OSError``.
 """
 
 import json
@@ -13,7 +17,7 @@ import os
 
 import pytest
 
-from repro import faults
+from repro.ci import store as store_module
 from repro.ci.store import (FORMAT_TAG, FORMAT_VERSION, ExperimentStore,
                             PersistentCICache, _read_document)
 
@@ -24,6 +28,24 @@ KEY = ("fp", (("a",), ("b",), ()), "g", 0.05)
 
 def put_one(cache, fingerprint="fp"):
     cache.put(fingerprint, (("a",), ("b",), ()), "g", 0.05, RECORD)
+
+
+def fail_next_write(monkeypatch):
+    """Make the next store write raise ``OSError``; later writes land."""
+    write = store_module._write_document
+    failed = []
+
+    def flaky(*args, **kwargs):
+        if not failed:
+            failed.append(True)
+            raise OSError("disk full")
+        return write(*args, **kwargs)
+
+    monkeypatch.setattr(store_module, "_write_document", flaky)
+
+
+def refuse(*args, **kwargs):
+    raise OSError("refused")
 
 
 class TestQuarantine:
@@ -59,16 +81,32 @@ class TestQuarantine:
             assert path.exists()
             assert not (tmp_path / "cache.json.quarantine").exists()
 
+    def test_failed_quarantine_reads_empty_and_leaves_the_file(
+            self, tmp_path, monkeypatch):
+        """Quarantine is best-effort: when the corrupt document cannot
+        be moved aside it still reads as empty, nothing raises, and the
+        file stays where it was."""
+        path = tmp_path / "cache.json"
+        path.write_text('{"format": "repro-ci-cache", "vers')
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", refuse)
+            assert _read_document(str(path), FORMAT_TAG,
+                                  FORMAT_VERSION) == {}
+        assert path.read_text() == '{"format": "repro-ci-cache", "vers'
+        assert not (tmp_path / "cache.json.quarantine").exists()
+
     def test_torn_save_self_heals_on_the_next_save(self, tmp_path):
-        """End to end: a save truncated mid-write (injected at the
-        ``store.save`` site) leaves a torn file; the next cache to touch
-        it quarantines the corpse and rebuilds from its live entries."""
+        """End to end: a save torn mid-write leaves the first half of a
+        document on disk; the next cache to touch it quarantines the
+        corpse and rebuilds from its live entries."""
         path = str(tmp_path / "cache.json")
         victim = PersistentCICache(path)
         put_one(victim)
-        with faults.use_plan(
-                faults.FaultPlan("store.save:truncate=0.5x1")):
-            victim.save()  # writes half a document, "successfully"
+        victim.save()
+        with open(path, "rb") as handle:
+            whole = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(whole[:len(whole) // 2])
         with pytest.raises(ValueError):
             json.loads(open(path).read())
         with pytest.warns(RuntimeWarning, match="quarantined"):
@@ -81,38 +119,39 @@ class TestQuarantine:
 
 
 class TestResilientSaves:
-    def test_failed_save_keeps_entries_and_retries(self, tmp_path):
+    def test_failed_save_keeps_entries_and_retries(self, tmp_path,
+                                                   monkeypatch):
         cache = PersistentCICache(str(tmp_path / "cache.json"))
         put_one(cache)
-        with faults.use_plan(faults.FaultPlan("store.save:raise x1"
-                                              .replace(" ", ""))):
-            with pytest.warns(RuntimeWarning, match="retained"):
-                cache.save()
-            assert cache._dirty == 1
-            cache.save()  # injection cap exhausted: this one lands
+        fail_next_write(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="retained"):
+            cache.save()
+        assert cache._dirty == 1
+        cache.save()  # only the first write fails: this one lands
         assert cache._dirty == 0
         reread = PersistentCICache(str(tmp_path / "cache.json"))
         assert reread.get(*KEY) == RECORD
 
-    def test_injected_load_failure_reads_empty_never_raises(self, tmp_path):
+    def test_injected_load_failure_reads_empty_never_raises(self, tmp_path,
+                                                            monkeypatch):
         path = str(tmp_path / "cache.json")
         cache = PersistentCICache(path)
         put_one(cache)
         cache.save()
-        with faults.use_plan(faults.FaultPlan("store.load:raise x1"
-                                              .replace(" ", ""))):
-            assert len(PersistentCICache(path)) == 0  # faulted read
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "open", refuse, raising=False)
+            assert len(PersistentCICache(path)) == 0  # failed read
         assert len(PersistentCICache(path)) == 1  # intact underneath
 
-    def test_experiment_store_selection_save_is_resilient(self, tmp_path):
+    def test_experiment_store_selection_save_is_resilient(self, tmp_path,
+                                                          monkeypatch):
         store = ExperimentStore(str(tmp_path / "store"))
         store._selections["k"] = {"algorithm": "x"}
         store._dirty = 1
-        with faults.use_plan(faults.FaultPlan("store.save:raise x1"
-                                              .replace(" ", ""))):
-            with pytest.warns(RuntimeWarning, match="retained"):
-                store._save_selections()
-            assert store._dirty == 1
+        fail_next_write(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="retained"):
             store._save_selections()
+        assert store._dirty == 1
+        store._save_selections()
         assert store._dirty == 0
         assert ExperimentStore(str(tmp_path / "store")).n_selections == 1

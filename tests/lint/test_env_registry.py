@@ -66,7 +66,7 @@ class TestRegistry:
         names = [entry.name for entry in env.registry()]
         assert names == sorted(names)
         assert all(name.startswith("REPRO_") for name in names)
-        assert len(names) >= 9
+        assert len(names) >= 7
 
     def test_var_lookup(self):
         assert env.var("REPRO_CI_TESTER") is env.CI_TESTER

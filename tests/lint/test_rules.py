@@ -18,7 +18,6 @@ CASES = {
     "RL104": ("ci/fusion.py", 2),
     "RL105": ("data/table.py", 1),
     "RL106": ("envread.py", 3),
-    "RL107": ("distributed/spool.py", 5),
 }
 
 
