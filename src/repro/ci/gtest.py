@@ -25,23 +25,23 @@ is counted in a *single* offset bincount pass; p-values for the group come
 from one vectorised ``chi2.sf`` call.  Per-query count tensors are sliced
 back out of the flat counts before the statistic is computed, and a lone
 :meth:`~repro.ci.base.CITester.test` is a group of one, so fused results
-are bitwise identical to sequential calls.  Groups whose fused tensor
-would exceed :data:`MAX_DENSE_CELLS` are chunked (with a per-query
-stratified fallback for queries that are individually over budget).
-The table-free matrix path (:meth:`GTestCI._test`, via
-:func:`fused_counts`) is the reference the group kernel is checked
+are bitwise identical to sequential calls.  Every count is one pass over
+the rows; memory is bounded by splitting the candidates instead.  A
+group whose fused tensor or stacked codes would exceed
+:data:`MAX_DENSE_CELLS` is counted in several stacks under the budget,
+so the stacked codes hold at most ``max(MAX_DENSE_CELLS, n_rows)`` int64
+values, and a query that is over budget on its own falls back to a
+per-stratum loop.  The table-free matrix path (:meth:`GTestCI._test`,
+via :func:`fused_counts`) is the reference the group kernel is checked
 against.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy import stats
 
 from repro.ci.base import CITester, encode_rows
-from repro.data.backend import iter_slices, resolve_chunk_rows
 from repro.data.table import Table
 from repro.exceptions import CITestError
 
@@ -55,22 +55,9 @@ def _dense_codes(matrix: np.ndarray) -> tuple[np.ndarray, int]:
 
 def fused_counts(x_codes: np.ndarray, n_x: int, y_codes: np.ndarray, n_y: int,
                  z_codes: np.ndarray, n_z: int) -> np.ndarray:
-    """Count tensor ``N[z, x, y]`` from fused bincount passes.
-
-    Streams in row chunks past the working-set budget (see
-    :func:`repro.data.backend.resolve_chunk_rows`): contingency counts are
-    exactly additive over any row partition, so the tensor is bitwise
-    identical for every chunk size — including the historical single-pass
-    shape, which small tables keep.
-    """
-    n_rows = x_codes.shape[0]
-    size = n_z * n_x * n_y
-    counts = np.zeros(size, dtype=np.int64)
-    for window in iter_slices(n_rows, resolve_chunk_rows(n_rows,
-                                                         row_bytes=32)):
-        flat = ((z_codes[window] * n_x + x_codes[window]) * n_y
-                + y_codes[window])
-        counts += np.bincount(flat, minlength=size)
+    """Count tensor ``N[z, x, y]`` from one fused bincount pass."""
+    flat = (z_codes * n_x + x_codes) * n_y + y_codes
+    counts = np.bincount(flat, minlength=n_z * n_x * n_y)
     return counts.reshape(n_z, n_x, n_y).astype(np.float64)
 
 
@@ -87,31 +74,19 @@ class GTestCI(CITester):
     ``min_expected`` guards the asymptotic approximation: strata whose
     minimum *expected* cell count (over the levels present in the stratum)
     falls below it contribute no degrees of freedom rather than a
-    misleading statistic.  ``min_count`` is a deprecated alias kept for
-    backwards compatibility — earlier releases thresholded the raw stratum
-    size instead of the documented expected counts.
+    misleading statistic.
     """
 
     method = "g-test"
 
-    def __init__(self, alpha: float = 0.01, *, min_expected: float = 0.0,
-                 min_count: int | None = None) -> None:
-        # Keyword-only: the second positional slot used to be the raw-size
-        # min_count guard, whose semantics this class no longer implements.
+    def __init__(self, alpha: float = 0.01, *,
+                 min_expected: float = 0.0) -> None:
+        # Keyword-only, so an old positional call that meant a raw
+        # stratum-size guard fails instead of being read as min_expected.
         super().__init__(alpha=alpha)
-        if min_count is not None:
-            warnings.warn(
-                "min_count is deprecated; use min_expected (expected-count "
-                "guard) instead", DeprecationWarning, stacklevel=2)
-            min_expected = float(min_count)
         if min_expected < 0:
             raise CITestError(f"min_expected must be >= 0, got {min_expected}")
         self.min_expected = float(min_expected)
-
-    @property
-    def min_count(self) -> float:
-        """Deprecated alias of :attr:`min_expected`."""
-        return self.min_expected
 
     def cache_token(self) -> tuple:
         return (("min_expected", self.min_expected),)
@@ -136,9 +111,10 @@ class GTestCI(CITester):
         for the group come from one vectorised ``chi2.sf`` call.
 
         Stacks whose fused tensor (or stacked code matrix) would exceed
-        :data:`MAX_DENSE_CELLS` are split into chunks under the budget; a
-        query that is over the budget on its own falls back to the
-        per-stratum kernel, exactly as the matrix path :meth:`_test` does.
+        :data:`MAX_DENSE_CELLS` are split into smaller stacks under the
+        budget; a query that is over the budget on its own falls back to
+        the per-stratum kernel, exactly as the matrix path :meth:`_test`
+        does.
         """
         y_codes, n_y = table.discrete_codes(y_names)
         z_codes, n_z = table.discrete_codes(z_names)
@@ -158,33 +134,24 @@ class GTestCI(CITester):
         n_rows = y_codes.shape[0]
         for n_x, members in by_cardinality.items():
             block = n_z * n_x * n_y
-            per_chunk = max(1, min(MAX_DENSE_CELLS // block,
+            per_stack = max(1, min(MAX_DENSE_CELLS // block,
                                    MAX_DENSE_CELLS // max(n_rows, 1)))
-            for start in range(0, len(members), per_chunk):
-                chunk = members[start:start + per_chunk]
-                offsets = np.arange(len(chunk), dtype=np.int64) * block
-                # Row-streamed offset bincount: counts are additive over
-                # any row partition, so the accumulated tensor is bitwise
-                # identical to the single-pass layout for any chunk size.
-                counts = np.zeros(len(chunk) * block, dtype=np.int64)
-                row_chunk = resolve_chunk_rows(
-                    n_rows, row_bytes=24 * (len(chunk) + 1))
-                for window in iter_slices(n_rows, row_chunk):
-                    base = z_codes[window] * (n_x * n_y) + y_codes[window]
-                    flat = np.empty((len(chunk),
-                                     window.stop - window.start),
-                                    dtype=np.int64)
-                    for row, j in enumerate(chunk):
-                        np.multiply(xs[j][0][window], n_y, out=flat[row])
-                    flat += base[None, :]
-                    flat += offsets[:, None]
-                    counts += np.bincount(flat.ravel(),
-                                          minlength=len(chunk) * block)
+            base = z_codes * (n_x * n_y) + y_codes
+            for start in range(0, len(members), per_stack):
+                stack = members[start:start + per_stack]
+                flat = np.empty((len(stack), n_rows), dtype=np.int64)
+                for row, j in enumerate(stack):
+                    np.multiply(xs[j][0], n_y, out=flat[row])
+                flat += base[None, :]
+                flat += (np.arange(len(stack), dtype=np.int64)
+                         * block)[:, None]
+                counts = np.bincount(flat.ravel(),
+                                     minlength=len(stack) * block)
                 tensors = counts.reshape(
-                    len(chunk) * n_z, n_x, n_y).astype(np.float64)
+                    len(stack) * n_z, n_x, n_y).astype(np.float64)
                 stat_z, dof_z = self._stratum_terms(tensors)
-                statistics[chunk] = stat_z.reshape(len(chunk), n_z).sum(axis=1)
-                dofs[chunk] = dof_z.reshape(len(chunk), n_z).sum(axis=1)
+                statistics[stack] = stat_z.reshape(len(stack), n_z).sum(axis=1)
+                dofs[stack] = dof_z.reshape(len(stack), n_z).sum(axis=1)
 
         p_values = np.ones(n_queries)
         live = dofs > 0

@@ -74,11 +74,16 @@ def _quarantine(path: str) -> None:
     the live path becomes free for the next save to rebuild.  A second
     corruption overwrites the first quarantine — one forensic copy is
     enough, an unbounded pile-up is not.  Best-effort: failing to move
-    the corpse must not escalate a recoverable corruption into a crash.
+    the corpse must not escalate a recoverable corruption into a crash,
+    but it is warned about, since the next save overwrites the corpse.
     """
     try:
         os.replace(path, path + ".quarantine")
-    except OSError:
+    except OSError as exc:
+        warnings.warn(
+            f"store file {path!r} was corrupt and could not be quarantined "
+            f"({exc}); it reads as empty and the next save overwrites it",
+            RuntimeWarning, stacklevel=3)
         return
     warnings.warn(
         f"store file {path!r} was corrupt and has been quarantined to "

@@ -56,8 +56,7 @@ from repro import env as _env
 #: A phase-1 unit of decision: one candidate name or one group of names.
 Unit = Sequence[str] | str
 
-#: Override for the wave-cell budget (rows x queries one wave submission
-#: may span); unset derives it from ``REPRO_TABLE_RAM_CAP_MB``.
+#: The wave-cell budget (rows x queries one wave submission may span).
 ENV_WAVE_CELLS = _env.CI_WAVE_CELLS.name
 
 
@@ -66,9 +65,9 @@ def wave_width_cap(n_rows: int) -> int:
 
     A wave of ``w`` queries drives fused kernels whose temporaries scale
     with ``w * n_rows`` cells; bounding that product bounds peak memory
-    regardless of how wide the candidate pool is.  The budget comes from
-    ``REPRO_CI_WAVE_CELLS``, or from the table working-set cap
-    (``REPRO_TABLE_RAM_CAP_MB``, default 512 MiB) at 16 bytes per cell.
+    regardless of how wide the candidate pool is.  The budget is
+    ``REPRO_CI_WAVE_CELLS``, by default ``2**25`` cells (512 MiB at 16
+    bytes per cell), so a 65,536-row table gets 512 queries per wave.
     Capping only splits a wave into consecutive sub-batches —
     results and counts are provably unchanged
     (:meth:`~repro.ci.base.CITestLedger.test_waves`) — so on small
@@ -76,8 +75,6 @@ def wave_width_cap(n_rows: int) -> int:
     identical to the uncapped engine.
     """
     cells = _env.CI_WAVE_CELLS.read_int(minimum=1)
-    if cells is None:
-        cells = int(_env.TABLE_RAM_CAP_MB.read_float() * (1 << 20) / 16)
     return max(1, cells // max(n_rows, 1))
 
 

@@ -21,10 +21,10 @@ Because instances behave as values (every relational operation returns a
 new table), each table also carries lazy per-instance caches used by the CI
 engine: a content :attr:`fingerprint`, per-column float conversions
 (:meth:`float_column`), and joint integer codes for discrete queries
-(:meth:`discrete_codes`).  On columns past the streaming budget the
-code/moment builders run chunked passes (exactly additive, hence bitwise
-chunk-invariant for the integer kernels; fixed internal block sizes for
-the float moment pass; see :mod:`repro.data.backend`).
+(:meth:`discrete_codes`).  Codes are built in one pass over the rows.
+Hashing, finiteness scans and the float moment pass on very long columns
+walk the rows in the fixed block sizes of :mod:`repro.data.backend`, so
+every observable is a pure function of the column values.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.exceptions import SchemaError
 from repro.data.backend import (MOMENT_BLOCK_ROWS, hash_array_blocks,
-                                iter_slices, resolve_chunk_rows)
+                                iter_slices)
 from repro.data.schema import ColumnSpec, Kind, Role, TableSchema
 from repro.rng import SeedLike, as_generator
 
@@ -348,13 +348,6 @@ class Table:
         and a multi-column request encodes the *joint* level of the tuple,
         labelled in lexicographic order of the per-column levels (identical
         to :func:`repro.ci.base.encode_rows` on the stacked matrix).
-
-        Past the streaming budget (``REPRO_CI_CHUNK_ROWS`` /
-        ``REPRO_TABLE_RAM_CAP_MB``) the codes are built by a chunked
-        two-pass sweep — per-chunk level discovery, then
-        ``np.searchsorted`` labelling — which is bitwise identical to the
-        single-pass ``np.unique(..., return_inverse=True)`` for any chunk
-        size.
         """
         key = (names,) if isinstance(names, str) else tuple(names)
         cached = self._codes_cache.get(key)
@@ -372,33 +365,17 @@ class Table:
         return codes, n_levels
 
     def _single_codes(self, name: str) -> tuple[np.ndarray, int]:
-        """Dense codes of one rounded column (single-pass, streamed, or —
-        on a :meth:`with_appended_rows` child — extended from the parent's
-        codes at O(new rows)).  Every path records the sorted level values
+        """Dense codes of one rounded column (single-pass, or — on a
+        :meth:`with_appended_rows` child — extended from the parent's
+        codes at O(new rows)).  Both paths record the sorted level values
         in ``_code_values`` so future children can extend in turn."""
         prefix = self._prefix_codes.pop(name, None)
         if prefix is not None:
             return self._extended_codes(name, *prefix)
-        # Working set: the int64 codes plus the float chunk in flight.
-        chunk = resolve_chunk_rows(self._n_rows, row_bytes=24)
-        if not chunk:
-            col = np.round(self.float_column(name)).astype(np.int64)
-            uniq, inverse = np.unique(col, return_inverse=True)
-            self._code_values[name] = uniq
-            return inverse.astype(np.int64), int(uniq.size)
-        parts = [
-            np.unique(np.round(self._float_chunk(name, window))
-                      .astype(np.int64))
-            for window in iter_slices(self._n_rows, chunk)
-        ]
-        uniq = np.unique(np.concatenate(parts))
-        codes = np.empty(self._n_rows, np.int64)
-        for window in iter_slices(self._n_rows, chunk):
-            codes[window] = np.searchsorted(
-                uniq, np.round(self._float_chunk(name, window))
-                .astype(np.int64))
+        col = np.round(self.float_column(name)).astype(np.int64)
+        uniq, inverse = np.unique(col, return_inverse=True)
         self._code_values[name] = uniq
-        return codes, int(uniq.size)
+        return inverse.astype(np.int64), int(uniq.size)
 
     def _extended_codes(self, name: str, parent_codes: np.ndarray,
                         parent_values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -423,22 +400,6 @@ class Table:
             codes[:n0] = np.searchsorted(uniq, parent_values)[parent_codes]
         codes[n0:] = np.searchsorted(uniq, tail)
         self._code_values[name] = uniq
-        return codes, int(uniq.size)
-
-    def _densify_int(self, values: np.ndarray,
-                     chunk: int) -> tuple[np.ndarray, int]:
-        """Dense ``[0, n)`` relabelling of an int64 array, streamed.
-
-        Exactly ``np.unique(values, return_inverse=True)`` — searchsorted
-        against the sorted union of per-chunk uniques labels every element
-        with its rank, bitwise identical for any chunk partition.
-        """
-        parts = [np.unique(values[window])
-                 for window in iter_slices(values.shape[0], chunk)]
-        uniq = np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
-        codes = np.empty(values.shape[0], np.int64)
-        for window in iter_slices(values.shape[0], chunk):
-            codes[window] = np.searchsorted(uniq, values[window])
         return codes, int(uniq.size)
 
     def nonfinite_columns(self, names: Iterable[str]) -> list[str]:
@@ -475,10 +436,9 @@ class Table:
         Columns longer than the fixed
         :data:`~repro.data.backend.MOMENT_BLOCK_ROWS` stream through a
         two-pass moment computation (sum, then squared deviations)
-        instead of materialising the stacked matrix.  The pass uses a
-        *fixed* internal block size — never the user chunk setting — so
-        the result depends only on the column values, identically under
-        every ``REPRO_CI_CHUNK_ROWS``.
+        instead of materialising the stacked matrix.  The block size is a
+        constant, never a setting, so the result depends only on the
+        column values.
         """
         key = (names,) if isinstance(names, str) else tuple(names)
         cached = self._std_blocks.get(key)
@@ -562,40 +522,26 @@ class Table:
         return cached
 
     def _joint_codes(self, key: tuple[str, ...]) -> tuple[np.ndarray, int]:
-        """Mixed-radix combination of per-column codes, then densified.
-
-        Streams the combination (and the final densify) chunk by chunk
-        when past the streaming budget — integer arithmetic and exact
-        relabelling, so the result is bitwise chunk-invariant.
-        """
-        # Working set per row: the combined int64 plus one column's codes.
-        chunk = resolve_chunk_rows(self._n_rows, row_bytes=16 * len(key))
+        """Mixed-radix combination of per-column codes, then densified."""
         per_column: list[tuple[np.ndarray, int]] = []
         capacity = 1
         for name in key:
             col_codes, col_levels = self.discrete_codes(name)
             capacity *= max(col_levels, 1)
             if capacity > 2 ** 62:
-                # Radix overflow: fall back to row-wise unique.
+                # Radix overflow: fall back to row-wise unique, whose
+                # inverse is already dense.
                 stacked = np.round(self.matrix(list(key))).astype(np.int64)
-                _, inverse = np.unique(stacked, axis=0, return_inverse=True)
-                combined = inverse.astype(np.int64)
-                return self._densify_int(combined, chunk)
+                rows, inverse = np.unique(stacked, axis=0,
+                                          return_inverse=True)
+                return (inverse.reshape(-1).astype(np.int64),
+                        int(rows.shape[0]))
             per_column.append((col_codes, max(col_levels, 1)))
-        if not chunk:
-            combined = np.zeros(self._n_rows, dtype=np.int64)
-            for col_codes, levels in per_column:
-                combined = combined * levels + col_codes
-            uniq, inverse = np.unique(combined, return_inverse=True)
-            return inverse.astype(np.int64), int(uniq.size)
-        combined = np.empty(self._n_rows, np.int64)
-        for window in iter_slices(self._n_rows, chunk):
-            acc = np.zeros(window.stop - window.start, dtype=np.int64)
-            for col_codes, levels in per_column:
-                acc *= levels
-                acc += col_codes[window]
-            combined[window] = acc
-        return self._densify_int(combined, chunk)
+        combined = np.zeros(self._n_rows, dtype=np.int64)
+        for col_codes, levels in per_column:
+            combined = combined * levels + col_codes
+        uniq, inverse = np.unique(combined, return_inverse=True)
+        return inverse.astype(np.int64), int(uniq.size)
 
     def warm_cache(self, names: Iterable[str] | None = None) -> "Table":
         """Precompute the fingerprint and per-column CI caches; returns self.
@@ -612,8 +558,7 @@ class Table:
                 # Continuous columns are queried as single-column X blocks
                 # in phase-2 bursts; pre-standardize them.
                 self.standardized_block((name,))
-            if not resolve_chunk_rows(self._n_rows, row_bytes=24):
-                self.float_column(name)
+            self.float_column(name)
         return self
 
     # -- prefix/lineage cache adoption -------------------------------------

@@ -35,12 +35,9 @@ __all__ = [
     "CI_EXECUTOR",
     "CI_JOBS",
     "CI_MP_CONTEXT",
-    "CI_CHUNK_ROWS",
     "CI_WAVE_CELLS",
-    "TABLE_RAM_CAP_MB",
     "markdown_table",
     "read",
-    "read_float",
     "read_int",
     "registry",
     "var",
@@ -93,17 +90,6 @@ class EnvVar:
                 f"{self.name} must be >= {minimum}, got {parsed}")
         return parsed
 
-    def read_float(self) -> float | None:
-        """The value as a ``float``; ``None`` when unset with no default."""
-        value = self.read()
-        if not value:
-            return None
-        try:
-            return float(value)
-        except ValueError:
-            raise ValueError(
-                f"{self.name} must be a number, got {value!r}") from None
-
     def write(self, value: str) -> None:
         """Set the variable process-wide (inherited by spawned workers)."""
         os.environ[self.name] = str(value)
@@ -147,20 +133,10 @@ CI_MP_CONTEXT = _register(
     "multiprocessing start method for the process executor "
     "(`spawn`/`fork`/`forkserver`); unset uses `spawn`")
 
-CI_CHUNK_ROWS = _register(
-    "REPRO_CI_CHUNK_ROWS", "",
-    "force a specific streaming window (rows) for the exactly-additive "
-    "counting kernels; unset derives one from the RAM budget")
-
 CI_WAVE_CELLS = _register(
-    "REPRO_CI_WAVE_CELLS", "",
-    "explicit rows×queries cell budget for wave splitting; unset derives "
-    "it from `REPRO_TABLE_RAM_CAP_MB`")
-
-TABLE_RAM_CAP_MB = _register(
-    "REPRO_TABLE_RAM_CAP_MB", "512",
-    "working-set budget (MiB) that triggers chunk-streaming and caps "
-    "wave width")
+    "REPRO_CI_WAVE_CELLS", str(1 << 25),
+    "rows×queries cell budget of one wave submission (at least 1); the "
+    "default is 512 MiB at 16 bytes per cell")
 
 
 def var(name: str) -> EnvVar:
@@ -185,11 +161,6 @@ def read(name: str) -> str:
 def read_int(name: str, minimum: int | None = None) -> int | None:
     """:meth:`EnvVar.read_int` by full name (must be registered)."""
     return var(name).read_int(minimum=minimum)
-
-
-def read_float(name: str) -> float | None:
-    """:meth:`EnvVar.read_float` by full name (must be registered)."""
-    return var(name).read_float()
 
 
 def write(name: str, value: str) -> None:

@@ -1,7 +1,7 @@
 """Contract linter: AST-level enforcement of the engine's determinism
 and caching invariants.
 
-``python -m repro lint [paths]`` runs six purpose-built checks over
+``python -m repro lint [paths]`` runs five purpose-built checks over
 the source tree (stdlib :mod:`ast` only — no external lint framework):
 
 ========  =================  ==================================================
@@ -15,8 +15,6 @@ RL103     executor-purity    executor code never writes accounting state
                              or reorders results
 RL104     fusion-width       fused kernels stack queries along a new leading
                              axis, never into one wide 2-D GEMM operand
-RL105     chunk-additivity   no float ``+=`` across user-sized chunks; floats
-                             accumulate only under fixed block sizes
 RL106     env-registry       ``REPRO_*`` variables are read only through
                              :mod:`repro.env`
 ========  =================  ==================================================
@@ -32,7 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.lint.chunking import ChunkAdditivityChecker
 from repro.lint.core import (Checker, Finding, Rule, iter_python_files,
                              run_checkers)
 from repro.lint.envvars import EnvRegistryChecker
@@ -51,7 +48,6 @@ _CHECKER_TYPES = (
     SeedDisciplineChecker,
     ExecutorPurityChecker,
     FusionWidthChecker,
-    ChunkAdditivityChecker,
     EnvRegistryChecker,
 )
 

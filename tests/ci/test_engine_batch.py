@@ -216,8 +216,8 @@ class TestDenseBudgetFallback:
         assert result.independent and result.p_value == 1.0
 
     def test_guard_params_are_keyword_only(self):
-        """Old positional ``GTestCI(alpha, min_count)`` calls must fail
-        loudly rather than silently reinterpret the guard."""
+        """Old positional ``GTestCI(alpha, <raw stratum size>)`` calls
+        must fail loudly rather than silently reinterpret the guard."""
         with pytest.raises(TypeError):
             GTestCI(0.01, 3)
 

@@ -78,8 +78,8 @@ class TestCalibration:
 
 
 class TestMinExpectedGuard:
-    """The documented expected-count guard (regression for the old raw-size
-    ``min_count`` threshold)."""
+    """The documented expected-count guard (regression for an old guard
+    that thresholded the raw stratum size)."""
 
     def sparse_table(self):
         # One big balanced stratum plus one tiny sparse stratum whose
@@ -109,16 +109,6 @@ class TestMinExpectedGuard:
         t = Table({"x": x, "y": y})
         guarded = GTestCI(min_expected=5.0).test(t, "x", "y")
         assert guarded.p_value == 1.0 and guarded.statistic == 0.0
-
-    def test_min_count_deprecated_alias(self):
-        with pytest.warns(DeprecationWarning, match="min_count"):
-            tester = GTestCI(min_count=5)
-        assert tester.min_expected == 5.0
-        assert tester.min_count == 5.0
-        t = self.sparse_table()
-        modern = GTestCI(min_expected=5.0).test(t, "x", "y", ["z"])
-        legacy = tester.test(t, "x", "y", ["z"])
-        assert legacy.p_value == modern.p_value
 
     def test_negative_min_expected_rejected(self):
         from repro.exceptions import CITestError

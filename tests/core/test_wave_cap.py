@@ -84,14 +84,10 @@ class TestBudgetArithmetic:
 
     def test_default_budget_is_wide_for_small_tables(self, monkeypatch):
         monkeypatch.delenv(ENV_WAVE_CELLS, raising=False)
-        monkeypatch.delenv("REPRO_TABLE_RAM_CAP_MB", raising=False)
         # 512 MiB / 16 B / 1000 rows >> any plausible candidate pool.
         assert wave_width_cap(1000) > 10_000
-
-    def test_ram_cap_derivation(self, monkeypatch):
-        monkeypatch.delenv(ENV_WAVE_CELLS, raising=False)
-        monkeypatch.setenv("REPRO_TABLE_RAM_CAP_MB", "1")
-        assert wave_width_cap(1 << 16) == 1
+        # The default is 2**25 cells: 512 MiB at 16 bytes per cell.
+        assert wave_width_cap(1 << 16) == 512
 
     def test_invalid_env_fails_loudly(self, monkeypatch):
         monkeypatch.setenv(ENV_WAVE_CELLS, "lots")
@@ -146,7 +142,6 @@ class TestCappingInvariance:
                                      result.cache_hits)
 
         monkeypatch.delenv(ENV_WAVE_CELLS, raising=False)
-        monkeypatch.delenv("REPRO_TABLE_RAM_CAP_MB", raising=False)
         wide, want = run()
         c1, c2, rejected = want[:3]
         assert not c1 and len(c2) + len(rejected) > cap  # wide phase 2

@@ -316,12 +316,23 @@ class TestCIEngineCaches:
         from repro.ci.base import encode_rows
 
         rng = np.random.default_rng(0)
-        t = Table({"a": rng.integers(0, 3, 50), "b": rng.integers(0, 4, 50),
-                   "c": rng.integers(0, 2, 50)})
-        codes, n_levels = t.discrete_codes(("a", "b", "c"))
-        expected = encode_rows(np.round(t.matrix(["a", "b", "c"])).astype(np.int64))
-        np.testing.assert_array_equal(codes, expected)
-        assert n_levels == len(np.unique(expected))
+        small = {"a": rng.integers(0, 3, 50), "b": rng.integers(0, 4, 50),
+                 "c": rng.integers(0, 2, 50)}
+        # Six columns of ~2,400 levels push the mixed radix past 2**62,
+        # so the joint codes come from the row-wise unique fallback.
+        wide = {f"w{i}": rng.integers(0, 3600, 4000) for i in range(6)}
+        wide["t"] = rng.integers(0, 3, 4000)
+        for columns in (small, wide):
+            t = Table(columns)
+            names = list(columns)
+            levels = [t.discrete_codes(name)[1] for name in names]
+            assert (np.prod(levels, dtype=float) > 2.0 ** 62) == (
+                columns is wide)
+            codes, n_levels = t.discrete_codes(tuple(names))
+            expected = encode_rows(
+                np.round(t.matrix(names)).astype(np.int64))
+            np.testing.assert_array_equal(codes, expected)
+            assert n_levels == len(np.unique(expected))
 
     def test_discrete_codes_empty_names(self):
         t = make_table()

@@ -84,14 +84,18 @@ class TestQuarantine:
     def test_failed_quarantine_reads_empty_and_leaves_the_file(
             self, tmp_path, monkeypatch):
         """Quarantine is best-effort: when the corrupt document cannot
-        be moved aside it still reads as empty, nothing raises, and the
-        file stays where it was."""
+        be moved aside it still reads as empty, nothing raises, the file
+        stays where it was, and a warning names the path and the error."""
         path = tmp_path / "cache.json"
         path.write_text('{"format": "repro-ci-cache", "vers')
         with monkeypatch.context() as patch:
             patch.setattr(os, "replace", refuse)
-            assert _read_document(str(path), FORMAT_TAG,
-                                  FORMAT_VERSION) == {}
+            with pytest.warns(RuntimeWarning,
+                              match="could not be quarantined") as caught:
+                assert _read_document(str(path), FORMAT_TAG,
+                                      FORMAT_VERSION) == {}
+        message = str(caught[0].message)
+        assert str(path) in message and "refused" in message
         assert path.read_text() == '{"format": "repro-ci-cache", "vers'
         assert not (tmp_path / "cache.json.quarantine").exists()
 

@@ -40,18 +40,9 @@ class TestReadSemantics:
             env.CI_JOBS.read_int()
 
     def test_read_int_enforces_minimum(self, monkeypatch):
-        monkeypatch.setenv(env.CI_CHUNK_ROWS.name, "0")
+        monkeypatch.setenv(env.CI_WAVE_CELLS.name, "0")
         with pytest.raises(ValueError, match="must be >= 1"):
-            env.CI_CHUNK_ROWS.read_int(minimum=1)
-
-    def test_read_float_default(self, monkeypatch):
-        monkeypatch.delenv(env.TABLE_RAM_CAP_MB.name, raising=False)
-        assert env.TABLE_RAM_CAP_MB.read_float() == 512.0
-
-    def test_read_float_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(env.TABLE_RAM_CAP_MB.name, "tiny")
-        with pytest.raises(ValueError, match="REPRO_TABLE_RAM_CAP_MB"):
-            env.TABLE_RAM_CAP_MB.read_float()
+            env.CI_WAVE_CELLS.read_int(minimum=1)
 
     def test_write_and_unset(self, monkeypatch):
         monkeypatch.setenv(env.CI_EXECUTOR.name, "placeholder")
@@ -66,7 +57,7 @@ class TestRegistry:
         names = [entry.name for entry in env.registry()]
         assert names == sorted(names)
         assert all(name.startswith("REPRO_") for name in names)
-        assert len(names) >= 7
+        assert len(names) >= 5
 
     def test_var_lookup(self):
         assert env.var("REPRO_CI_TESTER") is env.CI_TESTER

@@ -16,7 +16,6 @@ CASES = {
     "RL102": ("ci/seeds.py", 3),
     "RL103": ("ci/executor.py", 5),
     "RL104": ("ci/fusion.py", 2),
-    "RL105": ("data/table.py", 1),
     "RL106": ("envread.py", 3),
 }
 

@@ -14,8 +14,8 @@ def test_registry_is_well_formed():
     registered = rules()
     ids = [rule.id for rule in registered]
     assert ids == sorted(ids)
-    assert len(set(ids)) == len(ids) == 6
+    assert len(set(ids)) == len(ids) == 5
     names = {rule.name for rule in registered}
-    assert len(names) == 6
+    assert len(names) == 5
     assert all(rule.contract for rule in registered)
     assert [c.rule.id for c in all_checkers()] == ids
