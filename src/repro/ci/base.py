@@ -38,8 +38,10 @@ turn those bursts into batch-oriented evaluation over shared encoded state:
   early-exit loop would have executed — with ``stop_on_independent=True``
   evaluation stops at the first independent verdict and *never* speculates
   past it, so ``n_tests`` is identical to the unbatched implementation;
-  (2) memoised results (``cache=True``) are keyed on
-  ``(table.fingerprint, query.key)`` — never on table identity — and a
+  (2) memoised results (``cache=True``) are keyed on the table's
+  fingerprint — never on table identity — and the query in its own
+  orientation, ``(x, y, z)``, so a cached verdict never depends on which
+  orientation ran first; a
   cache hit increments :attr:`CITestLedger.cache_hits` without appending a
   ledger entry, so cached reuse is visible but does not inflate the
   paper's test counts.
@@ -417,9 +419,11 @@ class CITestLedger(CITester):
 
     def _cache_key(self, table: Table | None, query: CIQuery) -> tuple:
         # Keyed on content, not identity: a rebuilt table with the same data
-        # hits, a same-shaped table with different data never does.
+        # hits, a same-shaped table with different data never does.  The
+        # query keys in its own orientation: a tester's two orientations
+        # need not agree bit for bit.
         fingerprint = table.fingerprint if table is not None else None
-        return (fingerprint, query.key)
+        return (fingerprint, (query.x, query.y, query.z))
 
     def _cache_get(self, table: Table | None, query: CIQuery) -> CIResult | None:
         """In-memory lookup, falling back to the persistent store."""
@@ -428,7 +432,7 @@ class CITestLedger(CITester):
         if cached is not None:
             return cached
         if self.store is not None and table is not None:
-            record = self.store.get(table.fingerprint, query.key,
+            record = self.store.get(table.fingerprint, key[1],
                                     self.inner.method, self.inner.alpha,
                                     token=self.inner.cache_token())
             if record is not None:
@@ -445,9 +449,10 @@ class CITestLedger(CITester):
 
     def _cache_put(self, table: Table | None, query: CIQuery,
                    result: CIResult) -> None:
-        self._cache[self._cache_key(table, query)] = result
+        key = self._cache_key(table, query)
+        self._cache[key] = result
         if self.store is not None and table is not None:
-            self.store.put(table.fingerprint, query.key, self.inner.method,
+            self.store.put(table.fingerprint, key[1], self.inner.method,
                            self.inner.alpha,
                            {"independent": result.independent,
                             "p_value": result.p_value,

@@ -21,7 +21,7 @@ of the matrix path, whose SVD cutoff handles the degeneracy.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.ci.base import CITester
 from repro.data.table import Table
@@ -155,7 +155,7 @@ class FisherZCI(CITester):
         statistics = np.abs(np.arctanh(r)) * np.sqrt(dof)
         best = statistics.argmax()  # largest |z| <=> smallest p
         best_stat = float(statistics.ravel()[best])
-        best_p = float(2.0 * stats.norm.sf(best_stat))
+        best_p = float(2.0 * special.ndtr(-best_stat))
         n_pairs = x_res.shape[1] * y_res.shape[1]
         return min(1.0, best_p * n_pairs), best_stat
 

@@ -22,7 +22,7 @@ shares one ``(Y, Z)`` pair) — :meth:`~repro.ci.base.CITester.test_batch`
 groups a batch by its ``(y, z)`` name pair, each candidate's X codes are
 shifted into a private block of one flat index space, and the whole group
 is counted in a *single* offset bincount pass; p-values for the group come
-from one vectorised ``chi2.sf`` call.  Per-query count tensors are sliced
+from one vectorised :func:`_chi2_sf` call.  Per-query count tensors are sliced
 back out of the flat counts before the statistic is computed, and a lone
 :meth:`~repro.ci.base.CITester.test` is a group of one, so fused results
 are bitwise identical to sequential calls.  Every count is one pass over
@@ -39,7 +39,7 @@ against.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.ci.base import CITester, encode_rows
 from repro.data.table import Table
@@ -51,6 +51,17 @@ def _dense_codes(matrix: np.ndarray) -> tuple[np.ndarray, int]:
     codes = encode_rows(np.round(matrix).astype(np.int64))
     n_levels = int(codes.max()) + 1 if codes.size else 0
     return codes, n_levels
+
+
+def _chi2_sf(statistic, dof):
+    """Chi-squared upper tail: ``scipy.stats.chi2.sf(statistic, dof)``,
+    bit for bit, through ``scipy.special`` (importing ``scipy.stats``
+    costs more than a small run).
+
+    A G statistic that rounds to just below zero is clamped: the
+    distribution's tail there is 1, while ``chdtrc`` returns NaN.
+    """
+    return special.chdtrc(dof, np.maximum(statistic, 0.0))
 
 
 def fused_counts(x_codes: np.ndarray, n_x: int, y_codes: np.ndarray, n_y: int,
@@ -108,7 +119,7 @@ class GTestCI(CITester):
         query — so every reduction runs over the same elements in the
         same order and results are bitwise identical to per-query
         evaluation, a group of one (``k = 1``) included.  All p-values
-        for the group come from one vectorised ``chi2.sf`` call.
+        for the group come from one vectorised :func:`_chi2_sf` call.
 
         Stacks whose fused tensor (or stacked code matrix) would exceed
         :data:`MAX_DENSE_CELLS` are split into smaller stacks under the
@@ -156,7 +167,7 @@ class GTestCI(CITester):
         p_values = np.ones(n_queries)
         live = dofs > 0
         if live.any():
-            p_values[live] = stats.chi2.sf(statistics[live], dofs[live])
+            p_values[live] = _chi2_sf(statistics[live], dofs[live])
         # Degenerate strata everywhere (dof == 0): no evidence against
         # independence, same convention as the sequential path.
         return [(1.0, 0.0) if dofs[j] == 0
@@ -186,7 +197,7 @@ class GTestCI(CITester):
         if dof == 0:
             # Degenerate strata everywhere: no evidence against independence.
             return 1.0, 0.0
-        return float(stats.chi2.sf(statistic, dof)), statistic
+        return float(_chi2_sf(statistic, dof)), statistic
 
     def _stat_dof(self, counts: np.ndarray) -> tuple[float, int]:
         """``(statistic, dof)`` from an ``(n_z, n_x, n_y)`` count tensor."""

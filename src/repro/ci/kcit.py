@@ -29,10 +29,9 @@ row/column-mean subtraction — never a full matmul.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.ci.base import CITester
-from repro.ci.rcit import _standardize, median_bandwidth
+from repro.ci.rcit import _gamma_sf, _standardize, median_bandwidth
 from repro.data.table import Table
 from repro.exceptions import CITestError
 from repro.rng import SeedLike, as_generator, value_seed
@@ -151,8 +150,6 @@ class KCIT(CITester):
             if mean <= 0 or var <= 0:
                 out.append((1.0, statistic))
                 continue
-            shape = mean ** 2 / var
-            scale = var / mean
-            out.append((float(stats.gamma.sf(statistic, a=shape,
-                                             scale=scale)), statistic))
+            out.append((_gamma_sf(statistic, mean ** 2 / var, var / mean),
+                        statistic))
         return out

@@ -156,14 +156,20 @@ def random_fourier_features(matrix: np.ndarray, n_features: int,
     return RCIT._rff_map(matrix, frequencies, phases, n_features)
 
 
-def _gamma_pvalue(statistic: float, weights: np.ndarray) -> float:
-    """Satterthwaite–Welch gamma approximation for sum_i w_i chi2_1.
+def _gamma_sf(statistic: float, shape: float, scale: float) -> float:
+    """Gamma upper tail: ``scipy.stats.gamma.sf(statistic, a=shape,
+    scale=scale)``, bit for bit, as the regularized upper incomplete
+    gamma function, without its per-call argument handling.
 
-    The tail is the regularized upper incomplete gamma function, exactly
-    what ``scipy.stats.gamma.sf(statistic, a=shape, scale=scale)``
-    evaluates for a non-negative statistic, without its per-call
-    argument handling.
+    A statistic below zero (a kernel trace that rounds negative) is
+    clamped: the distribution's tail there is 1, while ``gammaincc``
+    returns NaN.
     """
+    return float(special.gammaincc(shape, max(statistic, 0.0) / scale))
+
+
+def _gamma_pvalue(statistic: float, weights: np.ndarray) -> float:
+    """Satterthwaite–Welch gamma approximation for sum_i w_i chi2_1."""
     weights = weights[weights > 1e-14]
     if weights.size == 0:
         return 1.0
@@ -171,9 +177,7 @@ def _gamma_pvalue(statistic: float, weights: np.ndarray) -> float:
     var = float(2.0 * (weights ** 2).sum())
     if var <= 0:
         return 1.0
-    shape = mean ** 2 / var
-    scale = var / mean
-    return float(special.gammaincc(shape, statistic / scale))
+    return _gamma_sf(statistic, mean ** 2 / var, var / mean)
 
 
 class RCIT(CITester):

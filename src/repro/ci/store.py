@@ -7,11 +7,12 @@ the same verdict for the same ``(data, query, method, alpha,
 cache_token)``, those results can be reused across processes.
 
 :class:`PersistentCICache` is the test-level store: an opt-in, on-disk
-JSON map from ``(table.fingerprint, query.key, method, alpha,
-cache_token)`` to the recorded result, where ``cache_token`` carries the
-tester's remaining hyperparameters (seed, guards, feature budgets — see
+map from ``(table.fingerprint, query key, method, alpha, cache_token)``
+to the recorded result, where ``cache_token`` carries the tester's
+remaining hyperparameters (seed, guards, feature budgets — see
 :meth:`~repro.ci.base.CITester.cache_token`) so differently-configured
-runs never share entries.
+runs never share entries.  The query keys in its own orientation,
+``(x, y, z)``, as in the ledger's memory cache.
 It plugs into :class:`~repro.ci.base.CITestLedger` via ``cache=`` and
 preserves the ledger's accounting invariants — a persistent hit counts as
 a ``cache_hit``, never as a ledger entry, so ``n_ci_tests`` on a warm
@@ -27,136 +28,135 @@ keyed on ``(table.fingerprint, selector config digest, tester
 cache_token)``.  A warm rerun then skips not only every CI test but the
 selector traversal itself.
 
-Format: single JSON documents with explicit ``format`` tags and
-``version`` numbers.  Unreadable, foreign, or future-versioned files are
-treated as empty (the caches are pure accelerators — losing one is always
-safe); saving rewrites the file atomically via a temp file + rename,
-*merging* with whatever is on disk first.  The re-read, merge and write
-run under an exclusive ``fcntl.flock`` on the file's directory (and a
-process-wide lock for threads), so concurrent savers — threads, or
-sibling processes sharing one suite store — never erase each other's
-entries, however their saves interleave.  Stochastic testers are
-value-seeded at construction (:func:`repro.rng.value_seed`), and the
-drawn seed is part of their ``cache_token``, so every stored verdict is
-a pure function of its key.
+Format: every store file is an append-only JSON-lines log.  Its first
+line is a header, ``{"format": <tag>, "version": <n>}``; every further
+line is one record, ``[key, value]``.  A load folds the lines in order,
+so the last record for a key wins; read in order, a CI cache's log is
+the history of the verdicts its runs recorded (a compaction keeps the
+last record per key).  A save appends only the records put since the
+last save, in one write, under a process-wide lock (threads) and an
+exclusive ``fcntl.flock`` on the file's directory (sibling processes
+sharing one suite store), so concurrent savers never erase each other's
+records; a save that fails leaves no part of itself in the file and
+keeps its records for the next save.  A last line without its newline
+is an append torn by a crash: readers skip it, and the next saver
+truncates it under the lock, with a warning naming the bytes dropped.
+A saver compacts the log — rewrites the folded map by temp file and
+rename — only when the log holds more than twice its live records, so
+the bytes a stream of saves writes stay linear in the records it adds.
+A file whose first line is not the current header (missing, empty,
+corrupt, another tool's, an older or a future version) reads as empty
+and is never appended to: a save replaces it with a fresh log, by temp
+file and rename.  The stores are pure accelerators, so no store failure
+raises.
+Stochastic testers are value-seeded at construction
+(:func:`repro.rng.value_seed`), and the drawn seed is part of their
+``cache_token``, so every stored verdict is a pure function of its key.
 """
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import json
 import os
 import tempfile
 import threading
 import warnings
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.problem import FairFeatureSelectionProblem
     from repro.core.result import SelectionResult
 
 FORMAT_TAG = "repro-ci-cache"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 SELECTIONS_TAG = "repro-selection-cache"
-SELECTIONS_VERSION = 1
+SELECTIONS_VERSION = 2
 
-# Serialises the read-merge-write critical section of every save in this
-# process (threaded sweeps sharing a path); _merge_save adds the
-# cross-process half with a directory flock.
+# Serialises every save in this process (threaded sweeps sharing a
+# path); _locked adds the cross-process half with a directory flock.
 _SAVE_LOCK = threading.RLock()
 
 
-def _quarantine(path: str) -> None:
-    """Move a corrupt store file aside as ``<path>.quarantine``.
+def _header(tag: str, version: int) -> bytes:
+    """A log's first line: its format tag and version."""
+    return (json.dumps({"format": tag, "version": version},
+                       separators=(",", ":")) + "\n").encode("utf-8")
 
-    The original bytes are preserved for post-mortem (never deleted);
-    the live path becomes free for the next save to rebuild.  A second
-    corruption overwrites the first quarantine — one forensic copy is
-    enough, an unbounded pile-up is not.  Best-effort: failing to move
-    the corpse must not escalate a recoverable corruption into a crash,
-    but it is warned about, since the next save overwrites the corpse.
+
+def _encode(records: Iterable[tuple[str, dict]]) -> bytes:
+    """One log line per ``(key, value)`` record."""
+    return "".join(json.dumps(record, separators=(",", ":")) + "\n"
+                   for record in records).encode("utf-8")
+
+
+def _fold(data: bytes, header: bytes) -> tuple[dict[str, dict], int]:
+    """The map a log's bytes describe, and its record count.
+
+    The last record for a key wins.  Bytes that do not start with the
+    header read as empty; a torn last line is skipped, and so is any line
+    that is not a ``[key, value]`` record (a hand edit).
     """
+    if not data.startswith(header):
+        return {}, 0
+    complete = data[:data.rfind(b"\n")]
     try:
-        os.replace(path, path + ".quarantine")
-    except OSError as exc:
-        warnings.warn(
-            f"store file {path!r} was corrupt and could not be quarantined "
-            f"({exc}); it reads as empty and the next save overwrites it",
-            RuntimeWarning, stacklevel=3)
-        return
-    warnings.warn(
-        f"store file {path!r} was corrupt and has been quarantined to "
-        f"{path + '.quarantine'!r}; the cache rebuilds from live entries",
-        RuntimeWarning, stacklevel=3)
-
-
-def _read_document(path: str, tag: str, version: int) -> dict[str, dict]:
-    """Load one versioned store document; anything unusable reads as empty.
-
-    Crash-consistent recovery: a file that is not even parseable JSON, or
-    parses to a mapping with no ``format`` tag at all, is a torn/corrupt
-    write — it is quarantined (moved to ``<path>.quarantine``) so the next
-    merge-on-save rebuilds a clean document instead of merging against a
-    corpse forever.  Well-formed *foreign* documents (another tool's tag,
-    a future version) merely read as empty and stay untouched: they are
-    somebody's valid data, not corruption.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (FileNotFoundError, OSError):
-        return {}
-    try:
-        payload = json.loads(text)
-    except ValueError:
-        _quarantine(path)
-        return {}
-    if isinstance(payload, dict) and "format" not in payload:
-        _quarantine(path)
-        return {}
-    if (not isinstance(payload, dict)
-            or payload.get("format") != tag
-            or payload.get("version") != version
-            or not isinstance(payload.get("entries"), dict)):
-        return {}
-    return dict(payload["entries"])
-
-
-def _write_document(path: str, tag: str, version: int,
-                    entries: Mapping[str, dict]) -> None:
-    """Atomically write one versioned store document (temp file + rename)."""
-    payload = {"format": tag, "version": version, "entries": dict(entries)}
-    encoded = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path))
-    descriptor, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=".ci-cache-", suffix=".tmp")
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            handle.write(encoded)
-        os.replace(tmp_path, path)
-    except BaseException:
+        # The header and the records parse as one JSON array, as fast as
+        # a single document.
+        records = json.loads(b"[" + complete.replace(b"\n", b",") + b"]")
+        return dict(records[1:]), len(records) - 1
+    except (ValueError, TypeError):
+        pass
+    entries: dict[str, dict] = {}
+    lines = complete.split(b"\n")[1:]
+    for line in lines:
         try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+            key, value = json.loads(line)
+            entries[key] = value
+        except (ValueError, TypeError):
+            continue
+    return entries, len(lines)
 
 
-def _merge_save(path: str, tag: str, version: int,
-                entries: Mapping[str, dict]) -> dict[str, dict]:
-    """Merge ``entries`` over the on-disk document and write the result.
+def _read_log(path: str, header: bytes) -> tuple[dict[str, dict], int]:
+    """:func:`_fold` of the file at ``path``; a missing or unreadable
+    file reads as empty."""
+    try:
+        with open(path, "rb") as handle:
+            return _fold(handle.read(), header)
+    except OSError:
+        return {}, 0
 
-    Re-read, merge and write run under ``_SAVE_LOCK`` and an exclusive
-    ``fcntl.flock`` on the file's *directory*, so a concurrent saver in
-    another process waits instead of writing a merge that misses these
-    entries.  Locking the directory leaves no sidecar file behind; on a
-    filesystem without ``flock`` the save still merges, unlocked.  Our
-    entries win key conflicts.  Returns the merged map; raises
-    ``OSError`` when the write fails (the file on disk is then intact).
+
+def _write_all(descriptor: int, data: bytes) -> None:
+    """Write all of ``data`` at the descriptor's offset.  Every byte a
+    store puts on disk goes through here."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(descriptor, view):]
+
+
+def _complete_end(descriptor: int, size: int) -> int:
+    """Offset just past the last newline of a ``size``-byte file."""
+    end = size
+    while end > 0:
+        start = max(0, end - 4096)
+        cut = os.pread(descriptor, end - start, start).rfind(b"\n")
+        if cut >= 0:
+            return start + cut + 1
+        end = start
+    return 0
+
+
+@contextlib.contextmanager
+def _locked(directory: str):
+    """Hold ``_SAVE_LOCK`` and an exclusive ``flock`` on ``directory``.
+
+    Locking the directory leaves no sidecar file next to the log; on a
+    filesystem without ``flock`` the save still runs, unlocked.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     with _SAVE_LOCK:
         descriptor = os.open(directory, os.O_RDONLY)
         try:
@@ -164,23 +164,111 @@ def _merge_save(path: str, tag: str, version: int,
                 fcntl.flock(descriptor, fcntl.LOCK_EX)
             except OSError:
                 pass  # e.g. NFS refuses flock on a read-only descriptor
-            merged = _read_document(path, tag, version)
-            merged.update(entries)
-            _write_document(path, tag, version, merged)
+            yield
         finally:
             os.close(descriptor)  # releases the flock
-    return merged
+
+
+class _Log:
+    """One append-only JSON-lines map on disk (see the module docstring).
+
+    ``entries`` is the folded map; ``dirty`` holds the keys put since the
+    last successful save, whose records the next save appends.  ``lines``
+    counts the records this instance knows the file to hold, which
+    decides when a save compacts.
+    """
+
+    def __init__(self, path: str, tag: str, version: int) -> None:
+        self.path = path
+        self.header = _header(tag, version)
+        self.entries, self.lines = _read_log(path, self.header)
+        self.dirty: dict[str, None] = {}
+
+    def put(self, key: str, value: dict) -> None:
+        self.entries[key] = value
+        self.dirty[key] = None
+
+    def save(self) -> None:
+        """Append the dirty records in one write (no-op when clean).
+
+        Raises ``OSError`` when the save fails; the file then holds no
+        part of this save, and the records stay dirty for the next one.
+        """
+        if not self.dirty:
+            return
+        appended = _encode((key, self.entries[key]) for key in self.dirty)
+        directory = os.path.dirname(os.path.abspath(self.path))
+        os.makedirs(directory, exist_ok=True)
+        with _locked(directory):
+            try:
+                descriptor = os.open(self.path, os.O_RDWR | os.O_APPEND)
+            except FileNotFoundError:
+                self._rewrite(self.entries)
+            else:
+                try:
+                    self._append(descriptor, appended)
+                finally:
+                    os.close(descriptor)
+        self.dirty.clear()
+
+    def _append(self, descriptor: int, appended: bytes) -> None:
+        if os.pread(descriptor, len(self.header), 0) != self.header:
+            self._rewrite(self.entries)  # never append to a foreign file
+            return
+        size = os.fstat(descriptor).st_size
+        end = _complete_end(descriptor, size)
+        if end < size:
+            os.ftruncate(descriptor, end)
+            warnings.warn(
+                f"store file {self.path!r} ended in a torn record; "
+                f"truncated {size - end} bytes before appending",
+                RuntimeWarning, stacklevel=4)
+        if self.lines + len(self.dirty) > 2 * len(self.entries):
+            # Compact: every live record, other savers' included.  Read
+            # through the locked descriptor, so a failed read fails the
+            # save instead of compacting the log down to our records.
+            folded, _ = _fold(os.pread(descriptor, end, 0), self.header)
+            folded.update((key, self.entries[key]) for key in self.dirty)
+            self._rewrite(folded)
+            self.entries = folded
+            return
+        try:
+            _write_all(descriptor, appended)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.ftruncate(descriptor, end)  # drop a partial append
+            raise
+        self.lines += len(self.dirty)
+
+    def _rewrite(self, entries: Mapping[str, dict]) -> None:
+        """Replace the file with a fresh log of ``entries``, by temp file
+        and rename."""
+        data = self.header + _encode(entries.items())
+        descriptor, tmp_path = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(self.path)),
+            prefix=".ci-cache-", suffix=".tmp")
+        try:
+            try:
+                _write_all(descriptor, data)
+            finally:
+                os.close(descriptor)
+            os.replace(tmp_path, self.path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_path)
+            raise
+        self.lines = len(entries)
 
 
 def _key_string(fingerprint: str, query_key: tuple, method: str,
                 alpha: float, token: tuple = ()) -> str:
     """Deterministic string form of one cache key.
 
-    ``query_key`` is :attr:`repro.ci.base.CIQuery.key` — the symmetric
-    ``(x|y, y|x, z)`` name tuples — so the on-disk key inherits its
-    X/Y-order insensitivity.  ``alpha`` uses ``repr`` (shortest float
-    round-trip) so 0.01 keys identically across runs.  ``token`` is the
-    tester's :meth:`~repro.ci.base.CITester.cache_token` — the remaining
+    ``query_key`` is the ledger's ``(x, y, z)`` name tuples, in the
+    query's own orientation.  ``alpha`` uses
+    ``repr`` (shortest float round-trip) so 0.01 keys identically across
+    runs.  ``token`` is the tester's
+    :meth:`~repro.ci.base.CITester.cache_token` — the remaining
     hyperparameters (seed, guards, feature budgets) — so configurations
     never share entries.
     """
@@ -196,12 +284,13 @@ class PersistentCICache:
     Records are plain mappings ``{independent, p_value, statistic,
     method}``; the ledger reconstructs full
     :class:`~repro.ci.base.CIResult` objects around them.  ``put`` marks
-    the store dirty; :meth:`save` merges with the on-disk state and writes
-    atomically under a directory lock (own entries win on key conflicts,
-    which for deterministic testers are byte-identical anyway).  With
-    ``autosave_every=n`` the store additionally saves itself every ``n``
-    new records, so long sweeps survive interruption.  The instance is a context manager —
-    leaving the block saves pending writes.
+    a record dirty; :meth:`save` appends the dirty records to the log
+    under a directory lock, where they win over any earlier record for
+    the same key (for deterministic testers the records are
+    byte-identical anyway).  With ``autosave_every=n`` the store
+    additionally saves itself every ``n`` new records, so long sweeps
+    survive interruption.  The instance is a context manager — leaving
+    the block saves pending writes.
     """
 
     def __init__(self, path: str | os.PathLike,
@@ -213,35 +302,22 @@ class PersistentCICache:
         self.autosave_every = autosave_every
         self.hits = 0
         self.misses = 0
-        self._dirty = 0
-        self._entries: dict[str, dict] = self._load()
-
-    # -- persistence --------------------------------------------------------
-
-    def _load(self) -> dict[str, dict]:
-        return _read_document(self.path, FORMAT_TAG, FORMAT_VERSION)
+        self._log = _Log(self.path, FORMAT_TAG, FORMAT_VERSION)
 
     def save(self) -> None:
-        """Merge with the on-disk state and write atomically (no-op when
-        clean).  Entries any other saver wrote, before or during this
-        save, survive; our entries win any key conflict."""
-        if not self._dirty:
-            return
+        """Append the records put since the last save (no-op when
+        clean).  Records any other saver wrote, before or during this
+        save, survive; ours win over earlier records for the same key."""
         try:
-            self._entries = _merge_save(self.path, FORMAT_TAG,
-                                        FORMAT_VERSION, self._entries)
+            self._log.save()
         except OSError as exc:
-            # Keep the dirty count: entries stay in memory and the next
+            # The records stay dirty: they remain in memory and the next
             # save retries — a flaky disk costs durability timing, never
             # data.
             warnings.warn(
                 f"CI cache save to {self.path!r} failed ({exc}); "
                 "entries retained in memory for the next save",
                 RuntimeWarning, stacklevel=2)
-            return
-        self._dirty = 0
-
-    # -- record access ------------------------------------------------------
 
     def get(self, fingerprint: str, query_key: tuple, method: str,
             alpha: float, token: tuple = ()) -> dict | None:
@@ -250,9 +326,9 @@ class PersistentCICache:
         A *copy*, not the live internal dict: callers routinely decorate
         what they get back (harness code tagging rows), and a mutated
         alias would silently rewrite the committed entry — then persist
-        on the next merge-on-save.
+        it the next time a save writes that record.
         """
-        record = self._entries.get(
+        record = self._log.entries.get(
             _key_string(fingerprint, query_key, method, alpha, token))
         if record is None:
             self.misses += 1
@@ -262,21 +338,19 @@ class PersistentCICache:
 
     def put(self, fingerprint: str, query_key: tuple, method: str,
             alpha: float, record: Mapping, token: tuple = ()) -> None:
-        """Insert (or overwrite) one record and mark the store dirty."""
-        key = _key_string(fingerprint, query_key, method, alpha, token)
-        self._entries[key] = {
-            "independent": bool(record["independent"]),
-            "p_value": float(record["p_value"]),
-            "statistic": float(record["statistic"]),
-            "method": str(record["method"]),
-        }
-        self._dirty += 1
+        """Insert (or overwrite) one record and mark it dirty."""
+        self._log.put(
+            _key_string(fingerprint, query_key, method, alpha, token),
+            {"independent": bool(record["independent"]),
+             "p_value": float(record["p_value"]),
+             "statistic": float(record["statistic"]),
+             "method": str(record["method"])})
         if self.autosave_every is not None \
-                and self._dirty >= self.autosave_every:
+                and len(self._log.dirty) >= self.autosave_every:
             self.save()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._log.entries)
 
     def __contains__(self, key: tuple) -> bool:
         """Membership by ``(fingerprint, query_key, method, alpha, token)``.
@@ -286,7 +360,7 @@ class PersistentCICache:
         entry's identity — omit it only for entries written with an empty
         token.
         """
-        return _key_string(*key) in self._entries
+        return _key_string(*key) in self._log.entries
 
     def __enter__(self) -> "PersistentCICache":
         return self
@@ -296,7 +370,7 @@ class PersistentCICache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PersistentCICache({self.path!r}, entries={len(self)}, "
-                f"dirty={self._dirty})")
+                f"dirty={len(self._log.dirty)})")
 
 
 def _selection_payload(result: "SelectionResult") -> dict:
@@ -363,9 +437,8 @@ class ExperimentStore:
         self.selection_hits = 0
         self.selection_misses = 0
         self._ci_caches: dict[str, PersistentCICache] = {}
-        self._selections: dict[str, dict] = _read_document(
-            self.selections_path, SELECTIONS_TAG, SELECTIONS_VERSION)
-        self._dirty = 0
+        self._selections = _Log(self.selections_path, SELECTIONS_TAG,
+                                SELECTIONS_VERSION)
 
     @property
     def selections_path(self) -> str:
@@ -417,7 +490,8 @@ class ExperimentStore:
     def get_selection(self, problem: "FairFeatureSelectionProblem",
                       selector) -> "SelectionResult | None":
         """Memoised result for this (problem, selector config), or ``None``."""
-        payload = self._selections.get(self.selection_key(problem, selector))
+        payload = self._selections.entries.get(
+            self.selection_key(problem, selector))
         if payload is not None:
             try:
                 result = _selection_from_payload(payload)
@@ -435,9 +509,8 @@ class ExperimentStore:
     def put_selection(self, problem: "FairFeatureSelectionProblem",
                       selector, result: "SelectionResult") -> None:
         """Record one finished selection and persist the selections file."""
-        key = self.selection_key(problem, selector)
-        self._selections[key] = _selection_payload(result)
-        self._dirty += 1
+        self._selections.put(self.selection_key(problem, selector),
+                             _selection_payload(result))
         self._save_selections()
 
     def cached_select(self, selector,
@@ -486,19 +559,13 @@ class ExperimentStore:
     # -- persistence ---------------------------------------------------------
 
     def _save_selections(self) -> None:
-        if not self._dirty:
-            return
         try:
-            self._selections = _merge_save(
-                self.selections_path, SELECTIONS_TAG, SELECTIONS_VERSION,
-                self._selections)
+            self._selections.save()
         except OSError as exc:
             warnings.warn(
                 f"selection store save to {self.selections_path!r} "
                 f"failed ({exc}); entries retained in memory for the "
                 "next save", RuntimeWarning, stacklevel=2)
-            return
-        self._dirty = 0
 
     def save(self) -> None:
         """Flush the selections file and every opened CI-cache namespace."""
@@ -508,7 +575,7 @@ class ExperimentStore:
 
     @property
     def n_selections(self) -> int:
-        return len(self._selections)
+        return len(self._selections.entries)
 
     def __enter__(self) -> "ExperimentStore":
         return self

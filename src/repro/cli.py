@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "workers (default: spawn)")
     suite.add_argument("--store", default=None, metavar="DIR",
                        help="shared experiment-store root for all legs "
-                            "(merge-on-save; a warm rerun executes zero "
+                            "(saves append; a warm rerun executes zero "
                             "CI tests)")
 
     stream = sub.add_parser(

@@ -239,7 +239,7 @@ def run_suite(legs: Sequence[ExperimentLeg],
     """Run every leg, ``jobs`` at a time in worker processes.
 
     ``store`` (an :class:`~repro.ci.store.ExperimentStore` or root path)
-    shares one merge-on-save cache tree across all legs — pass the same
+    shares one append-only cache tree across all legs — pass the same
     root on a rerun and the whole suite replays from the recorded
     selections without executing a single CI test.  ``jobs`` defaults to
     one worker per leg, capped at the CPU count; ``jobs=1`` runs inline

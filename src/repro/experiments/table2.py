@@ -155,7 +155,7 @@ def run_table2(datasets: Sequence[str], seed: SeedLike = 0,
 
     The process-parallel face of :func:`table2_row`: rows run through
     :func:`repro.experiments.driver.map_parallel`, sharing one
-    merge-on-save :class:`~repro.ci.store.ExperimentStore` root (each
+    append-only :class:`~repro.ci.store.ExperimentStore` root (each
     worker opens its own instance — interleaved saves never lose
     committed entries, and a warm rerun of the whole table executes zero
     CI tests).  ``jobs`` defaults to one worker per dataset, capped at

@@ -1,7 +1,7 @@
 """RL101 — cache-token completeness.
 
-Persistent CI caches key entries on ``(fingerprint, query.key, method,
-alpha, cache_token())``.  Any constructor parameter that changes a
+Persistent CI caches key entries on ``(fingerprint, (x, y, z), method,
+alpha, cache_token())``, the query in its own orientation.  Any constructor parameter that changes a
 tester's verdicts but is missing from ``cache_token()`` silently serves
 stale cached p-values when the parameter changes between runs.  This
 checker approximates "changes the verdicts" as: the attribute is derived
@@ -22,7 +22,7 @@ RULE = Rule(
     summary=("every behaviour-affecting constructor parameter of a "
              "CITester must appear in cache_token()"),
     contract=("persistent store entries are keyed on (fingerprint, "
-              "query.key, method, alpha, cache_token); a parameter "
+              "query (x, y, z), method, alpha, cache_token); a parameter "
               "outside the token makes cache hits config-blind"),
 )
 

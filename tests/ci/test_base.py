@@ -137,9 +137,13 @@ class TestLedger:
         ledger = CITestLedger(GTestCI(), cache=True)
         t = binary_table()
         r1 = ledger.test(t, "x", "y")
-        r2 = ledger.test(t, "y", "x")  # symmetric query hits cache
-        assert ledger.n_tests == 1
+        r2 = ledger.test(t, "x", "y")  # a repeated query hits the cache
+        assert ledger.n_tests == 1 and ledger.cache_hits == 1
         assert r1.p_value == r2.p_value
+        # The other orientation is an entry of its own: a tester's two
+        # orientations need not agree bit for bit.
+        ledger.test(t, "y", "x")
+        assert ledger.n_tests == 2
 
     def test_uncached_by_default(self):
         ledger = CITestLedger(GTestCI())

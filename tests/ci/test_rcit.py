@@ -1,13 +1,21 @@
 """Tests for the RCIT randomized conditional independence test."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
+
+import repro
 
 from repro.ci.adaptive import AdaptiveCI
 from repro.ci.fisher_z import FisherZCI
-from repro.ci.rcit import (RCIT, RIT, _gamma_pvalue, median_bandwidth,
-                           random_fourier_features, rff_draw)
+from repro.ci.gtest import _chi2_sf
+from repro.ci.rcit import (RCIT, RIT, _gamma_pvalue, _gamma_sf,
+                           median_bandwidth, random_fourier_features,
+                           rff_draw)
 from repro.data.table import Table
 from repro.exceptions import CITestError
 
@@ -202,6 +210,70 @@ class TestGammaTail:
                               * rng.uniform(0, 3))
             assert (_gamma_pvalue(statistic, weights)
                     == reference_gamma_pvalue(statistic, weights))
+
+
+#: Statistics at the edges of the tails' domains: zero, subnormal, tiny,
+#: infinite, and just below zero, where the special functions return NaN
+#: and the scipy.stats tails return 1.
+EDGE_STATISTICS = (0.0, 5e-324, 1e-300, np.inf, -0.0, -1e-300, -2.5)
+
+
+class TestSpecialTails:
+    """The ``scipy.special`` tails equal the ``scipy.stats`` calls they
+    replaced, bit for bit, so ``_DERIVATION`` stays and stores written
+    before them stay valid."""
+
+    if given is not None:
+        @settings(max_examples=300, deadline=None)
+        @given(statistic=st.floats(allow_nan=False),
+               dof=st.integers(min_value=1, max_value=10 ** 5))
+        @example(statistic=-1e-15, dof=1)
+        def test_chi2_equals_scipy_stats(self, statistic, dof):
+            assert _chi2_sf(statistic, dof) == stats.chi2.sf(statistic, dof)
+
+        @settings(max_examples=300, deadline=None)
+        @given(z=st.floats(allow_nan=False))
+        def test_norm_equals_scipy_stats(self, z):
+            assert special.ndtr(-z) == stats.norm.sf(z)
+
+        @settings(max_examples=300, deadline=None)
+        @given(statistic=st.floats(allow_nan=False),
+               shape=st.floats(min_value=1e-6, max_value=1e6),
+               scale=st.floats(min_value=1e-10, max_value=1e10))
+        @example(statistic=-1e-17, shape=2.0, scale=0.5)
+        def test_gamma_equals_scipy_stats(self, statistic, shape, scale):
+            with np.errstate(over="ignore"):  # statistic / scale -> inf
+                want = stats.gamma.sf(statistic, a=shape, scale=scale)
+            assert _gamma_sf(statistic, shape, scale) == want
+
+    @pytest.mark.parametrize("statistic", EDGE_STATISTICS)
+    def test_edge_statistics(self, statistic):
+        assert _chi2_sf(statistic, 3) == stats.chi2.sf(statistic, 3)
+        assert special.ndtr(-statistic) == stats.norm.sf(statistic)
+        assert _gamma_sf(statistic, 2.0, 0.5) == stats.gamma.sf(
+            statistic, a=2.0, scale=0.5)
+
+    def test_vectorised_chi2_equals_scipy_stats(self):
+        """The G-test's group kernel calls the tail once per group."""
+        rng = np.random.default_rng(4)
+        statistics = np.concatenate([
+            rng.exponential(size=5000) * 10.0 ** rng.uniform(-6, 3, 5000),
+            EDGE_STATISTICS])
+        dofs = rng.integers(1, 500, statistics.size)
+        assert np.array_equal(_chi2_sf(statistics, dofs),
+                              stats.chi2.sf(statistics, dofs))
+
+    def test_importing_repro_leaves_scipy_stats_unloaded(self):
+        """Importing ``scipy.stats`` costs more than a small run, and
+        nothing in the package needs it."""
+        probe = ("import sys, repro, repro.experiments.table2; "
+                 "print('scipy.stats' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "False"
 
 
 def null_table(n=300, seed=0, bad_column=None, bad=np.nan):

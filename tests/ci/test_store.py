@@ -44,7 +44,7 @@ class TestStoreRoundtrip:
         """Mutating what ``get`` hands back must never rewrite the
         committed entry — harness code decorates returned records (run
         tags, labels), and an aliased dict would persist the decoration
-        on the next merge-on-save."""
+        the next time a save writes that record."""
         path = tmp_path / "cache.json"
         original = {"independent": True, "p_value": 0.5,
                     "statistic": 1.25, "method": "g-test"}

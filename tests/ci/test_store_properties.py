@@ -1,23 +1,28 @@
 """Property-based round-trip tests for the persistent stores.
 
-Three contracts from the ROADMAP, machine-checked on random inputs:
+Contracts from the ROADMAP, machine-checked on random inputs:
 
 * **robust loading** — corrupt, foreign, or future-versioned files always
   read as empty (a store is a pure accelerator; loading must never raise);
-* **entries survive concurrent saves** — saves merge with the on-disk
-  state before the atomic rename, under a directory lock, so concurrent
-  savers (sibling processes or threads sharing one path) never erase
-  each other's entries;
+* **entries survive concurrent saves** — saves append their records to
+  the log under a directory lock, so concurrent savers (sibling
+  processes or threads sharing one path) never erase each other's
+  entries;
+* **the log stays linear** — a save writes only its own records, and a
+  log compacts only past twice its live records;
 * **distinct cache tokens never collide** — differently-configured
   testers can never share an entry, whatever their token values; testers
   are value-seeded at construction, so the seed in a token is always the
-  int the verdicts were drawn from.
+  int the verdicts were drawn from;
+* **cached verdicts never depend on orientation** — a query's two
+  orientations never share a cache entry.
 
 Plus the same discipline for :class:`ExperimentStore`'s selections file.
 """
 
 import json
 import multiprocessing
+import os
 import threading
 import time
 
@@ -28,9 +33,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ci.base import CITestLedger
+from repro.causal.dag import CausalDAG
+from repro.ci.base import CIQuery, CITestLedger
+from repro.ci.fisher_z import FisherZCI
 from repro.ci.gtest import GTestCI
 from repro.ci.kcit import KCIT
+from repro.ci.oracle import OracleCI
 from repro.ci.permutation import PermutationCI
 from repro.ci import store as store_mod
 from repro.ci.rcit import RCIT
@@ -73,10 +81,10 @@ class TestRobustLoading:
                                                        tmp_path_factory,
                                                        tag, version):
         if tag == FORMAT_TAG and version == FORMAT_VERSION:
-            return  # the one genuine document shape
+            return  # the one genuine header
         path = tmp_path_factory.mktemp("store") / "cache.json"
-        path.write_text(json.dumps({"format": tag, "version": version,
-                                    "entries": {"k": dict(RECORD)}}))
+        path.write_text(json.dumps({"format": tag, "version": version})
+                        + "\n" + json.dumps(["k", RECORD]) + "\n")
         assert len(PersistentCICache(path)) == 0
 
     def test_current_document_shape_loads(self, tmp_path):
@@ -160,7 +168,7 @@ class TestConcurrentSaves:
             self, tmp_path_factory, order):
         """Any interleaving of whole saves from independent store
         instances (the cross-process shape) preserves every committed
-        entry, because saves merge before renaming."""
+        entry, because saves append."""
         path = tmp_path_factory.mktemp("store") / "shared.json"
         stores = []
         for i in range(6):
@@ -194,9 +202,11 @@ class TestConcurrentSaves:
             thread.join()
         final = PersistentCICache(path)
         assert len(final) == n_threads * per_thread
-        # And the surviving document is a valid, loadable snapshot.
-        payload = json.loads(path.read_text())
-        assert payload["format"] == FORMAT_TAG
+        # And the surviving log is whole: a header, then complete records.
+        header, *records, tail = path.read_text().split("\n")
+        assert json.loads(header)["format"] == FORMAT_TAG and tail == ""
+        assert len(records) == n_threads * per_thread
+        assert all(len(json.loads(record)) == 2 for record in records)
 
     def test_save_failure_leaves_prior_file_intact(self, tmp_path,
                                                    monkeypatch):
@@ -225,16 +235,18 @@ class TestConcurrentSaves:
     def test_simultaneous_process_saves_lose_nothing(self, tmp_path,
                                                      monkeypatch, kind):
         """Forked savers released together by a barrier each save one
-        disjoint entry; every entry must reach the file.  The slowed
-        write holds each save between its re-read and its rename, where
-        an unlocked saver would miss its siblings' entries."""
-        real_write = store_mod._write_document
+        disjoint entry; every entry must reach the file.  No file exists
+        when they start, so each saver checks for a log and, finding
+        none, writes a fresh one by temp file and rename.  The slowed
+        write holds each save between that check and its rename, where
+        an unlocked saver would replace its siblings' logs."""
+        real_write = store_mod._write_all
 
         def slow_write(*args, **kwargs):
             time.sleep(0.2)
             real_write(*args, **kwargs)
 
-        monkeypatch.setattr(store_mod, "_write_document", slow_write)
+        monkeypatch.setattr(store_mod, "_write_all", slow_write)
         n_processes = 4
         context = multiprocessing.get_context("fork")
         barrier = context.Barrier(n_processes)
@@ -259,6 +271,100 @@ class TestConcurrentSaves:
             assert ExperimentStore(tmp_path).n_selections == n_processes
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             ["shared.json"] if kind == "ci" else ["selections.json"])
+
+
+def log_records(path) -> list:
+    """The records of the log at ``path``, in order (header skipped)."""
+    header, *records = path.read_text().splitlines()
+    assert json.loads(header) == {"format": FORMAT_TAG,
+                                  "version": FORMAT_VERSION}
+    return [json.loads(record) for record in records]
+
+
+class TestLogGrowth:
+    def test_log_compacts_past_twice_its_live_records(self, tmp_path):
+        """Rewriting one key grows the log until it holds more than
+        twice its one live record; that save compacts it, by temp file
+        and rename, to the folded map."""
+        path = tmp_path / "cache.json"
+        store = PersistentCICache(path)
+        sizes = []
+        for step in range(6):
+            store.put("fp", query_key("x"), "g-test", 0.01,
+                      dict(RECORD, p_value=step / 10))
+            store.save()
+            sizes.append(len(log_records(path)))
+        assert sizes == [1, 2, 1, 2, 1, 2]
+        assert os.listdir(tmp_path) == ["cache.json"]
+        assert PersistentCICache(path).get(
+            "fp", query_key("x"), "g-test", 0.01)["p_value"] == 0.5
+
+    def test_compaction_keeps_other_savers_records(self, tmp_path):
+        """A compaction folds the whole file under the lock, so records
+        another saver appended, which this instance never loaded, stay."""
+        path = tmp_path / "cache.json"
+        mine = PersistentCICache(path)  # loads before the other saves
+        with PersistentCICache(path) as other:
+            other.put("other", query_key("y"), "g-test", 0.01, RECORD)
+        for step in range(3):
+            mine.put("fp", query_key("x"), "g-test", 0.01,
+                     dict(RECORD, p_value=step / 10))
+            mine.save()
+        assert len(log_records(path)) == 2  # compacted on the third save
+        reloaded = PersistentCICache(path)
+        assert reloaded.get("other", query_key("y"), "g-test",
+                            0.01) == RECORD
+        assert reloaded.get("fp", query_key("x"), "g-test",
+                            0.01)["p_value"] == 0.2
+
+    @settings(max_examples=30, deadline=None)
+    @given(ops=st.lists(st.one_of(st.integers(0, 5), st.just("save")),
+                        max_size=40))
+    def test_reload_equals_the_saved_map(self, tmp_path_factory, ops):
+        """Any sequence of puts and saves reloads to the map it saved,
+        from a log that never holds more than twice its live records."""
+        directory = tmp_path_factory.mktemp("store")
+        path = directory / "cache.json"
+        store = PersistentCICache(path)
+        model: dict = {}
+        saved: dict = {}
+        for step, op in enumerate(ops + ["save"]):
+            if op == "save":
+                store.save()
+                saved = dict(model)
+                if saved:
+                    assert len(log_records(path)) <= 2 * len(saved)
+                continue
+            record = dict(RECORD, p_value=step / 100)
+            store.put(f"fp{op}", query_key("x"), "g-test", 0.01, record)
+            model[op] = record
+        reloaded = PersistentCICache(path)
+        assert len(reloaded) == len(saved)
+        for op, record in saved.items():
+            assert reloaded.get(f"fp{op}", query_key("x"), "g-test",
+                                0.01) == record
+        assert os.listdir(directory) == (["cache.json"] if saved else [])
+
+    def test_one_record_saves_write_at_most_twice_the_final_file(
+            self, tmp_path, monkeypatch):
+        """Each save writes only its own record: the bytes a stream of
+        saves writes stay linear in its length, where a rewrite per save
+        made them quadratic."""
+        written = []
+        real_write = store_mod._write_all
+
+        def counting_write(descriptor, data):
+            written.append(len(data))
+            real_write(descriptor, data)
+
+        monkeypatch.setattr(store_mod, "_write_all", counting_write)
+        path = tmp_path / "cache.json"
+        store = PersistentCICache(path)
+        for index in range(200):
+            store.put(f"fp{index}", query_key("x"), "g-test", 0.01, RECORD)
+            store.save()
+        assert len(written) == 200
+        assert sum(written) <= 2 * path.stat().st_size
 
 
 def _save_after_barrier(kind, root, index, barrier):
@@ -579,10 +685,13 @@ class TestProblemIdentityInMemoKey:
             cold = store.cached_select(selector, problem)
 
         path = tmp_path / "suite" / "selections.json"
-        payload = json.loads(path.read_text())
-        for entry in payload["entries"].values():
+        header, *records = path.read_text().splitlines()
+        corrupted = [header]
+        for record in records:
+            key, entry = json.loads(record)
             del entry["c1"]  # still-parsing partial corruption
-        path.write_text(json.dumps(payload))
+            corrupted.append(json.dumps([key, entry]))
+        path.write_text("\n".join(corrupted) + "\n")
 
         reopened = ExperimentStore(tmp_path / "suite")
         again = reopened.cached_select(
@@ -590,3 +699,56 @@ class TestProblemIdentityInMemoKey:
             problem)
         assert reopened.selection_hits == 0  # corrupt entry never served
         assert again.selected_set == cold.selected_set  # recomputed
+
+
+def orientation_table():
+    """Small integer columns every library tester accepts."""
+    rng = np.random.default_rng(3)
+    n = 120
+    z = rng.integers(0, 3, n)
+    return Table({"z": z, "x": (z + rng.integers(0, 2, n)) % 3,
+                  "y": (z + rng.integers(0, 2, n)) % 2,
+                  "w": rng.integers(0, 2, n)})
+
+
+ORIENTATION_DAG = CausalDAG(edges=[("z", "x"), ("z", "y"), ("w", "x")])
+ORIENTATION_TESTERS = (
+    GTestCI(), PermutationCI(alpha=0.05, n_permutations=40, seed=0),
+    KCIT(max_samples=60, seed=0), RCIT(seed=0), FisherZCI(),
+    OracleCI(ORIENTATION_DAG))
+
+
+class TestOrientation:
+    """Cached verdicts never depend on which orientation ran first."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(tester=st.sampled_from(ORIENTATION_TESTERS),
+           query=st.sampled_from([("x", "y", ()), ("x", "y", ("z",)),
+                                  (("w", "x"), "y", ("z",))]),
+           reverse_first=st.booleans(),
+           cache=st.sampled_from(["memory", "batch", "store"]))
+    def test_each_orientation_gets_its_uncached_result(
+            self, tmp_path_factory, tester, query, reverse_first, cache):
+        table = orientation_table()
+        x, y, z = query
+        orders = [(x, y, z), (y, x, z)]
+        if reverse_first:
+            orders.reverse()
+        want = [tester.test(table, *order) for order in orders]
+        if cache == "memory":
+            ledger = CITestLedger(tester, cache=True)
+            got = [ledger.test(table, *order) for order in orders]
+        elif cache == "batch":
+            ledger = CITestLedger(tester, cache=True)
+            got = ledger.test_batch(
+                table, [CIQuery.make(*order) for order in orders])
+        else:
+            path = tmp_path_factory.mktemp("store") / "cache.json"
+            cold = CITestLedger(tester, cache=PersistentCICache(path))
+            cold.test(table, *orders[0])
+            cold.flush_cache()
+            warm = CITestLedger(tester, cache=PersistentCICache(path))
+            got = [warm.test(table, *order) for order in orders]
+            assert warm.cache_hits == 1
+        assert got == want
