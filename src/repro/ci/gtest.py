@@ -19,20 +19,20 @@ of queries sharing a conditioning set encodes the stratification once.
 Multi-query fusion: the group kernel (``GTestCI._group_eval``) serves
 the dominant selection workload (a phase-2 burst where *every* candidate
 shares one ``(Y, Z)`` pair) — :meth:`~repro.ci.base.CITester.test_batch`
-groups a batch by its ``(y, z)`` name pair, each candidate's X codes are
-shifted into a private block of one flat index space, and the whole group
-is counted in a *single* offset bincount pass; p-values for the group come
-from one vectorised :func:`_chi2_sf` call.  Per-query count tensors are sliced
-back out of the flat counts before the statistic is computed, and a lone
+groups a batch by its ``(y, z)`` name pair, the ``(Z, Y)`` part of the
+flat index is built once for the group, and each candidate is counted
+by one :func:`numpy.bincount` of its own flat index into its row of a
+stacked ``(k, n_z * n_x * n_y)`` counts array; p-values for the group
+come from one vectorised :func:`_chi2_sf` call.  Each row is exactly
+the tensor :func:`fused_counts` builds for that query, and a lone
 :meth:`~repro.ci.base.CITester.test` is a group of one, so fused results
-are bitwise identical to sequential calls.  Every count is one pass over
-the rows; memory is bounded by splitting the candidates instead.  A
-group whose fused tensor or stacked codes would exceed
+are bitwise identical to sequential calls.  The flat indices go through
+one reused ``n_rows`` buffer, so the only memory that grows with the
+stack is the count tensor: a group whose stacked tensor would exceed
 :data:`MAX_DENSE_CELLS` is counted in several stacks under the budget,
-so the stacked codes hold at most ``max(MAX_DENSE_CELLS, n_rows)`` int64
-values, and a query that is over budget on its own falls back to a
-per-stratum loop.  The table-free matrix path (:meth:`GTestCI._test`,
-via :func:`fused_counts`) is the reference the group kernel is checked
+and a query that is over budget on its own falls back to a per-stratum
+loop.  The table-free matrix path (:meth:`GTestCI._test`, via
+:func:`fused_counts`) is the reference the group kernel is checked
 against.
 """
 
@@ -111,21 +111,22 @@ class GTestCI(CITester):
         """``(p_value, statistic)`` per X block sharing one (Y, Z) pair.
 
         Candidates of equal X cardinality are stacked: each candidate's
-        codes are shifted into a private ``n_z * n_x * n_y`` block of one
-        flat index space, the whole stack is counted in a *single*
-        :func:`numpy.bincount` pass, and the per-stratum statistic terms
-        are computed over one ``(k * n_z, n_x, n_y)`` tensor whose strata
-        blocks are exactly the arrays :func:`fused_counts` builds for one
-        query — so every reduction runs over the same elements in the
-        same order and results are bitwise identical to per-query
-        evaluation, a group of one (``k = 1``) included.  All p-values
-        for the group come from one vectorised :func:`_chi2_sf` call.
+        flat index ``(z * n_x + x) * n_y + y`` is written into one
+        ``n_rows`` buffer reused across the call and counted by its own
+        :func:`numpy.bincount` into that candidate's row of a
+        ``(k, n_z * n_x * n_y)`` counts array.  The per-stratum statistic
+        terms are then computed over one ``(k * n_z, n_x, n_y)`` tensor
+        whose strata blocks are exactly the arrays :func:`fused_counts`
+        builds for one query — so every reduction runs over the same
+        elements in the same order and results are bitwise identical to
+        per-query evaluation, a group of one (``k = 1``) included.  All
+        p-values for the group come from one vectorised :func:`_chi2_sf`
+        call.
 
-        Stacks whose fused tensor (or stacked code matrix) would exceed
-        :data:`MAX_DENSE_CELLS` are split into smaller stacks under the
-        budget; a query that is over the budget on its own falls back to
-        the per-stratum kernel, exactly as the matrix path :meth:`_test`
-        does.
+        Stacks whose count tensor would exceed :data:`MAX_DENSE_CELLS`
+        are split into smaller stacks under the budget; a query that is
+        over the budget on its own falls back to the per-stratum kernel,
+        exactly as the matrix path :meth:`_test` does.
         """
         y_codes, n_y = table.discrete_codes(y_names)
         z_codes, n_z = table.discrete_codes(z_names)
@@ -142,25 +143,23 @@ class GTestCI(CITester):
                 statistics[j], dofs[j] = self._stat_dof_stratified(
                     x_codes, y_codes, z_codes, n_z)
 
-        n_rows = y_codes.shape[0]
+        # Reused by every candidate, so it stays hot in cache.
+        flat = np.empty(y_codes.shape[0], dtype=np.int64)
         for n_x, members in by_cardinality.items():
             block = n_z * n_x * n_y
-            per_stack = max(1, min(MAX_DENSE_CELLS // block,
-                                   MAX_DENSE_CELLS // max(n_rows, 1)))
+            per_stack = max(1, MAX_DENSE_CELLS // block)
             base = z_codes * (n_x * n_y) + y_codes
             for start in range(0, len(members), per_stack):
                 stack = members[start:start + per_stack]
-                flat = np.empty((len(stack), n_rows), dtype=np.int64)
+                # Counts are integers below 2**53: the float rows hold
+                # them exactly, as fused_counts' astype does.
+                counts = np.empty((len(stack), block))
                 for row, j in enumerate(stack):
-                    np.multiply(xs[j][0], n_y, out=flat[row])
-                flat += base[None, :]
-                flat += (np.arange(len(stack), dtype=np.int64)
-                         * block)[:, None]
-                counts = np.bincount(flat.ravel(),
-                                     minlength=len(stack) * block)
-                tensors = counts.reshape(
-                    len(stack) * n_z, n_x, n_y).astype(np.float64)
-                stat_z, dof_z = self._stratum_terms(tensors)
+                    np.multiply(xs[j][0], n_y, out=flat)
+                    flat += base
+                    counts[row] = np.bincount(flat, minlength=block)
+                stat_z, dof_z = self._stratum_terms(
+                    counts.reshape(len(stack) * n_z, n_x, n_y))
                 statistics[stack] = stat_z.reshape(len(stack), n_z).sum(axis=1)
                 dofs[stack] = dof_z.reshape(len(stack), n_z).sum(axis=1)
 

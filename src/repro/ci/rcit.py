@@ -82,6 +82,24 @@ def _upper_triangle(m: int) -> np.ndarray:
     return flat
 
 
+def _squared_distances(matrix: np.ndarray) -> np.ndarray:
+    """Pairwise squared distances ``(sq_i + sq_j) - G_ij`` with
+    ``G = (2 M) @ M.T``, unclipped.
+
+    A single-column block takes ``G`` as the outer product of ``2 v`` and
+    ``v``: each entry is the same single product the matmul computes, so
+    the bits are the same, without numpy's non-BLAS matmul loop.
+    """
+    sq = np.sum(matrix ** 2, axis=1)
+    d2 = sq[:, None] + sq[None, :]
+    if matrix.shape[1] == 1:
+        column = matrix[:, 0]
+        d2 -= np.multiply.outer(2.0 * column, column)
+    else:
+        d2 -= 2.0 * matrix @ matrix.T
+    return d2
+
+
 def median_bandwidth(matrix: np.ndarray, max_points: int = 500,
                      rng: np.random.Generator | None = None) -> float:
     """Median pairwise Euclidean distance (the RBF median heuristic).
@@ -115,9 +133,7 @@ def median_bandwidth(matrix: np.ndarray, max_points: int = 500,
         n = max_points
     if n < 2:
         return 1.0
-    sq = np.sum(matrix ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :]
-    d2 -= 2.0 * matrix @ matrix.T
+    d2 = _squared_distances(matrix)
     upper = np.take(d2, _upper_triangle(n) if n <= _TRIANGLE_MEMO_ROWS
                     else _upper_triangle.__wrapped__(n))
     np.maximum(upper, 0.0, out=upper)

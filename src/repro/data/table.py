@@ -9,19 +9,29 @@ and train/test splitting.
 Columns are immutable and shared.  A table's storage is a plain dict of
 read-only numpy arrays.  Data is copied exactly once, when it enters a
 table from outside: the constructor and :meth:`Table.with_column` copy
-the caller's array, :meth:`Table.with_appended_rows` concatenates, and
-each fresh array is frozen with ``setflags(write=False)``.  Derived
-tables (projections, role changes, renames, the columns a
-``with_column`` carries over) hold their parent's array objects, so a
-write costs O(new data) instead of O(whole table).  Read-only flags, not
-copies, give tables their value semantics: a caller's array is never
-aliased, and a table's own arrays reject in-place writes.
+the caller's array and freeze the copy with ``setflags(write=False)``,
+and :meth:`Table.with_appended_rows` writes the appended rows into a
+private append buffer with ``n // 8`` spare rows, whose read-only views
+the tables hold.  An append writes into the spare rows only when the
+parent's column ends exactly at the buffer's claimed rows (checked and
+claimed under a lock), so rows a table can see never change, two appends
+to one parent never share tail rows, and a stream of appends costs
+O(new rows) per append until the buffer fills.  Derived tables
+(projections, role changes, renames, the columns a ``with_column``
+carries over) hold their parent's array objects, so a write costs
+O(new data) instead of O(whole table).  Read-only flags, not copies,
+give tables their value semantics: a caller's array is never aliased,
+and a table's own arrays (and the buffers behind them) reject in-place
+writes.
 
 Because instances behave as values (every relational operation returns a
 new table), each table also carries lazy per-instance caches used by the CI
 engine: a content :attr:`fingerprint`, per-column float conversions
 (:meth:`float_column`), and joint integer codes for discrete queries
-(:meth:`discrete_codes`).  Codes are built in one pass over the rows.
+(:meth:`discrete_codes`).  Codes are built without a sort when the
+values span at most as many levels as there are rows (a presence table
+over the span), and a single column's codes live in an append buffer
+too, so a grown column's codes cost O(new rows) when no level is new.
 Hashing, finiteness scans and the float moment pass on very long columns
 walk the rows in the fixed block sizes of :mod:`repro.data.backend`, so
 every observable is a pure function of the column values.
@@ -30,6 +40,7 @@ every observable is a pure function of the column values.
 from __future__ import annotations
 
 import hashlib
+import threading
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -91,6 +102,113 @@ def _owned_column(name: str, arr: np.ndarray,
             f"column {name!r} has {arr.shape[0]} rows, table has {n_rows}")
     arr.setflags(write=False)
     return arr
+
+
+def _unique_inverse(codes: np.ndarray, out: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` for 1-D int64 ``codes``,
+    without a sort when the codes span at most as many values as there
+    are codes.
+
+    Then a presence table over the span gives the same levels and ranks
+    in linear time: a ``bincount`` of the shifted codes marks the levels
+    present, its ``cumsum`` ranks them, and a ``take`` maps every code
+    to its level's rank.  A wider span would make the table outgrow the
+    sort, so :func:`numpy.unique` runs instead; the rule reads only the
+    input.  With ``out``, the inverse is written into it.
+    """
+    if codes.size:
+        low = int(codes.min())
+        if int(codes.max()) - low < codes.size:
+            shifted = codes - low
+            present = np.bincount(shifted) > 0
+            rank = np.cumsum(present) - 1
+            # Every index is in range, so "clip" never clips; it only
+            # spares ``out`` the staging copy of the default "raise".
+            return np.flatnonzero(present) + low, np.take(
+                rank, shifted, out=out, mode="clip")
+    values, inverse = np.unique(codes, return_inverse=True)
+    if out is None:
+        return values, inverse
+    out[...] = inverse
+    return values, out
+
+
+def _cast_tail(name: str, tail: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """An appended tail cast to its column's ``dtype``.
+
+    numpy casts unsafely (2.7 into an int column becomes 2, 300 into
+    uint8 becomes 44, a long string is cut to a fixed-width column), so
+    the cast is checked by casting back: any value that changes is a
+    :class:`SchemaError`.  NaN survives only into a floating column.
+    """
+    if tail.dtype == dtype:
+        return tail
+    with np.errstate(invalid="ignore", over="ignore"):
+        cast = tail.astype(dtype)
+        kept = cast.astype(tail.dtype) == tail
+    if dtype.kind in "fc":
+        kept |= np.isnan(cast)
+    if not np.all(kept):
+        raise SchemaError(
+            f"appended column {name!r}: values change under the cast "
+            f"from {tail.dtype} to {dtype}")
+    return cast
+
+
+class _AppendBuffer:
+    """The private backing array of a column, or of a column's codes,
+    that :meth:`Table.with_appended_rows` grows.
+
+    Tables hold read-only views ``array[:n]``; the array itself is
+    read-only except while an append writes into it.  ``claimed`` is
+    where the longest view handed out ends: rows past it are spare, and
+    no table can see them.  ``lock`` serialises the claim of spare rows.
+    """
+
+    __slots__ = ("array", "claimed", "lock")
+
+    def __init__(self, n_rows: int, dtype: np.dtype) -> None:
+        self.array = np.empty(n_rows + n_rows // 8, dtype=dtype)
+        self.claimed = n_rows
+        self.lock = threading.Lock()
+
+    def freeze(self) -> np.ndarray:
+        """Make the array read-only; return the view of its claimed rows."""
+        self.array.setflags(write=False)
+        return self.array[:self.claimed]
+
+
+def _appended(head: np.ndarray, tail: np.ndarray,
+              buffer: _AppendBuffer | None
+              ) -> tuple[np.ndarray, _AppendBuffer]:
+    """``head`` followed by ``tail``, as a read-only view of an append
+    buffer, and that buffer.
+
+    The tail goes into ``buffer``'s spare rows only when ``head`` is the
+    view that ends exactly at the buffer's claimed rows and the tail
+    fits; the check and the claim are one step under a lock, so two
+    appends to one head never share tail rows.  Otherwise both are
+    copied into a new buffer with ``n // 8`` spare rows.
+    """
+    n0 = head.shape[0]
+    n = n0 + tail.shape[0]
+    if buffer is not None:
+        array = buffer.array
+        with buffer.lock:
+            if (head.base is array and buffer.claimed == n0
+                    and n <= array.shape[0]):
+                array.setflags(write=True)
+                try:
+                    array[n0:n] = tail
+                finally:
+                    array.setflags(write=False)
+                buffer.claimed = n
+                return array[:n], buffer
+    buffer = _AppendBuffer(n, head.dtype)
+    buffer.array[:n0] = head
+    buffer.array[n0:n] = tail
+    return buffer.freeze(), buffer
 
 
 class Table:
@@ -191,9 +309,15 @@ class Table:
         self._code_values: dict[str, np.ndarray] = {}
         self._moment_sums: dict[str, dict[int, float]] = {}
         # Lineage snapshot: the with_appended_rows parent's (codes,
-        # level values) per column — consumed (and dropped) by the first
-        # _single_codes call.
-        self._prefix_codes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # level values, code buffer) per column — consumed (and dropped)
+        # by the first _single_codes call.
+        self._prefix_codes: dict[
+            str, tuple[np.ndarray, np.ndarray, _AppendBuffer | None]] = {}
+        # The append buffer behind each column, and behind each column's
+        # single-column codes, that a with_appended_rows child may grow
+        # in place (see _appended).
+        self._col_buffers: dict[str, _AppendBuffer] = {}
+        self._code_buffers: dict[str, _AppendBuffer] = {}
 
     # -- basic accessors --------------------------------------------------
 
@@ -365,41 +489,53 @@ class Table:
         return codes, n_levels
 
     def _single_codes(self, name: str) -> tuple[np.ndarray, int]:
-        """Dense codes of one rounded column (single-pass, or — on a
-        :meth:`with_appended_rows` child — extended from the parent's
-        codes at O(new rows)).  Both paths record the sorted level values
-        in ``_code_values`` so future children can extend in turn."""
+        """Dense codes of one rounded column (densified by
+        :func:`_unique_inverse`, or — on a :meth:`with_appended_rows`
+        child — extended from the parent's codes at O(new rows)).  Both paths record the sorted level values
+        in ``_code_values`` and leave the codes in an append buffer with
+        spare rows, so future children can extend in turn."""
         prefix = self._prefix_codes.pop(name, None)
         if prefix is not None:
             return self._extended_codes(name, *prefix)
         col = np.round(self.float_column(name)).astype(np.int64)
-        uniq, inverse = np.unique(col, return_inverse=True)
+        buffer = _AppendBuffer(self._n_rows, np.int64)
+        uniq, _ = _unique_inverse(col, out=buffer.array[:self._n_rows])
         self._code_values[name] = uniq
-        return inverse.astype(np.int64), int(uniq.size)
+        self._code_buffers[name] = buffer
+        return buffer.freeze(), int(uniq.size)
 
     def _extended_codes(self, name: str, parent_codes: np.ndarray,
-                        parent_values: np.ndarray) -> tuple[np.ndarray, int]:
+                        parent_values: np.ndarray,
+                        buffer: _AppendBuffer | None
+                        ) -> tuple[np.ndarray, int]:
         """Extend a lineage parent's dense codes with this table's tail.
 
         Bitwise identical to ``np.unique(full column, return_inverse)``:
         the sorted level set of the grown column is the union of the
         parent's levels and the tail's, and every element's code is its
         value's rank in that union.  When the tail introduces no new
-        level the parent codes are reused verbatim (the common streaming
-        case — O(new rows)); otherwise only an O(n) integer relabelling
-        gather runs, never a re-sort of the full column.
+        level (the common streaming case) the parent's codes stand, and
+        only the tail's codes are written, into the spare rows of the
+        parent's code buffer when the claim rule of :func:`_appended`
+        allows — O(new rows).  Otherwise the parent's codes are copied,
+        or relabelled by one O(n) integer gather, into a new buffer;
+        the full column is never re-sorted.
         """
         n0 = parent_codes.shape[0]
         tail = np.round(self._float_chunk(name, slice(n0, self._n_rows))
                         ).astype(np.int64)
         uniq = np.union1d(parent_values, np.unique(tail))
-        codes = np.empty(self._n_rows, np.int64)
         if uniq.size == parent_values.size:
-            codes[:n0] = parent_codes
+            codes, buffer = _appended(parent_codes,
+                                      np.searchsorted(uniq, tail), buffer)
         else:
-            codes[:n0] = np.searchsorted(uniq, parent_values)[parent_codes]
-        codes[n0:] = np.searchsorted(uniq, tail)
+            buffer = _AppendBuffer(self._n_rows, np.int64)
+            np.take(np.searchsorted(uniq, parent_values), parent_codes,
+                    out=buffer.array[:n0], mode="clip")
+            buffer.array[n0:self._n_rows] = np.searchsorted(uniq, tail)
+            codes = buffer.freeze()
         self._code_values[name] = uniq
+        self._code_buffers[name] = buffer
         return codes, int(uniq.size)
 
     def nonfinite_columns(self, names: Iterable[str]) -> list[str]:
@@ -540,8 +676,8 @@ class Table:
         combined = np.zeros(self._n_rows, dtype=np.int64)
         for col_codes, levels in per_column:
             combined = combined * levels + col_codes
-        uniq, inverse = np.unique(combined, return_inverse=True)
-        return inverse.astype(np.int64), int(uniq.size)
+        uniq, inverse = _unique_inverse(combined)
+        return inverse.astype(np.int64, copy=False), int(uniq.size)
 
     def warm_cache(self, names: Iterable[str] | None = None) -> "Table":
         """Precompute the fingerprint and per-column CI caches; returns self.
@@ -580,7 +716,8 @@ class Table:
             cached = parent._codes_cache.get((name,))
             values = parent._code_values.get(name)
             if cached is not None and values is not None:
-                self._prefix_codes[name] = (cached[0], values)
+                self._prefix_codes[name] = (
+                    cached[0], values, parent._code_buffers.get(name))
             block_sums = parent._moment_sums.get(name)
             if block_sums:
                 # Every cached entry is a full MOMENT_BLOCK_ROWS block of
@@ -609,6 +746,12 @@ class Table:
             block_sums = parent._moment_sums.get(name)
             if block_sums:
                 self._moment_sums[name] = dict(block_sums)
+            buffer = parent._col_buffers.get(name)
+            if buffer is not None:
+                self._col_buffers[name] = buffer
+            buffer = parent._code_buffers.get(name)
+            if buffer is not None:
+                self._code_buffers[name] = buffer
         for key, value in parent._codes_cache.items():
             if shared.issuperset(key):
                 self._codes_cache[key] = value
@@ -646,6 +789,10 @@ class Table:
         state["_code_values"] = {}
         state["_moment_sums"] = {}
         state["_prefix_codes"] = {}
+        # Columns pickle as their views' rows only: an unpickled table
+        # holds plain arrays and no append buffer.
+        state["_col_buffers"] = {}
+        state["_code_buffers"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -674,14 +821,25 @@ class Table:
         1-D arrays); values are cast to each column's existing dtype and
         the schema (kinds and roles) carries over unchanged, so appended
         values are expected to stay within each column's declared kind.
-        Each grown column is one fresh concatenation, frozen; ``rows`` is
-        never aliased.
+        A value the cast would change (a fraction into an int column, an
+        out-of-range int, NaN into a non-float column, a string longer
+        than a fixed-width column) raises :class:`SchemaError` naming the
+        column; every tail is checked before any column is written.
+
+        Each grown column is a read-only view of a private append buffer
+        with ``n // 8`` spare rows.  The tail is written into the parent
+        column's buffer when that column ends exactly where the buffer's
+        claimed rows end and the tail fits — O(new rows) — and otherwise
+        the column and its tail are copied into a new buffer (see
+        :func:`_appended`).  So two appends to one parent never share
+        tail rows, no table ever sees rows past its own length, and
+        ``rows`` is never aliased.
 
         The child seeds its incremental caches from this table
         (:meth:`_adopt_prefix`): per-column hash states extend with only
         the appended bytes (fingerprint and single-column
         :meth:`fingerprint_of` become O(new rows)), single-column codes
-        relabel only the tail when no new level appears, and the
+        write only the tail's codes when no new level appears, and the
         streamed moment pass reuses full-block partial sums.  All
         observables remain bitwise identical to a cold rebuild over the
         concatenated values.
@@ -693,7 +851,7 @@ class Table:
                 f"appended rows must cover exactly the table's columns; "
                 f"mismatched: {sorted(mismatched)}")
         lengths = set()
-        data: dict[str, np.ndarray] = {}
+        tails: dict[str, np.ndarray] = {}
         for name in self.columns:
             tail = extra[name]
             if tail.ndim != 1:
@@ -701,16 +859,20 @@ class Table:
                     f"appended column {name!r} must be 1-D, "
                     f"got shape {tail.shape}")
             lengths.add(tail.shape[0])
-            arr = self[name]
-            if tail.dtype != arr.dtype:
-                tail = tail.astype(arr.dtype)
-            data[name] = _owned_column(name, np.concatenate([arr, tail]))
+            tails[name] = _cast_tail(name, tail, self[name].dtype)
         if len(lengths) > 1:
             raise SchemaError(
                 f"appended columns have mismatched lengths: "
                 f"{sorted(lengths)}")
+        # Every tail is valid: only now may a buffer's rows be claimed.
+        data: dict[str, np.ndarray] = {}
+        buffers: dict[str, _AppendBuffer] = {}
+        for name, tail in tails.items():
+            data[name], buffers[name] = _appended(
+                self[name], tail, self._col_buffers.get(name))
         n_rows = self._n_rows + (lengths.pop() if lengths else 0)
         child = Table._unchecked(data, self.schema, n_rows)
+        child._col_buffers = buffers
         child._adopt_prefix(self)
         return child
 

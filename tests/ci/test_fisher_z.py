@@ -81,6 +81,30 @@ class TestFisherZ:
         assert rejections / trials < 0.12
 
 
+def linear_conditional_null(rng, n, n_z):
+    """Linear-Gaussian X and Y that each depend on Z, with X ⊥ Y | Z."""
+    z = rng.normal(size=(n, n_z))
+    columns = {f"z{i}": z[:, i] for i in range(n_z)}
+    columns["x"] = z @ rng.normal(size=n_z) + rng.normal(size=n)
+    columns["y"] = z @ rng.normal(size=n_z) + rng.normal(size=n)
+    return Table(columns)
+
+
+@pytest.mark.parametrize("n_z", [1, 3])
+def test_conditional_null_rate_in_binomial_band(n_z):
+    """Type-I rate at alpha = 0.05 on a true conditional null, n = 500:
+    400 seeded trials, rejections inside the two-sided binomial band
+    [7, 35] around the mean of 20."""
+    tester = FisherZCI(alpha=0.05)
+    given = [f"z{i}" for i in range(n_z)]
+    rejections = sum(
+        not tester.test(linear_conditional_null(
+            np.random.default_rng([n_z, trial]), 500, n_z),
+            "x", "y", given).independent
+        for trial in range(400))
+    assert 7 <= rejections <= 35
+
+
 def reference_fisher_z(x, y, z, alpha=0.01):
     """The pre-refactor implementation: one lstsq per (i, j) pair."""
     from scipy import stats

@@ -1,10 +1,19 @@
 """Tests for the discrete G-test / chi-squared CI tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ci.gtest import ChiSquaredCI, GTestCI
+from repro.ci import gtest
+from repro.ci.gtest import ChiSquaredCI, GTestCI, fused_counts
 from repro.data.table import Table
+
+#: Two-sided binomial band for 400 null trials at alpha = 0.05 (mean 20,
+#: sd 4.4): rejections outside [7, 35] mean a miscalibrated test.
+NULL_TRIALS, NULL_BAND = 400, (7, 35)
 
 
 def make_table(n=4000, seed=0, flip=0.05):
@@ -60,6 +69,28 @@ class TestCalibration:
             if not tester.independent(t, "a", "b"):
                 rejections += 1
         assert rejections / trials < 0.12  # alpha=0.05 plus slack
+
+    @staticmethod
+    def conditional_null(rng, n, n_strata):
+        """X and Y each depend on Z, and X ⊥ Y | Z holds."""
+        z = rng.integers(0, n_strata, n)
+        shift = z / (n_strata - 1)
+        x = (rng.random(n) < 0.2 + 0.6 * shift).astype(int)
+        y = (rng.random(n) < 0.7 - 0.4 * shift).astype(int)
+        return Table({"x": x, "y": y, "z": z})
+
+    @pytest.mark.parametrize("n_strata", [3, 9])
+    def test_conditional_null_rate_in_binomial_band(self, n_strata):
+        """Type-I rate at alpha = 0.05 on a true conditional null with
+        n = 2000, through ``GTestCI.test`` (the group kernel).  The sparse
+        regime (n = 300, 27 strata) over-rejects and is not asserted."""
+        tester = GTestCI(alpha=0.05)
+        rejections = sum(
+            not tester.test(self.conditional_null(
+                np.random.default_rng([n_strata, trial]), 2000, n_strata),
+                "x", "y", ["z"]).independent
+            for trial in range(NULL_TRIALS))
+        assert NULL_BAND[0] <= rejections <= NULL_BAND[1]
 
     def test_degenerate_stratum_returns_independent(self):
         t = Table({"x": np.zeros(50, dtype=int),
@@ -119,3 +150,77 @@ class TestMinExpectedGuard:
         t = self.sparse_table()
         result = ChiSquaredCI(min_expected=1e6).test(t, "x", "y", ["z"])
         assert result.independent and result.p_value == 1.0
+
+
+class _RecordingGTest(GTestCI):
+    """Records every count tensor the group kernel's stacks hand to
+    ``_stratum_terms`` (not the per-stratum fallback's)."""
+
+    def __init__(self):
+        super().__init__()
+        self.tensors = []
+        self._in_fallback = False
+
+    def _stat_dof_stratified(self, *args):
+        self._in_fallback = True
+        try:
+            return super()._stat_dof_stratified(*args)
+        finally:
+            self._in_fallback = False
+
+    def _stratum_terms(self, counts):
+        if not self._in_fallback:
+            self.tensors.append(np.array(counts))
+        return super()._stratum_terms(counts)
+
+
+class TestGroupKernelCounts:
+    """Query by query, the group kernel counts exactly the tensor
+    ``fused_counts`` builds and returns exactly ``_from_codes``'s result,
+    whether its stacks are split by the cell budget or not."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n_rows=st.integers(1, 300),
+           x_levels=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+           y_levels=st.integers(1, 4), z_levels=st.integers(1, 12),
+           budget=st.sampled_from([gtest.MAX_DENSE_CELLS, 200, 24]))
+    def test_counts_and_results_match_per_query(self, seed, n_rows,
+                                                 x_levels, y_levels,
+                                                 z_levels, budget):
+        rng = np.random.default_rng(seed)
+        columns = {"y": rng.integers(0, y_levels, n_rows),
+                   "z": rng.integers(0, z_levels, n_rows)}
+        for i, levels in enumerate(x_levels):
+            columns[f"x{i}"] = rng.integers(0, levels, n_rows)
+        table = Table(columns)
+        blocks = [(f"x{i}",) for i in range(len(x_levels))]
+        tester = _RecordingGTest()
+        with mock.patch.object(gtest, "MAX_DENSE_CELLS", budget):
+            results = tester._group_eval(table, ("y",), ("z",), blocks)
+            stacked = tester.tensors[:]
+            y_codes, n_y = table.discrete_codes("y")
+            z_codes, n_z = table.discrete_codes("z")
+            xs = [table.discrete_codes(names) for names in blocks]
+            for (x_codes, n_x), result in zip(xs, results):
+                assert result == tester._from_codes(x_codes, n_x, y_codes,
+                                                    n_y, z_codes, n_z)
+
+        # The stacks run cardinality by cardinality (first appearance),
+        # members in query order; splitting never reorders them.
+        order: dict[int, list[int]] = {}
+        for j, (_, n_x) in enumerate(xs):
+            if n_z * n_x * n_y <= budget:
+                order.setdefault(n_x, []).append(j)
+        expected = [fused_counts(xs[j][0], xs[j][1], y_codes, n_y,
+                                 z_codes, n_z)
+                    for members in order.values() for j in members]
+        got = []
+        for tensor in stacked:
+            k = tensor.shape[0] // n_z
+            assert k == 1 or tensor.size <= budget
+            got.extend(np.split(tensor, k))
+        assert len(got) == len(expected)
+        for mine, reference in zip(got, expected):
+            assert mine.dtype == reference.dtype
+            np.testing.assert_array_equal(mine, reference)

@@ -14,8 +14,8 @@ from repro.ci.adaptive import AdaptiveCI
 from repro.ci.fisher_z import FisherZCI
 from repro.ci.gtest import _chi2_sf
 from repro.ci.rcit import (RCIT, RIT, _gamma_pvalue, _gamma_sf,
-                           median_bandwidth, random_fourier_features,
-                           rff_draw)
+                           _squared_distances, median_bandwidth,
+                           random_fourier_features, rff_draw)
 from repro.data.table import Table
 from repro.exceptions import CITestError
 
@@ -165,6 +165,39 @@ class TestMedianBandwidthBitwise:
                 matrix[rng.integers(n_rows)] = bad
             ours, reference = self.both(matrix, seed)
             assert ours == reference
+
+
+class TestSingleColumnDistancesBitwise:
+    """A single-column block's outer-product cross term gives exactly the
+    bits of the ``(2 M) @ M.T`` formula: distances and bandwidth alike,
+    non-finite rows included."""
+
+    if given is not None:
+        @settings(max_examples=80, deadline=None)
+        @given(n_rows=st.integers(min_value=1, max_value=600),
+               seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+               scale=st.sampled_from([1e-6, 1.0, 1e3, 1e200]),
+               ties=st.booleans(),
+               bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+        @example(n_rows=500, seed=0, scale=1.0, ties=False, bad=np.nan)
+        @example(n_rows=3, seed=0, scale=1.0, ties=False, bad=-np.inf)
+        def test_outer_equals_matmul(self, n_rows, seed, scale, ties, bad):
+            rng = np.random.default_rng(seed)
+            matrix = scale * rng.normal(size=(n_rows, 1))
+            if ties:
+                matrix = np.round(matrix / scale)
+            if bad is not None:
+                matrix[rng.integers(n_rows)] = bad
+            with np.errstate(all="ignore"):
+                sq = np.sum(matrix ** 2, axis=1)
+                want = sq[:, None] + sq[None, :] - 2.0 * matrix @ matrix.T
+                got = _squared_distances(matrix)
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+                ours = median_bandwidth(matrix,
+                                        rng=np.random.default_rng(seed))
+                assert ours == reference_bandwidth(matrix, seed)
 
 
 def reference_gamma_pvalue(statistic, weights):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.data.schema import Kind, Role
-from repro.data.table import Table, _infer_kind
+from repro.data.table import Table, _infer_kind, _unique_inverse
 from repro.exceptions import SchemaError
 
 #: Every bool and integer width ``_infer_kind`` answers without sorting.
@@ -455,3 +455,58 @@ class TestColumnContract:
         for name, values in copies.items():
             assert values.flags.writeable is True
             assert not np.shares_memory(values, t[name])
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def int64_codes(draw):
+    """int64 code arrays on both sides of ``_unique_inverse``'s span rule:
+    narrow spans (presence table), wide spans and the int64 extremes,
+    whose span overflows int64 (``np.unique``), negative, constant and
+    empty arrays."""
+    size = draw(st.integers(min_value=0, max_value=200))
+    pool = draw(st.sampled_from(["narrow", "wide", "extremes",
+                                 "constant"]))
+    if pool == "extremes":
+        choices = [int(INT64.min), int(INT64.min) + 1, -1, 0,
+                   int(INT64.max) - 1, int(INT64.max)]
+        return np.array([draw(st.sampled_from(choices))
+                         for _ in range(size)], dtype=np.int64)
+    low = draw(st.integers(int(INT64.min), int(INT64.max)))
+    if pool == "constant":
+        return np.full(size, low, dtype=np.int64)
+    span = (draw(st.integers(1, max(size, 1))) if pool == "narrow"
+            else draw(st.integers(size + 1, 2 ** 40)))
+    high = min(low + span - 1, int(INT64.max))
+    return draw(hnp.arrays(np.int64, size,
+                           elements=st.integers(low, high)))
+
+
+class TestUniqueInverse:
+    """The sort-free densify helper is ``np.unique(return_inverse=True)``
+    to the bit, on both sides of its span rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(codes=int64_codes(), into_out=st.booleans())
+    @example(codes=np.array([], dtype=np.int64), into_out=False)
+    @example(codes=np.array([INT64.min, INT64.max], dtype=np.int64),
+             into_out=True)
+    @example(codes=np.array([-3, -1, -3, -2], dtype=np.int64),
+             into_out=False)
+    @example(codes=np.array([5, 9, 5, 7, 6], dtype=np.int64),
+             into_out=True)  # span 5 == size: the presence table
+    @example(codes=np.array([5, 10, 5, 7, 6], dtype=np.int64),
+             into_out=True)  # span 6 > size: np.unique
+    def test_equals_np_unique(self, codes, into_out):
+        want_values, want_inverse = np.unique(codes, return_inverse=True)
+        out = np.full(codes.size, -7, dtype=np.int64) if into_out else None
+        values, inverse = _unique_inverse(codes, out=out)
+        if into_out:
+            assert inverse is out
+        assert values.dtype == want_values.dtype
+        assert inverse.dtype == want_inverse.dtype
+        assert inverse.shape == want_inverse.shape
+        np.testing.assert_array_equal(values, want_values)
+        np.testing.assert_array_equal(inverse, want_inverse)
