@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import time
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,26 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under the benchmark timer."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1)
+
+
+def interleaved_medians(*fns, rounds: int = 5) -> list[float]:
+    """Median wall seconds of each of ``fns``, timed in interleaved rounds.
+
+    Every round runs each function once, rotating which one goes first,
+    so with a slow and a fast side each pair alternates its order.  A
+    drift in the machine's speed (other load, clock scaling) then lands
+    on both sides alike instead of on whichever side's block of runs it
+    overlaps.  A speedup gate takes its ratio from the medians this
+    returns, one per function, in argument order.
+    """
+    samples: list[list[float]] = [[] for _ in fns]
+    for r in range(rounds):
+        for k in range(len(fns)):
+            i = (r + k) % len(fns)
+            start = time.perf_counter()
+            fns[i]()
+            samples[i].append(time.perf_counter() - start)
+    return [float(np.median(side)) for side in samples]
 
 
 def write_bench_artifact(name: str, workload: dict, results: dict) -> None:

@@ -7,12 +7,11 @@ state cuts per-test latency versus cold sequential calls.  Speedups and
 per-test latencies are printed so benchmark runs record them.
 """
 
-import time
-
 import numpy as np
 import pytest
 from scipy import stats
 
+from benchmarks.conftest import interleaved_medians
 from repro.ci.base import CIQuery, CITestLedger, encode_rows
 from repro.ci.gtest import GTestCI
 from repro.data.table import Table
@@ -63,15 +62,6 @@ def discrete_table():
     return Table(data)
 
 
-def _median_seconds(fn, repeats=5):
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return float(np.median(samples))
-
-
 def test_vectorised_kernel_speedup_vs_seed(benchmark, discrete_table):
     """Acceptance: fused-bincount kernel >= 3x the seed's stratum loop."""
     t = discrete_table
@@ -81,16 +71,15 @@ def test_vectorised_kernel_speedup_vs_seed(benchmark, discrete_table):
     matrices = [(t.matrix([x]), t.matrix([y]), t.matrix(z))
                 for x, y, z in queries]
 
-    legacy = _median_seconds(
-        lambda: [legacy_gtest(x, y, z) for x, y, z in matrices])
-
     def run_vectorised():
         # One fresh table per run, as in a selector pass: encode caches are
         # built on first touch and shared by the burst of queries.
         fresh = Table(t.to_dict())
         return [tester.test(fresh, x, y, z) for x, y, z in queries]
 
-    vectorised = _median_seconds(run_vectorised)
+    legacy, vectorised = interleaved_medians(
+        lambda: [legacy_gtest(x, y, z) for x, y, z in matrices],
+        run_vectorised)
 
     # Same answers (up to float-accumulation order).
     for (x, y, z), (xm, ym, zm) in zip(queries, matrices):
@@ -116,15 +105,14 @@ def test_batch_speedup_vs_cold_sequential(benchmark, discrete_table):
     queries = [CIQuery.make(f"f{i}", "y", ["a1", "a2", "s"])
                for i in range(24)]
 
-    cold = _median_seconds(
-        lambda: [GTestCI().test(Table(t.to_dict()), q.x, q.y, list(q.z))
-                 for q in queries])
-
     def batched():
         ledger = CITestLedger(GTestCI())
         return ledger.test_batch(Table(t.to_dict()), queries)
 
-    warm = _median_seconds(batched)
+    cold, warm = interleaved_medians(
+        lambda: [GTestCI().test(Table(t.to_dict()), q.x, q.y, list(q.z))
+                 for q in queries],
+        batched)
     results = benchmark.pedantic(batched, rounds=3, iterations=1)
 
     assert len(results) == 24 and all(r is not None for r in results)

@@ -15,12 +15,10 @@ smoke job alongside the other ``BENCH_*.json`` files):
    group; recorded, not asserted.
 """
 
-import time
-
 import numpy as np
 import pytest
 
-from benchmarks.conftest import write_bench_artifact
+from benchmarks.conftest import interleaved_medians, write_bench_artifact
 from repro.ci.base import CIQuery
 from repro.ci.fisher_z import FisherZCI
 from repro.ci.kcit import KCIT
@@ -62,15 +60,6 @@ def burst():
     return continuous_burst(N_ROWS, N_CANDIDATES)
 
 
-def _median_seconds(fn, repeats=5):
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return float(np.median(samples))
-
-
 def _assert_bitwise(fused, sequential):
     for got, want in zip(fused, sequential):
         assert got.p_value == want.p_value
@@ -87,10 +76,9 @@ def test_fused_rcit_burst_speedup(benchmark, burst):
     _assert_bitwise(tester.test_batch(table, queries),
                     [tester.test(table, q.x, q.y, q.z) for q in queries])
 
-    per_query = _median_seconds(
+    per_query, fused = interleaved_medians(
         lambda: [tester.test(table, q.x, q.y, q.z) for q in queries],
-        repeats=3)
-    fused = _median_seconds(lambda: tester.test_batch(table, queries))
+        lambda: tester.test_batch(table, queries), rounds=3)
     speedup = per_query / fused
     RESULTS["fused_rcit_same_yz_burst"] = {
         "per_query_ms_per_test": 1e3 * per_query / len(queries),
@@ -115,11 +103,9 @@ def test_kcit_group_sharing(benchmark):
     _assert_bitwise(tester.test_batch(table, queries),
                     [tester.test(table, q.x, q.y, q.z) for q in queries])
 
-    per_query = _median_seconds(
+    per_query, fused = interleaved_medians(
         lambda: [tester.test(table, q.x, q.y, q.z) for q in queries],
-        repeats=3)
-    fused = _median_seconds(lambda: tester.test_batch(table, queries),
-                            repeats=3)
+        lambda: tester.test_batch(table, queries), rounds=3)
     RESULTS["kcit_group_shared"] = {
         "n_rows": 400, "n_candidates": 12,
         "per_query_ms_per_test": 1e3 * per_query / len(queries),
@@ -143,9 +129,9 @@ def test_fisher_z_group_factorisation(benchmark, burst):
     _assert_bitwise(tester.test_batch(table, queries),
                     [tester.test(table, q.x, q.y, q.z) for q in queries])
 
-    per_query = _median_seconds(
-        lambda: [tester.test(table, q.x, q.y, q.z) for q in queries])
-    fused = _median_seconds(lambda: tester.test_batch(table, queries))
+    per_query, fused = interleaved_medians(
+        lambda: [tester.test(table, q.x, q.y, q.z) for q in queries],
+        lambda: tester.test_batch(table, queries))
     RESULTS["fisher_z_group_factorisation"] = {
         "per_query_ms_per_test": 1e3 * per_query / len(queries),
         "fused_ms_per_test": 1e3 * fused / len(queries),

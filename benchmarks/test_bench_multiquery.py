@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import write_bench_artifact
+from benchmarks.conftest import interleaved_medians, write_bench_artifact
 from repro.ci.base import CIQuery, CITestLedger
 from repro.ci.gtest import GTestCI
 from repro.ci.store import PersistentCICache
@@ -55,15 +55,6 @@ def burst():
     return table, queries
 
 
-def _median_seconds(fn, repeats=7):
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return float(np.median(samples))
-
-
 def test_fused_multiquery_speedup(benchmark, burst):
     """Acceptance: fused same-(Y, Z) batch >= 3x the per-query path."""
     table, queries = burst
@@ -77,9 +68,9 @@ def test_fused_multiquery_speedup(benchmark, burst):
         assert got.statistic == want.statistic
         assert got.independent == want.independent
 
-    per_query = _median_seconds(
-        lambda: [tester.test(table, q.x, q.y, q.z) for q in queries])
-    fused = _median_seconds(lambda: tester.test_batch(table, queries))
+    per_query, fused = interleaved_medians(
+        lambda: [tester.test(table, q.x, q.y, q.z) for q in queries],
+        lambda: tester.test_batch(table, queries), rounds=7)
     speedup = per_query / fused
     RESULTS["fused_same_yz_burst"] = {
         "per_query_ms_per_test": 1e3 * per_query / N_CANDIDATES,
@@ -122,7 +113,7 @@ def test_persistent_cache_warm_rerun(benchmark, burst, tmp_path_factory):
     assert [r.independent for r in warm_results] == \
            [r.independent for r in cold_results]
 
-    warm_seconds = _median_seconds(lambda: warm_run(), repeats=5)
+    (warm_seconds,) = interleaved_medians(warm_run)
     speedup = cold_seconds / warm_seconds
     RESULTS["persistent_cache"] = {
         "cold_seconds": cold_seconds,

@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import write_bench_artifact
+from benchmarks.conftest import interleaved_medians, write_bench_artifact
 from repro.ci.base import CIQuery, CITestLedger
 from repro.ci.executor import ProcessExecutor, SerialExecutor
 from repro.ci.gtest import GTestCI
@@ -72,15 +72,6 @@ def burst():
     return table, queries
 
 
-def _median_seconds(fn, repeats=5):
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return float(np.median(samples))
-
-
 def test_process_burst_speedup_and_parity(benchmark, burst):
     """Acceptance: 2 process workers beat serial on a >=150-query discrete
     burst (machines with >= 4 cores), with bitwise-identical results."""
@@ -102,9 +93,8 @@ def test_process_burst_speedup_and_parity(benchmark, burst):
             assert got.independent == want.independent
             assert got.query == want.query
 
-        serial = _median_seconds(
-            lambda: serial_executor.run(tester, table, queries))
-        process = _median_seconds(
+        serial, process = interleaved_medians(
+            lambda: serial_executor.run(tester, table, queries),
             lambda: process_executor.run(tester, table, queries))
         speedup = serial / process
         RESULTS["discrete_burst"] = {
@@ -156,7 +146,7 @@ def test_warm_experiment_store_executes_zero_tests(benchmark, burst,
     assert [r.p_value for r in warm_results] == \
            [r.p_value for r in cold_results]
 
-    warm_seconds = _median_seconds(lambda: warm_run(), repeats=5)
+    (warm_seconds,) = interleaved_medians(warm_run)
     RESULTS["warm_experiment_store"] = {
         "warm_seconds": warm_seconds,
         "warm_tests_executed": warm_ledger.n_tests,

@@ -111,8 +111,10 @@ def test_fused_phase1_sweep_speedup_and_parity(benchmark, sweep):
            [[(r.p_value, r.statistic, r.independent, r.query)
              for r in prefix] for prefix in base_prefixes]
     assert wave_ledger.n_tests == base_ledger.n_tests
-    assert sorted(e.query.key for e in wave_ledger.entries) == \
-           sorted(e.query.key for e in base_ledger.entries)
+    assert sorted((e.query.x, e.query.y, e.query.z)
+                  for e in wave_ledger.entries) == \
+           sorted((e.query.x, e.query.y, e.query.z)
+                  for e in base_ledger.entries)
 
     base_seconds = min(time_once(baseline) for _ in range(3))
     wave_seconds = min(time_once(wavefront) for _ in range(3))

@@ -6,8 +6,9 @@ German Credit stand-in:
 1. **Counterfactual fairness audit** (Kusner et al.) — for each applicant,
    would the decision change had their age group been different, holding
    everything else (exogenous noise) fixed?
-2. **Do-calculus checks** — verify the graphical side conditions behind the
-   paper's Lemma 9/10 proofs on the actual dataset graph.
+2. **Do-calculus checks** — find a backdoor adjustment set and verify the
+   graphical side condition behind the paper's Lemma 10 proof on the
+   actual dataset graph.
 3. **Online selection** — features arrive in batches (the data-integration
    reality); the selector maintains a sound running selection.
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from repro.causal.identification import find_backdoor_set, lemma10_condition
 from repro.ci.adaptive import AdaptiveCI
-from repro.core import FairFeatureSelectionProblem, GrpSel
+from repro.core import GrpSel
 from repro.core.online import OnlineSelector
 from repro.data.loaders import load_german
 from repro.fairness.counterfactual import counterfactual_unfairness

@@ -3,14 +3,7 @@
 from repro.causal.dag import CausalDAG
 from repro.causal.dsep import active_reachable, d_connected, d_separated
 from repro.causal.scm import InterventionedSCM, StructuralCausalModel
-from repro.causal.identification import (
-    find_backdoor_set,
-    is_backdoor_set,
-    is_frontdoor_set,
-    rule1_applicable,
-    rule2_applicable,
-    rule3_applicable,
-)
+from repro.causal.identification import find_backdoor_set, is_backdoor_set
 from repro.causal.random_graphs import (
     FairnessGraphSpec,
     FairnessGround,
@@ -28,10 +21,6 @@ __all__ = [
     "StructuralCausalModel",
     "find_backdoor_set",
     "is_backdoor_set",
-    "is_frontdoor_set",
-    "rule1_applicable",
-    "rule2_applicable",
-    "rule3_applicable",
     "FairnessGraphSpec",
     "FairnessGround",
     "fairness_scm",

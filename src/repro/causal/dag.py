@@ -155,7 +155,8 @@ class CausalDAG:
         return CausalDAG(self.nodes, kept)
 
     def remove_outgoing(self, nodes: Iterable[str]) -> "CausalDAG":
-        """``G`` with outgoing edges of ``nodes`` removed (do-calculus rule 3 helper)."""
+        """``G`` with outgoing edges of ``nodes`` removed (the backdoor
+        criterion's ``G_underbar(X)``)."""
         cut = set(nodes)
         self._require(*cut)
         kept = [(u, v) for u, v in self.edges if u not in cut]

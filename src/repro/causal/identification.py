@@ -1,26 +1,13 @@
-"""Do-calculus rules and adjustment-set identification.
+"""Backdoor adjustment and the paper's Lemma 10 as graph checks.
 
 The paper's proofs (Lemmas 5, 6, 9, 10) are applications of Pearl's
-do-calculus, especially rule 3 (deletion of actions).  This module makes
-those graphical side-conditions executable so the proofs can be *checked*
-on any concrete graph:
+do-calculus.  This module makes two of their graphical side-conditions
+executable so they can be *checked* on any concrete graph:
 
-* :func:`rule1_applicable` — insertion/deletion of observations:
-  ``P(y | do(x), z, w) = P(y | do(x), w)`` iff ``Y ⊥ Z | X, W`` in
-  ``G_bar(X)`` (incoming edges of X removed),
-* :func:`rule2_applicable` — action/observation exchange:
-  ``P(y | do(x), do(z), w) = P(y | do(x), z, w)`` iff ``Y ⊥ Z | X, W`` in
-  ``G_bar(X)_underbar(Z)`` (incoming of X and outgoing of Z removed),
-* :func:`rule3_applicable` — deletion of actions:
-  ``P(y | do(x), do(z), w) = P(y | do(x), w)`` iff ``Y ⊥ Z | X, W`` in
-  ``G_bar(X)_bar(Z(W))`` where ``Z(W)`` is the set of Z-nodes that are not
-  ancestors of any W-node in ``G_bar(X)``,
-
-plus the classical covariate-adjustment machinery:
-
-* :func:`is_backdoor_set` / :func:`find_backdoor_set`,
-* :func:`is_frontdoor_set`,
-* :func:`proper_causal_paths`.
+* :func:`is_backdoor_set` / :func:`find_backdoor_set` — covariate
+  adjustment by the backdoor criterion,
+* :func:`lemma10_condition` — Lemma 10's deletion of ``do(S)`` given the
+  admissible and selected features.
 """
 
 from __future__ import annotations
@@ -32,49 +19,6 @@ from repro.causal.dag import CausalDAG
 from repro.causal.dsep import d_separated
 from repro.exceptions import GraphError
 
-
-def _sets(*groups: Iterable[str] | str) -> list[set[str]]:
-    out = []
-    for g in groups:
-        out.append({g} if isinstance(g, str) else set(g))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Do-calculus rules
-# ---------------------------------------------------------------------------
-
-def rule1_applicable(dag: CausalDAG, y, z, x=(), w=()) -> bool:
-    """Rule 1: observations Z can be dropped given do(X), W."""
-    ys, zs, xs, ws = _sets(y, z, x, w)
-    mutilated = dag.remove_incoming(xs) if xs else dag
-    return d_separated(mutilated, ys, zs, xs | ws)
-
-
-def rule2_applicable(dag: CausalDAG, y, z, x=(), w=()) -> bool:
-    """Rule 2: do(Z) can be replaced by conditioning on Z."""
-    ys, zs, xs, ws = _sets(y, z, x, w)
-    g = dag.remove_incoming(xs) if xs else dag
-    g = g.remove_outgoing(zs)
-    return d_separated(g, ys, zs, xs | ws)
-
-
-def rule3_applicable(dag: CausalDAG, y, z, x=(), w=()) -> bool:
-    """Rule 3: do(Z) can be dropped entirely."""
-    ys, zs, xs, ws = _sets(y, z, x, w)
-    g_bar_x = dag.remove_incoming(xs) if xs else dag
-    # Z(W): nodes of Z that are not ancestors of any W node in G_bar(X).
-    w_ancestors: set[str] = set()
-    for node in ws:
-        w_ancestors |= g_bar_x.ancestors(node)
-    z_w = zs - w_ancestors
-    g = g_bar_x.remove_incoming(z_w) if z_w else g_bar_x
-    return d_separated(g, ys, zs, xs | ws)
-
-
-# ---------------------------------------------------------------------------
-# Adjustment sets
-# ---------------------------------------------------------------------------
 
 def is_backdoor_set(dag: CausalDAG, treatment: str, outcome: str,
                     adjustment: Iterable[str]) -> bool:
@@ -101,59 +45,6 @@ def find_backdoor_set(dag: CausalDAG, treatment: str, outcome: str,
             if is_backdoor_set(dag, treatment, outcome, combo):
                 return set(combo)
     return None
-
-
-def proper_causal_paths(dag: CausalDAG, treatment: str, outcome: str
-                        ) -> list[list[str]]:
-    """All directed paths treatment -> ... -> outcome."""
-    import networkx as nx
-
-    g = dag.to_networkx()
-    if treatment not in g or outcome not in g:
-        raise GraphError("treatment/outcome not in graph")
-    return [list(p) for p in nx.all_simple_paths(g, treatment, outcome)]
-
-
-def is_frontdoor_set(dag: CausalDAG, treatment: str, outcome: str,
-                     mediators: Iterable[str]) -> bool:
-    """Frontdoor criterion for ``mediators`` M between X and Y.
-
-    (i) M intercepts every directed X -> Y path, (ii) no unblocked backdoor
-    path X to M, (iii) every backdoor path M to Y is blocked by X.
-    """
-    ms = set(mediators)
-    if not ms:
-        return False
-    if treatment in ms or outcome in ms:
-        raise GraphError("mediator set must exclude treatment and outcome")
-    # (i) every causal path hits M.
-    for path in proper_causal_paths(dag, treatment, outcome):
-        if not (set(path[1:-1]) & ms):
-            return False
-    # (ii) all X-M backdoor paths blocked (by the empty set).
-    g_no_out_x = dag.remove_outgoing([treatment])
-    for m in ms:
-        if not d_separated(g_no_out_x, treatment, m, set()):
-            return False
-    # (iii) all M-Y backdoor paths blocked by X.
-    for m in ms:
-        g_no_out_m = dag.remove_outgoing([m])
-        if not d_separated(g_no_out_m, m, outcome, {treatment} | (ms - {m})):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# The paper's lemmas as checkable graph statements
-# ---------------------------------------------------------------------------
-
-def lemma9_condition(dag: CausalDAG, x, y, z) -> bool:
-    """Lemma 9: ``P(X | do(Y), do(Z)) = P(X | do(Z))`` via rule 3.
-
-    Holds when X ⊥ Y | Z' for some Z' ⊆ Z in the original graph; we check
-    the rule-3 side condition directly with W = Z.
-    """
-    return rule3_applicable(dag, x, y, x=(), w=z)
 
 
 def lemma10_condition(dag: CausalDAG, prediction: str,

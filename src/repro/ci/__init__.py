@@ -3,7 +3,7 @@
 from repro import env
 from repro.ci.base import CIQuery, CIResult, CITestLedger, CITester, LedgerEntry
 from repro.ci.adaptive import AdaptiveCI
-from repro.ci.cmi import ClassifierCMI, discrete_cmi, knn_cmi
+from repro.ci.cmi import discrete_cmi
 from repro.ci.executor import (BatchExecutor, ProcessExecutor,
                                SerialExecutor, default_executor,
                                executor_by_name)
@@ -71,9 +71,7 @@ __all__ = [
     "executor_by_name",
     "ExperimentStore",
     "PersistentCICache",
-    "ClassifierCMI",
     "discrete_cmi",
-    "knn_cmi",
     "FisherZCI",
     "partial_correlation",
     "ChiSquaredCI",

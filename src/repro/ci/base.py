@@ -129,7 +129,7 @@ class QueryFrame:
 
 @dataclass(frozen=True)
 class CIQuery:
-    """A normalised CI query ``X ⊥ Y | Z`` (order-insensitive in X/Y)."""
+    """A normalised CI query ``X ⊥ Y | Z``."""
 
     x: tuple[str, ...]
     y: tuple[str, ...]
@@ -146,12 +146,6 @@ class CIQuery:
         """A :class:`QueryFrame` for many queries sharing ``(Y, Z)``:
         ``CIQuery.against(y, z)(x) == CIQuery.make(x, y, z)``."""
         return QueryFrame(y, z)
-
-    @property
-    def key(self) -> tuple:
-        """Canonical (symmetric in X/Y) cache key."""
-        a, b = sorted([self.x, self.y])
-        return (a, b, self.z)
 
 
 @dataclass(frozen=True)

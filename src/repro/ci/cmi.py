@@ -1,36 +1,19 @@
-"""Conditional mutual information estimators.
+"""Conditional mutual information over discrete columns.
 
 Table 2 of the paper reports ``CMI(S, Y' | A)`` and ``CMI(S, Y | A)`` using
 the CCMI estimator of Mukherjee et al. (2019) and truncates slightly
-negative estimates to zero.  We provide three estimators:
-
-* :func:`discrete_cmi` — plug-in estimate from empirical joint frequencies
-  (exact quantity for fully discrete data; what we use for Table 2 since
-  S, Y, Y' and the encoded A strata are discrete),
-* :func:`knn_cmi` — KSG-style k-nearest-neighbour estimator for continuous
-  or mixed variables,
-* :class:`ClassifierCMI` — classifier-two-sample estimate in the spirit of
-  CCMI: a Donsker–Varadhan bound computed from a logistic discriminator
-  between the joint and the conditionally-permuted product distribution.
+negative estimates to zero.  S, Y, Y' and the encoded A strata are all
+discrete, so :func:`discrete_cmi` computes the exact quantity: a plug-in
+estimate from the empirical joint frequencies.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import digamma
 
-from repro.ci.base import encode_rows
 from repro.ci.gtest import MAX_DENSE_CELLS, fused_counts
 from repro.data.table import Table
 from repro.exceptions import CITestError
-from repro.rng import SeedLike, as_generator
-
-
-def _codes(table: Table, names: list[str]) -> np.ndarray:
-    matrix = np.column_stack(
-        [np.asarray(table[n], dtype=float) for n in names]
-    ) if names else np.zeros((table.n_rows, 0))
-    return encode_rows(np.round(matrix).astype(np.int64))
 
 
 def discrete_cmi(table: Table, x: list[str] | str, y: list[str] | str,
@@ -46,8 +29,7 @@ def discrete_cmi(table: Table, x: list[str] | str, y: list[str] | str,
     pass with memory proportional to the observed support instead.
 
     ``truncate`` clips tiny negative values (possible only through floating
-    error here, but kept for interface parity with the sampled estimators,
-    and matching the paper's footnote 3).
+    error here), matching the paper's footnote 3.
     """
     xs = [x] if isinstance(x, str) else list(x)
     ys = [y] if isinstance(y, str) else list(y)
@@ -98,122 +80,3 @@ def _sparse_cmi(cx: np.ndarray, n_x: int, cy: np.ndarray, n_y: int,
     n_zc = group_sum(z_of)
     terms = joint * np.log(joint * n_zc / (n_xz * n_yz))
     return float(terms.sum()) / n
-
-
-def knn_cmi(table: Table, x: list[str] | str, y: list[str] | str,
-            z: list[str] | str = (), k: int = 5, truncate: bool = True) -> float:
-    """KSG-style k-NN estimator of ``I(X; Y | Z)`` (Frenzel–Pompe variant).
-
-    Works for continuous or mixed data; distances use the max-norm after
-    per-column standardisation.  Estimates can be slightly negative by
-    sampling noise; ``truncate`` clips at zero as the paper does.
-    """
-    xs = [x] if isinstance(x, str) else list(x)
-    ys = [y] if isinstance(y, str) else list(y)
-    zs = [z] if isinstance(z, str) else list(z)
-    n = table.n_rows
-    if k >= n:
-        raise CITestError(f"k={k} must be smaller than n={n}")
-
-    def block(names: list[str]) -> np.ndarray:
-        if not names:
-            return np.zeros((n, 0))
-        m = np.column_stack([np.asarray(table[c], dtype=float) for c in names])
-        std = m.std(axis=0, keepdims=True)
-        std[std < 1e-12] = 1.0
-        return (m - m.mean(axis=0, keepdims=True)) / std
-
-    bx, by, bz = block(xs), block(ys), block(zs)
-    xyz = np.hstack([bx, by, bz])
-
-    def chebyshev(a: np.ndarray) -> np.ndarray:
-        if a.shape[1] == 0:
-            return np.zeros((a.shape[0], a.shape[0]))
-        diff = np.abs(a[:, None, :] - a[None, :, :])
-        return diff.max(axis=2)
-
-    d_full = chebyshev(xyz)
-    np.fill_diagonal(d_full, np.inf)
-    eps = np.partition(d_full, k - 1, axis=1)[:, k - 1]
-
-    d_xz = chebyshev(np.hstack([bx, bz]))
-    d_yz = chebyshev(np.hstack([by, bz]))
-    d_z = chebyshev(bz)
-    for d in (d_xz, d_yz, d_z):
-        np.fill_diagonal(d, np.inf)
-
-    n_xz = (d_xz < eps[:, None]).sum(axis=1)
-    n_yz = (d_yz < eps[:, None]).sum(axis=1)
-    if bz.shape[1] > 0:
-        n_z = (d_z < eps[:, None]).sum(axis=1)
-        est = float(np.mean(digamma(k) + digamma(n_z + 1)
-                            - digamma(n_xz + 1) - digamma(n_yz + 1)))
-    else:
-        est = float(digamma(k) + digamma(n)
-                    - np.mean(digamma(n_xz + 1) + digamma(n_yz + 1)))
-    if truncate:
-        est = max(est, 0.0)
-    return est
-
-
-class ClassifierCMI:
-    """Classifier-based CMI estimate in the spirit of CCMI (Mukherjee et al.).
-
-    Estimates the KL divergence between the joint ``(X, Y, Z)`` sample and a
-    "conditional product" sample where X is permuted within Z strata, via the
-    Donsker–Varadhan representation with a logistic-regression discriminator.
-    """
-
-    def __init__(self, n_bins: int = 4, seed: SeedLike = None) -> None:
-        self.n_bins = n_bins
-        self._seed = seed
-
-    def estimate(self, table: Table, x: list[str] | str, y: list[str] | str,
-                 z: list[str] | str = (), truncate: bool = True) -> float:
-        from repro.ml.logistic import LogisticRegression  # local: avoid cycle
-
-        xs = [x] if isinstance(x, str) else list(x)
-        ys = [y] if isinstance(y, str) else list(y)
-        zs = [z] if isinstance(z, str) else list(z)
-        rng = as_generator(self._seed)
-        n = table.n_rows
-
-        x_m = table.matrix(xs)
-        y_m = table.matrix(ys)
-        z_m = table.matrix(zs) if zs else np.zeros((n, 0))
-
-        strata = (_codes(table, zs) if zs else np.zeros(n, dtype=np.int64))
-        x_perm = x_m.copy()
-        for stratum in np.unique(strata):
-            idx = np.flatnonzero(strata == stratum)
-            if idx.size > 1:
-                x_perm[idx] = x_m[rng.permutation(idx)]
-
-        joint = self._discriminator_features(x_m, y_m, z_m)
-        product = self._discriminator_features(x_perm, y_m, z_m)
-        features = np.vstack([joint, product])
-        labels = np.concatenate([np.ones(n), np.zeros(n)])
-
-        model = LogisticRegression(max_iter=200)
-        model.fit(features, labels)
-        probs = np.clip(model.predict_proba(features)[:, 1], 1e-6, 1 - 1e-6)
-        ratio = probs / (1.0 - probs)
-        # Donsker-Varadhan: E_joint[log r] - log E_product[r]
-        dv = float(np.mean(np.log(ratio[:n])) - np.log(np.mean(ratio[n:])))
-        if truncate:
-            dv = max(dv, 0.0)
-        return dv
-
-    @staticmethod
-    def _discriminator_features(x: np.ndarray, y: np.ndarray,
-                                z: np.ndarray) -> np.ndarray:
-        """Augment with X×Y interactions so a *linear* discriminator can
-        separate the joint from the conditional product.
-
-        A plain logistic regression on ``[X, Y, Z]`` cannot express the
-        correlation difference between the two samples (identical
-        marginals); the bilinear terms make the optimal discriminator
-        linear in the feature map.
-        """
-        interactions = (x[:, :, None] * y[:, None, :]).reshape(x.shape[0], -1)
-        return np.hstack([x, y, z, interactions, x ** 2, y ** 2])

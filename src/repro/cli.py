@@ -150,9 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "REPRO_CI_TESTER)")
     suite.add_argument("--subsets", choices=SUBSET_STRATEGIES, default=None,
                        help="phase-1 subset-search strategy for every leg")
-    suite.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="experiment-leg worker processes (default: one "
-                            "per leg, capped at the CPU count; 1 = inline)")
+    suite.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="experiment-leg worker processes (default: 1, "
+                            "every leg inline)")
     suite.add_argument("--mp-context", default="spawn",
                        choices=("spawn", "fork", "forkserver"),
                        help="multiprocessing start method for the leg "

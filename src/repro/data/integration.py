@@ -3,8 +3,9 @@
 The paper's motivating scenario is a data engineer integrating new feature
 tables against a training dataset.  :class:`FeatureSource` models one such
 external table (keyed by entity id); :func:`integrate` joins a batch of
-sources and re-runs selection incrementally, demonstrating the paper's
-footnote that the algorithms work when features arrive over time.
+sources onto the base table, whose new columns then enter selection as
+candidates.  Selection as features arrive over time, the paper's footnote,
+is :class:`repro.core.online.OnlineSelector`'s job.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.problem import FairFeatureSelectionProblem
-from repro.core.result import SelectionResult
 from repro.data.schema import Role
 from repro.data.table import Table
 from repro.exceptions import SchemaError
@@ -67,21 +66,3 @@ def integrate(base: Table, sources: list[FeatureSource], key: str = "entity_id"
             {name: Role.CANDIDATE for name in source.feature_names}
         )
     return out
-
-
-def incremental_selection(problem: FairFeatureSelectionProblem, selector,
-                          batches: list[list[str]]) -> list[SelectionResult]:
-    """Run a selector as feature batches arrive.
-
-    Each batch is selected against the problem restricted to that batch's
-    candidates; safe features accumulate.  By Lemma 3 (union of causally
-    fair sets is causally fair) the final union matches a single batch run
-    when the tester is sound.
-    """
-    results: list[SelectionResult] = []
-    for batch in batches:
-        unknown = set(batch) - set(problem.candidates)
-        if unknown:
-            raise SchemaError(f"batch references unknown candidates: {sorted(unknown)}")
-        results.append(selector.select(problem.with_candidates(batch)))
-    return results

@@ -2,8 +2,8 @@
 
 The paper's appendix generates extra features "constructed by composition
 of already present features" using Cognito-style transforms.  We implement
-the standard unary/binary transform library: products, ratios, sums,
-differences, squares, logs, and quantile bins.  Derived columns keep the
+the unary transforms (squares, logs) and binary transforms (products,
+sums, ratios) that :func:`cognito_expand` composes.  Derived columns keep the
 CANDIDATE role so they flow straight into selection — any transform of a
 biased feature is itself biased (a descendant in the causal graph), and the
 selection algorithms must catch it.
@@ -12,7 +12,7 @@ selection algorithms must catch it.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,61 +36,13 @@ def _safe_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 UNARY_TRANSFORMS: dict[str, UnaryTransform] = {
     "square": lambda v: v ** 2,
     "log": _safe_log,
-    "abs": np.abs,
 }
 
 BINARY_TRANSFORMS: dict[str, BinaryTransform] = {
     "product": lambda a, b: a * b,
     "sum": lambda a, b: a + b,
-    "diff": lambda a, b: a - b,
     "ratio": _safe_ratio,
 }
-
-
-def quantile_bin(values: np.ndarray, n_bins: int = 4) -> np.ndarray:
-    """Quantile-bin a continuous column into integer codes."""
-    if n_bins < 2:
-        raise SchemaError(f"n_bins must be >= 2, got {n_bins}")
-    edges = np.quantile(values, np.linspace(0, 1, n_bins + 1)[1:-1])
-    return np.searchsorted(edges, values).astype(np.int64)
-
-
-def apply_unary(table: Table, columns: Sequence[str],
-                transforms: Sequence[str] = ("square", "log")) -> Table:
-    """Append unary transforms of the named columns."""
-    out = table
-    for column in columns:
-        if column not in table:
-            raise SchemaError(f"unknown column: {column!r}")
-        values = np.asarray(table[column], dtype=float)
-        for name in transforms:
-            if name not in UNARY_TRANSFORMS:
-                raise SchemaError(f"unknown unary transform: {name!r}")
-            out = out.with_column(f"{name}({column})",
-                                  UNARY_TRANSFORMS[name](values),
-                                  role=Role.CANDIDATE, kind=Kind.CONTINUOUS)
-    return out
-
-
-def apply_binary(table: Table, columns: Sequence[str],
-                 transforms: Sequence[str] = ("product",),
-                 max_new: int | None = None) -> Table:
-    """Append binary transforms over all pairs of the named columns."""
-    out = table
-    made = 0
-    for a, b in combinations(columns, 2):
-        for name in transforms:
-            if name not in BINARY_TRANSFORMS:
-                raise SchemaError(f"unknown binary transform: {name!r}")
-            if max_new is not None and made >= max_new:
-                return out
-            va = np.asarray(table[a], dtype=float)
-            vb = np.asarray(table[b], dtype=float)
-            out = out.with_column(f"{name}({a},{b})",
-                                  BINARY_TRANSFORMS[name](va, vb),
-                                  role=Role.CANDIDATE, kind=Kind.CONTINUOUS)
-            made += 1
-    return out
 
 
 def cognito_expand(table: Table, max_new: int = 20,

@@ -28,12 +28,7 @@ from repro.experiments.spuriousness import (
     spurious_counts,
     sweep_spuriousness,
 )
-from repro.experiments.table2 import (
-    Table2Row,
-    expand_dataset,
-    run_table2,
-    table2_row,
-)
+from repro.experiments.table2 import Table2Row, expand_dataset, table2_row
 from repro.experiments.test_counts import (
     CountPoint,
     CountSweep,
@@ -75,7 +70,6 @@ __all__ = [
     "sweep_spuriousness",
     "Table2Row",
     "expand_dataset",
-    "run_table2",
     "table2_row",
     "CountPoint",
     "CountSweep",

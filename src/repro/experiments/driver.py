@@ -3,7 +3,8 @@ classifier) legs over one shared :class:`~repro.ci.store.ExperimentStore`.
 
 The CI engine already shards *test batches* across processes
 (:class:`~repro.ci.executor.ProcessExecutor`); this module parallelises
-one level up — whole experiment legs run in worker processes.  A leg is a
+one level up — whole experiment legs run in worker processes when the
+caller asks for more than one job, and inline otherwise.  A leg is a
 picklable :class:`ExperimentLeg` *spec* (names and scalars only: dataset
 loader key, algorithm, classifier, tester/subset-strategy names, seed);
 each worker materialises the dataset/selector/classifier from the spec,
@@ -12,12 +13,12 @@ back a :class:`LegOutcome` (fairness report + selection provenance).
 
 **Store discipline**: every worker opens its *own*
 :class:`~repro.ci.store.ExperimentStore` instance on the shared root.
-That is safe by construction — saves merge with the on-disk state before
-the atomic rename, so interleaved savers never lose committed entries —
-and keeps the suite's cost accounting honest: legs land in per-selector
-namespaces, so e.g. GrpSel can never answer SeqSel's queries on a cold
-run, and a warm rerun of the whole suite executes zero CI tests while
-reporting the recorded cold-run counts.
+That is safe by construction — each save appends its new records to the
+store's log under the directory lock, so interleaved savers never lose
+committed entries — and keeps the suite's cost accounting honest: legs
+land in per-selector namespaces, so e.g. GrpSel can never answer
+SeqSel's queries on a cold run, and a warm rerun of the whole suite
+executes zero CI tests while reporting the recorded cold-run counts.
 
 Failures follow the executor error contract's shape: a crashed leg
 surfaces as :class:`~repro.exceptions.ExperimentError` naming the leg,
@@ -199,12 +200,10 @@ def map_parallel(fn: Callable, items: Sequence, jobs: int,
                  mp_context: str = "spawn") -> list:
     """Map ``fn`` over ``items``, ``jobs`` worker processes at a time.
 
-    The driver's pool primitive, reused by
-    :func:`repro.experiments.table2.run_table2`.  ``fn`` must be
-    picklable (a module-level function or a ``functools.partial`` of
-    one).  ``jobs=1`` (or a single item) runs inline — no pool, the
-    caller's process sees original exceptions directly.  Results come
-    back in item order.
+    :func:`run_suite`'s pool primitive.  ``fn`` must be picklable (a
+    module-level function or a ``functools.partial`` of one).  ``jobs=1``
+    (or a single item) runs inline — no pool, the caller's process sees
+    original exceptions directly.  Results come back in item order.
 
     On the first worker failure the remaining *queued* items are
     cancelled — the error propagates as-is (workers attribute their own
@@ -234,15 +233,15 @@ def map_parallel(fn: Callable, items: Sequence, jobs: int,
 
 def run_suite(legs: Sequence[ExperimentLeg],
               store: ExperimentStore | str | os.PathLike | None = None,
-              jobs: int | None = None,
+              jobs: int = 1,
               mp_context: str = "spawn") -> SuiteResult:
     """Run every leg, ``jobs`` at a time in worker processes.
 
     ``store`` (an :class:`~repro.ci.store.ExperimentStore` or root path)
     shares one append-only cache tree across all legs — pass the same
     root on a rerun and the whole suite replays from the recorded
-    selections without executing a single CI test.  ``jobs`` defaults to
-    one worker per leg, capped at the CPU count; ``jobs=1`` runs inline
+    selections without executing a single CI test.  ``jobs`` is the
+    number of worker processes; the default, 1, runs every leg inline
     (no pool), which is also the fallback for a single leg.
 
     Legs are validated up front so misspelled names fail in the parent
@@ -271,8 +270,6 @@ def run_suite(legs: Sequence[ExperimentLeg],
     if store is not None:
         store_root = store.root if isinstance(store, ExperimentStore) else \
             os.fspath(store)
-    if jobs is None:
-        jobs = min(len(legs), os.cpu_count() or 1)
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
 

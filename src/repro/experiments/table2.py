@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -133,47 +132,3 @@ def table2_row(dataset: Dataset, seed: SeedLike = 0,
         seqsel_tests=seq_selection.n_ci_tests,
         grpsel_tests=grp_run.selection.n_ci_tests,
     )
-
-
-def _table2_leg(name: str, seed: SeedLike, n_derived: int,
-                store_root: str | None,
-                loader_kwargs: dict | None = None) -> Table2Row:
-    """One dataset's row, materialised from names (crosses into workers)."""
-    from repro.data.loaders import LOADERS
-
-    dataset = LOADERS[name](seed=seed, **(loader_kwargs or {}))
-    return table2_row(dataset, seed=seed, n_derived=n_derived,
-                      store=store_root)
-
-
-def run_table2(datasets: Sequence[str], seed: SeedLike = 0,
-               n_derived: int = 150,
-               store: ExperimentStore | str | os.PathLike | None = None,
-               jobs: int | None = None, mp_context: str = "spawn",
-               loader_kwargs: dict | None = None) -> list[Table2Row]:
-    """All of Table 2, one dataset row per worker process.
-
-    The process-parallel face of :func:`table2_row`: rows run through
-    :func:`repro.experiments.driver.map_parallel`, sharing one
-    append-only :class:`~repro.ci.store.ExperimentStore` root (each
-    worker opens its own instance — interleaved saves never lose
-    committed entries, and a warm rerun of the whole table executes zero
-    CI tests).  ``jobs`` defaults to one worker per dataset, capped at
-    the CPU count.  ``loader_kwargs`` (e.g. ``n_train``) forwards to the
-    dataset loaders — the small-synthetic-suite knob.
-    """
-    import functools
-
-    from repro.experiments.driver import map_parallel
-
-    names = list(datasets)
-    if jobs is None:
-        jobs = min(len(names), os.cpu_count() or 1)
-    store_root = None
-    if store is not None:
-        store_root = store.root if isinstance(store, ExperimentStore) \
-            else os.fspath(store)
-    leg = functools.partial(_table2_leg, seed=seed, n_derived=n_derived,
-                            store_root=store_root,
-                            loader_kwargs=loader_kwargs)
-    return map_parallel(leg, names, jobs, mp_context=mp_context)

@@ -16,9 +16,8 @@ from repro.ml.metrics import (
     log_loss,
     roc_auc,
 )
-from repro.ml.model_selection import KFold, cross_val_accuracy, train_test_split
-from repro.ml.naive_bayes import CategoricalNB, GaussianNB
-from repro.ml.preprocessing import LabelEncoder, OneHotEncoder, StandardScaler
+from repro.ml.naive_bayes import GaussianNB
+from repro.ml.preprocessing import StandardScaler
 from repro.ml.tree import DecisionTreeClassifier
 
 __all__ = [
@@ -34,13 +33,7 @@ __all__ = [
     "confusion_counts",
     "log_loss",
     "roc_auc",
-    "KFold",
-    "cross_val_accuracy",
-    "train_test_split",
-    "CategoricalNB",
     "GaussianNB",
-    "LabelEncoder",
-    "OneHotEncoder",
     "StandardScaler",
     "DecisionTreeClassifier",
 ]

@@ -1,4 +1,4 @@
-"""Naive Bayes classifiers (Gaussian and categorical)."""
+"""Gaussian naive Bayes classifier."""
 
 from __future__ import annotations
 
@@ -42,50 +42,6 @@ class GaussianNB(Classifier):
                 - 0.5 * np.sum(diff ** 2 / self.var_[c], axis=1)
                 + np.log(self.class_prior_[c] + 1e-300)
             )
-        log_like -= log_like.max(axis=1, keepdims=True)
-        probs = np.exp(log_like)
-        return probs / probs.sum(axis=1, keepdims=True)
-
-
-class CategoricalNB(Classifier):
-    """Categorical naive Bayes with Laplace smoothing.
-
-    Features must be non-negative integer codes.
-    """
-
-    def __init__(self, alpha: float = 1.0) -> None:
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
-        self.alpha = alpha
-        self._log_prob: list[np.ndarray] = []
-        self.class_prior_: np.ndarray | None = None
-        self._n_categories: list[int] = []
-
-    def fit(self, X, y, sample_weight=None):
-        X, y = check_Xy(X, y)
-        codes = np.round(X).astype(int)
-        if np.any(codes < 0):
-            raise ValueError("CategoricalNB requires non-negative integer codes")
-        encoded = self._encode_labels(y)
-        k, d = self.classes_.size, X.shape[1]
-        self.class_prior_ = np.bincount(encoded, minlength=k) / X.shape[0]
-        self._log_prob = []
-        self._n_categories = []
-        for j in range(d):
-            n_cat = int(codes[:, j].max()) + 1
-            self._n_categories.append(n_cat)
-            counts = np.zeros((k, n_cat)) + self.alpha
-            np.add.at(counts, (encoded, codes[:, j]), 1.0)
-            self._log_prob.append(np.log(counts / counts.sum(axis=1, keepdims=True)))
-        return self
-
-    def predict_proba(self, X):
-        self._check_fitted()
-        codes = np.round(np.asarray(X, dtype=float)).astype(int)
-        log_like = np.tile(np.log(self.class_prior_ + 1e-300), (codes.shape[0], 1))
-        for j, table in enumerate(self._log_prob):
-            col = np.clip(codes[:, j], 0, self._n_categories[j] - 1)
-            log_like += table[:, col].T
         log_like -= log_like.max(axis=1, keepdims=True)
         probs = np.exp(log_like)
         return probs / probs.sum(axis=1, keepdims=True)

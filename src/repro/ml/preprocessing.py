@@ -1,4 +1,4 @@
-"""Preprocessing: scaling and encoding helpers."""
+"""Preprocessing: column-wise standard scaling."""
 
 from __future__ import annotations
 
@@ -29,75 +29,3 @@ class StandardScaler:
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None:
-            raise NotFittedError("StandardScaler is not fitted")
-        return np.asarray(X, dtype=float) * self.scale_ + self.mean_
-
-
-class LabelEncoder:
-    """Map arbitrary labels to ``0..k-1`` codes."""
-
-    def __init__(self) -> None:
-        self.classes_: np.ndarray | None = None
-
-    def fit(self, y: np.ndarray) -> "LabelEncoder":
-        self.classes_ = np.unique(np.asarray(y))
-        return self
-
-    def transform(self, y: np.ndarray) -> np.ndarray:
-        if self.classes_ is None:
-            raise NotFittedError("LabelEncoder is not fitted")
-        y = np.asarray(y)
-        codes = np.searchsorted(self.classes_, y)
-        bad = (codes >= self.classes_.size) | (self.classes_[np.clip(codes, 0, self.classes_.size - 1)] != y)
-        if np.any(bad):
-            raise ValueError(f"unseen labels: {np.unique(y[bad])}")
-        return codes
-
-    def fit_transform(self, y: np.ndarray) -> np.ndarray:
-        return self.fit(y).transform(y)
-
-    def inverse_transform(self, codes: np.ndarray) -> np.ndarray:
-        if self.classes_ is None:
-            raise NotFittedError("LabelEncoder is not fitted")
-        return self.classes_[np.asarray(codes, dtype=int)]
-
-
-class OneHotEncoder:
-    """Expand integer-coded columns into indicator columns.
-
-    Unseen categories at transform time map to the all-zeros row.
-    """
-
-    def __init__(self) -> None:
-        self.categories_: list[np.ndarray] | None = None
-
-    def fit(self, X: np.ndarray) -> "OneHotEncoder":
-        X = np.asarray(X)
-        if X.ndim != 2:
-            raise ValueError(f"expected 2-D input, got shape {X.shape}")
-        self.categories_ = [np.unique(X[:, j]) for j in range(X.shape[1])]
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.categories_ is None:
-            raise NotFittedError("OneHotEncoder is not fitted")
-        X = np.asarray(X)
-        blocks = []
-        for j, cats in enumerate(self.categories_):
-            block = np.zeros((X.shape[0], cats.size))
-            for k, cat in enumerate(cats):
-                block[:, k] = X[:, j] == cat
-            blocks.append(block)
-        return np.hstack(blocks)
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-    @property
-    def n_output_features(self) -> int:
-        if self.categories_ is None:
-            raise NotFittedError("OneHotEncoder is not fitted")
-        return int(sum(c.size for c in self.categories_))

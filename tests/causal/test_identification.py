@@ -1,4 +1,4 @@
-"""Tests for do-calculus rules and adjustment-set identification."""
+"""Tests for backdoor adjustment and the Lemma 10 graph check."""
 
 import pytest
 
@@ -6,13 +6,7 @@ from repro.causal.dag import CausalDAG
 from repro.causal.identification import (
     find_backdoor_set,
     is_backdoor_set,
-    is_frontdoor_set,
-    lemma9_condition,
     lemma10_condition,
-    proper_causal_paths,
-    rule1_applicable,
-    rule2_applicable,
-    rule3_applicable,
 )
 from repro.exceptions import GraphError
 
@@ -20,54 +14,6 @@ from repro.exceptions import GraphError
 def confounded():
     """u -> x, u -> y, x -> y: classic confounding."""
     return CausalDAG(edges=[("u", "x"), ("u", "y"), ("x", "y")])
-
-
-def frontdoor_graph():
-    """x -> m -> y with hidden-style confounder u of x and y."""
-    return CausalDAG(edges=[("u", "x"), ("u", "y"), ("x", "m"), ("m", "y")])
-
-
-class TestRule1:
-    def test_irrelevant_observation_droppable(self):
-        g = CausalDAG(edges=[("x", "y"), ("z", "w")])
-        assert rule1_applicable(g, "y", "z", x="x")
-
-    def test_relevant_observation_not_droppable(self):
-        g = confounded()
-        # Given do(x), u still influences y directly.
-        assert not rule1_applicable(g, "y", "u", x="x")
-
-
-class TestRule2:
-    def test_backdoor_free_action_is_observation(self):
-        g = CausalDAG(edges=[("x", "y")])
-        assert rule2_applicable(g, "y", "x")
-
-    def test_confounded_action_is_not_observation(self):
-        assert not rule2_applicable(confounded(), "y", "x")
-
-    def test_conditioning_on_confounder_enables_rule2(self):
-        assert rule2_applicable(confounded(), "y", "x", w="u")
-
-
-class TestRule3:
-    def test_action_on_nondescendant_path_droppable(self):
-        g = CausalDAG(edges=[("x", "y"), ("z", "x")])
-        # do(z) only affects y through x; given do(x), z is droppable.
-        assert rule3_applicable(g, "y", "z", x="x")
-
-    def test_direct_cause_not_droppable(self):
-        g = CausalDAG(edges=[("z", "y")])
-        assert not rule3_applicable(g, "y", "z")
-
-    def test_paper_lemma9_shape(self):
-        """X ⊥ Y | Z implies do(Y) can be dropped from P(X | do(Y), do(Z))."""
-        g = CausalDAG(edges=[("z", "x"), ("z", "y")])
-        assert lemma9_condition(g, "x", "y", "z")
-
-    def test_lemma9_fails_with_direct_edge(self):
-        g = CausalDAG(edges=[("z", "x"), ("z", "y"), ("y", "x")])
-        assert not lemma9_condition(g, "x", "y", "z")
 
 
 class TestBackdoor:
@@ -95,26 +41,6 @@ class TestBackdoor:
     def test_find_none_when_impossible(self):
         # Confounder exists but is excluded by max_size=0.
         assert find_backdoor_set(confounded(), "x", "y", max_size=0) is None
-
-
-class TestFrontdoor:
-    def test_classic_frontdoor(self):
-        assert is_frontdoor_set(frontdoor_graph(), "x", "y", {"m"})
-
-    def test_mediator_missing_a_path(self):
-        g = frontdoor_graph().add_edge("x", "y")
-        assert not is_frontdoor_set(g, "x", "y", {"m"})
-
-    def test_confounded_mediator_fails(self):
-        g = frontdoor_graph().add_edge("u", "m")
-        assert not is_frontdoor_set(g, "x", "y", {"m"})
-
-    def test_empty_mediators_invalid(self):
-        assert not is_frontdoor_set(frontdoor_graph(), "x", "y", set())
-
-    def test_proper_causal_paths(self):
-        paths = proper_causal_paths(frontdoor_graph(), "x", "y")
-        assert paths == [["x", "m", "y"]]
 
 
 class TestLemma10:

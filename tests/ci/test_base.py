@@ -59,7 +59,6 @@ class TestCIQuery:
         got = [_or_raises(frame, x) for x in xs]
         assert got == want
         built = [q for q in got if q != "raises"]
-        assert [q.key for q in built] == [q.key for q in want if q != "raises"]
         # Every query shares the frame's canonical y/z tuple objects.
         assert all(q.y is frame.y and q.z is frame.z for q in built)
 
@@ -68,11 +67,6 @@ class TestCIQuery:
         assert q.x == ("a", "b")
         assert q.y == ("c",)
         assert q.z == ("d", "e")
-
-    def test_symmetric_key(self):
-        q1 = CIQuery.make("a", "b", "c")
-        q2 = CIQuery.make("b", "a", "c")
-        assert q1.key == q2.key
 
     def test_empty_x_rejected(self):
         with pytest.raises(CITestError):

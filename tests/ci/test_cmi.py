@@ -1,9 +1,9 @@
-"""Tests for conditional mutual information estimators."""
+"""Tests for the discrete conditional mutual information estimator."""
 
 import numpy as np
 import pytest
 
-from repro.ci.cmi import ClassifierCMI, discrete_cmi, knn_cmi
+from repro.ci.cmi import discrete_cmi
 from repro.data.table import Table
 from repro.exceptions import CITestError
 
@@ -105,52 +105,3 @@ class TestFusedKernelEquality:
     def test_empty_table(self):
         t = Table({"a": np.array([], dtype=int), "b": np.array([], dtype=int)})
         assert discrete_cmi(t, "a", "b") == 0.0
-
-
-class TestKnnCMI:
-    def test_independent_gaussians_near_zero(self):
-        rng = np.random.default_rng(2)
-        t = Table({"a": rng.normal(size=600), "b": rng.normal(size=600)})
-        assert knn_cmi(t, "a", "b") < 0.1
-
-    def test_dependent_gaussians_positive(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=600)
-        b = a + 0.3 * rng.normal(size=600)
-        t = Table({"a": a, "b": b})
-        assert knn_cmi(t, "a", "b") > 0.5
-
-    def test_conditional_version(self):
-        rng = np.random.default_rng(4)
-        z = rng.normal(size=700)
-        a = z + 0.5 * rng.normal(size=700)
-        b = z + 0.5 * rng.normal(size=700)
-        t = Table({"z": z, "a": a, "b": b})
-        assert knn_cmi(t, "a", "b") > 0.2
-        assert knn_cmi(t, "a", "b", "z") < 0.15
-
-    def test_k_too_large_rejected(self):
-        t = Table({"a": np.arange(5.0), "b": np.arange(5.0)})
-        with pytest.raises(CITestError):
-            knn_cmi(t, "a", "b", k=10)
-
-
-class TestClassifierCMI:
-    def test_independent_near_zero(self):
-        rng = np.random.default_rng(5)
-        t = Table({"a": rng.normal(size=2000), "b": rng.normal(size=2000)})
-        est = ClassifierCMI(seed=0).estimate(t, "a", "b")
-        assert est < 0.1
-
-    def test_dependent_positive(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=2000)
-        b = a + 0.2 * rng.normal(size=2000)
-        t = Table({"a": a, "b": b})
-        est = ClassifierCMI(seed=0).estimate(t, "a", "b")
-        assert est > 0.2
-
-    def test_truncation_keeps_nonnegative(self):
-        rng = np.random.default_rng(7)
-        t = Table({"a": rng.normal(size=500), "b": rng.normal(size=500)})
-        assert ClassifierCMI(seed=1).estimate(t, "a", "b") >= 0.0

@@ -303,8 +303,10 @@ class TestTestWaves:
                 for prefix in sequential]
         assert wave_ledger.n_tests == seq_ledger.n_tests
         # Same executed multiset, different (wave-major) order.
-        assert sorted(e.query.key for e in wave_ledger.entries) == \
-               sorted(e.query.key for e in seq_ledger.entries)
+        assert sorted((e.query.x, e.query.y, e.query.z)
+                      for e in wave_ledger.entries) == \
+               sorted((e.query.x, e.query.y, e.query.z)
+                      for e in seq_ledger.entries)
 
     def test_streams_consumed_exactly_to_the_deciding_rank(self):
         table = build_problem(seed=3, n_rows=80, n_features=4,

@@ -5,21 +5,11 @@ import pytest
 
 from repro.ci.oracle import OracleCI
 from repro.core.seqsel import SeqSel
-from repro.data.integration import (
-    FeatureSource,
-    add_entity_key,
-    incremental_selection,
-    integrate,
-)
+from repro.data.integration import FeatureSource, add_entity_key, integrate
 from repro.data.schema import Role
 from repro.data.synthetic import independent_features_table, planted_bias_problem
 from repro.data.table import Table
-from repro.data.transforms import (
-    apply_binary,
-    apply_unary,
-    cognito_expand,
-    quantile_bin,
-)
+from repro.data.transforms import cognito_expand
 from repro.exceptions import SchemaError
 
 
@@ -68,63 +58,21 @@ class TestIntegration:
             FeatureSource("nokey", Table({"v": np.zeros(3)}), key="k")
 
     def test_incremental_selection_union_matches_batch(self):
+        """Lemma 3: selecting each arriving batch on its own and taking the
+        union of the safe sets matches one run over the whole pool when the
+        tester is sound."""
         planted = planted_bias_problem(12, 3, n_samples=0, seed=0)
-        oracle = OracleCI(planted.scm.dag)
-        selector = SeqSel(tester=oracle)
+        selector = SeqSel(tester=OracleCI(planted.scm.dag))
         pool = planted.problem.candidates
         batches = [pool[:6], pool[6:]]
-        results = incremental_selection(planted.problem, selector, batches)
+        results = [selector.select(planted.problem.with_candidates(batch))
+                   for batch in batches]
         union = set().union(*(r.selected_set for r in results))
         full = selector.select(planted.problem).selected_set
         assert union == full
 
-    def test_incremental_unknown_batch(self):
-        planted = planted_bias_problem(6, 2, n_samples=0, seed=0)
-        selector = SeqSel(tester=OracleCI(planted.scm.dag))
-        with pytest.raises(SchemaError):
-            incremental_selection(planted.problem, selector, [["ghost"]])
-
 
 class TestTransforms:
-    def test_quantile_bin_levels(self):
-        rng = np.random.default_rng(2)
-        codes = quantile_bin(rng.normal(size=1000), n_bins=4)
-        assert set(np.unique(codes)) == {0, 1, 2, 3}
-        counts = np.bincount(codes)
-        assert counts.min() > 200  # roughly balanced
-
-    def test_quantile_bin_validation(self):
-        with pytest.raises(SchemaError):
-            quantile_bin(np.zeros(5), n_bins=1)
-
-    def test_apply_unary_adds_columns(self):
-        t = base_table().with_column("x", np.arange(50.0), role=Role.CANDIDATE)
-        out = apply_unary(t, ["x"], ("square", "log"))
-        assert "square(x)" in out
-        assert "log(x)" in out
-        np.testing.assert_allclose(out["square(x)"], np.arange(50.0) ** 2)
-
-    def test_apply_unary_unknown_transform(self):
-        t = base_table().with_column("x", np.zeros(50))
-        with pytest.raises(SchemaError):
-            apply_unary(t, ["x"], ("cube",))
-
-    def test_apply_binary_pairs(self):
-        t = base_table()
-        t = t.with_column("u", np.full(50, 2.0), role=Role.CANDIDATE)
-        t = t.with_column("v", np.full(50, 3.0), role=Role.CANDIDATE)
-        out = apply_binary(t, ["u", "v"], ("product", "ratio"))
-        np.testing.assert_allclose(out["product(u,v)"], 6.0)
-        np.testing.assert_allclose(out["ratio(u,v)"], 2.0 / 3.0)
-
-    def test_apply_binary_max_new(self):
-        t = base_table()
-        for name in "uvw":
-            t = t.with_column(name, np.zeros(50), role=Role.CANDIDATE)
-        out = apply_binary(t, ["u", "v", "w"], ("product",), max_new=2)
-        new_cols = [c for c in out.columns if c.startswith("product")]
-        assert len(new_cols) == 2
-
     def test_cognito_expand_caps_and_roles(self):
         t = base_table()
         t = t.with_column("u", np.arange(50.0), role=Role.CANDIDATE)

@@ -15,7 +15,6 @@ import pytest
 from repro.exceptions import ExperimentError
 from repro.experiments.driver import (ExperimentLeg, expand_legs,
                                       map_parallel, run_suite)
-from repro.experiments.table2 import run_table2
 
 SMALL = dict(tester="gtest", n_train=150, n_test=60)
 
@@ -50,6 +49,18 @@ class TestRunSuite:
         # The recorded cold-run counts are non-trivial — the warm rerun
         # *reported* them without executing (selection memo hits).
         assert all(o.selection.n_ci_tests > 0 for o in warm.outcomes)
+
+    def test_default_runs_inline_without_a_pool(self, monkeypatch):
+        """Leg workers are never guessed: without ``jobs`` the suite runs
+        every leg in the caller's process, whatever the CPU count."""
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_suite built a process pool")
+
+        monkeypatch.setattr("repro.experiments.driver.ProcessPoolExecutor",
+                            no_pool)
+        result = run_suite(small_legs()[:2])
+        assert result.jobs == 1
+        assert len(result.outcomes) == 2
 
     def test_table_rows_align_with_legs(self):
         result = run_suite(small_legs()[:2], jobs=1)
@@ -158,16 +169,3 @@ class TestSuiteByLabel:
         result = run_suite(legs, jobs=1)
         with pytest.raises(KeyError, match="2 outcomes share"):
             result.by_label(legs[0].label)
-
-
-class TestRunTable2Parallel:
-    def test_rows_match_inline_and_warm_rerun(self, tmp_path):
-        kwargs = dict(n_derived=0, loader_kwargs={"n_train": 150,
-                                                  "n_test": 60},
-                      store=tmp_path / "t2")
-        parallel = run_table2(["german", "compas"], jobs=2,
-                              mp_context="fork", **kwargs)
-        warm = run_table2(["german", "compas"], jobs=1, **kwargs)
-        assert [row.cells() for row in parallel] == \
-               [row.cells() for row in warm]
-        assert all(row.seqsel_tests > 0 for row in parallel)

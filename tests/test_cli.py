@@ -73,6 +73,10 @@ class TestParser:
         assert args.mp_context == "fork"
         assert args.store == "cache-dir"
 
+    def test_suite_jobs_default_inline(self):
+        args = build_parser().parse_args(["suite", "--datasets", "german"])
+        assert args.jobs == 1
+
 
 class TestCommands:
     def test_datasets_lists_all(self, capsys):
