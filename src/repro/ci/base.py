@@ -33,6 +33,11 @@ turn those bursts into batch-oriented evaluation over shared encoded state:
   are bitwise identical to sequential :meth:`CITester.test` because
   every random draw is derived per variable block
   (:func:`repro.rng.derive`), never consumed across queries.
+  Under a ledger, RCIT's conditioned leg is built once per *run*, not
+  once per group: each ledger holds one :class:`LegSlot`, visible to
+  testers (:func:`running_leg_slot`) only while the ledger's executor
+  call runs, so a selector's repeated ``(Y, Z)`` batches share one leg
+  while raw tester calls and pool workers build their own.
 * :meth:`CITestLedger.test_batch` adds exact cost accounting on top.  Its
   invariants: (1) recorded entries are precisely the tests a sequential
   early-exit loop would have executed — with ``stop_on_independent=True``
@@ -71,6 +76,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -316,6 +322,51 @@ class LedgerEntry:
     seconds: float
 
 
+class LegSlot:
+    """One group leg a ledger holds across its batches.
+
+    A tester puts the leg it built under a key that names everything the
+    leg depends on, and takes it back only under an equal key, so a
+    served leg is the same arrays a fresh build makes: results keep their
+    bits with or without the slot.  The slot holds one entry; a lookup
+    under another key empties it first, so at most one leg is alive.
+    Every read and write replaces or reads one ``(key, leg)`` pair, so a
+    racing thread can at worst build a leg of its own, never take one
+    built under another key.
+    """
+
+    __slots__ = ("_held",)
+
+    def __init__(self) -> None:
+        self._held: tuple | None = None
+
+    def get(self, key: tuple):
+        """The leg held under ``key``; otherwise empty the slot and
+        return ``None``."""
+        held = self._held
+        if held is not None and held[0] == key:
+            return held[1]
+        self._held = None
+        return None
+
+    def hold(self, key: tuple, leg) -> None:
+        self._held = (key, leg)
+
+    def __reduce__(self):
+        # A held leg is derived state: a pickled ledger ships an empty slot.
+        return (LegSlot, ())
+
+
+_RUNNING_SLOT: ContextVar[LegSlot | None] = ContextVar("repro_leg_slot",
+                                                        default=None)
+
+
+def running_leg_slot() -> LegSlot | None:
+    """The slot of the ledger whose executor call is running in this
+    context, or ``None``: raw tester calls and pool workers see none."""
+    return _RUNNING_SLOT.get()
+
+
 class CITestLedger(CITester):
     """Decorator tester that counts and records every test.
 
@@ -337,6 +388,12 @@ class CITestLedger(CITester):
     instance, so its entries only ever serve that instance; seed it with
     an int to share verdicts across runs.  ``executor`` controls how
     cache-miss batches execute; see :mod:`repro.ci.executor`.
+
+    The ledger owns one :class:`LegSlot` and exposes it through
+    :func:`running_leg_slot` while its executor call runs, so the
+    batches of one run share a tester's last conditioned leg (RCIT's Z
+    features, ridge projector and Y residuals).  The slot never outlives
+    the ledger and never changes a verdict.
 
     Every verdict passes through :meth:`test_batch`, so the cache, count
     and timing logic lives there once: :meth:`test` is a one-query batch,
@@ -362,6 +419,7 @@ class CITestLedger(CITester):
             cache if isinstance(cache, PersistentCICache) else None)
         self._cache_enabled = bool(cache) or self.store is not None
         self._cache: dict[tuple, CIResult] = {}
+        self._legs = LegSlot()
         # With no explicit executor the process-wide default applies:
         # REPRO_CI_EXECUTOR, else serial (see
         # repro.ci.executor.default_executor).
@@ -394,6 +452,7 @@ class CITestLedger(CITester):
         """
         self.entries.clear()
         self._cache.clear()
+        self._legs = LegSlot()
         self.cache_hits = 0
 
     def credit_cache_hits(self, n: int) -> None:
@@ -507,8 +566,12 @@ class CITestLedger(CITester):
             misses = list(range(len(normalised)))
         if misses:
             start = time.perf_counter()
-            executed = self.executor.run(
-                self.inner, table, [normalised[i] for i in misses])
+            running = _RUNNING_SLOT.set(self._legs)
+            try:
+                executed = self.executor.run(
+                    self.inner, table, [normalised[i] for i in misses])
+            finally:
+                _RUNNING_SLOT.reset(running)
             per_test = (time.perf_counter() - start) / len(misses)
             for i, result in zip(misses, executed):
                 results[i] = result

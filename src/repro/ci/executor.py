@@ -46,6 +46,7 @@ enforce the equivalence contract.
 
 from __future__ import annotations
 
+import contextvars
 import multiprocessing
 import os
 import threading
@@ -160,7 +161,11 @@ def _process_worker_init(tester: "CITester", table: "Table",
 
 
 def _process_worker_run(shard: Sequence["CIQuery"]) -> list["CIResult"]:
-    return _run_shard(_PROCESS_STATE["tester"], _PROCESS_STATE["table"], shard)
+    # In an empty context: a fork-started worker would otherwise inherit
+    # the context variables its forking thread had set, such as the
+    # dispatching ledger's running leg slot.
+    return contextvars.Context().run(
+        _run_shard, _PROCESS_STATE["tester"], _PROCESS_STATE["table"], shard)
 
 
 class ProcessExecutor(BatchExecutor):

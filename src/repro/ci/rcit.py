@@ -26,7 +26,15 @@ SeqSel/GrpSel phase-2 burst; :class:`RIT` groups by ``(y, ())`` because
 it drops Z — and each group computes its expensive shared legs **once**:
 the standardized blocks and median bandwidths (cached on the
 :class:`~repro.data.table.Table`), the Z feature map ``fz``, its ridge Gram
-Cholesky factorisation, and the residualised Y features.  Same-cardinality
+Cholesky factorisation, and the residualised Y features.  Under a
+:class:`~repro.ci.base.CITestLedger` the conditioned leg (``fz``, the
+ridge projector, the Y residuals and their eigenvalues) is built once per
+ledger *run*, not once per group: the ledger's one-entry
+:class:`~repro.ci.base.LegSlot` holds the last one, keyed on the tester's
+``method`` and ``cache_token()``, the table fingerprint, Y and Z, so
+GrpSel's level-by-level batches under one conditioning set reuse it.
+Raw tester calls and pool workers see no slot and build their own, and
+an unconditioned leg is never held.  Same-cardinality
 candidate X blocks are then mapped through one stacked RFF tensor and
 residualised in batched matmuls (numpy evaluates a 3-D matmul as one GEMM
 per slice, so slice ``j`` is bitwise identical to the 2-D product a lone
@@ -56,7 +64,7 @@ import numpy as np
 from scipy import special
 from scipy.linalg import cho_factor, cho_solve
 
-from repro.ci.base import CIQuery, CITester
+from repro.ci.base import CIQuery, CITester, running_leg_slot
 from repro.data.table import Table, standardize_matrix
 from repro.exceptions import CITestError
 from repro.rng import SeedLike, as_generator, derive, derived_seed, value_seed
@@ -67,8 +75,8 @@ _standardize = standardize_matrix
 
 
 #: Subsample sizes up to this many rows keep their triangle indices in
-#: the memo of :func:`_upper_triangle` (about 1 MB each at 500 rows);
-#: larger ones rebuild them per call.
+#: the memos of :func:`_upper_triangle` and :func:`_triangle_columns`
+#: (about 1 MB each at 500 rows); larger ones rebuild them per call.
 _TRIANGLE_MEMO_ROWS = 512
 
 
@@ -82,22 +90,48 @@ def _upper_triangle(m: int) -> np.ndarray:
     return flat
 
 
-def _squared_distances(matrix: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances ``(sq_i + sq_j) - G_ij`` with
-    ``G = (2 M) @ M.T``, unclipped.
+@functools.lru_cache(maxsize=8)
+def _triangle_columns(m: int) -> np.ndarray:
+    """Read-only column indices of the strict upper triangle of an
+    ``m x m`` matrix, in ``np.triu_indices(m, k=1)`` order."""
+    cols = np.triu_indices(m, k=1)[1]
+    cols.setflags(write=False)
+    return cols
 
-    A single-column block takes ``G`` as the outer product of ``2 v`` and
-    ``v``: each entry is the same single product the matmul computes, so
-    the bits are the same, without numpy's non-BLAS matmul loop.
+
+def _memo(builder, m: int) -> np.ndarray:
+    return builder(m) if m <= _TRIANGLE_MEMO_ROWS else builder.__wrapped__(m)
+
+
+def _upper_distances(matrix: np.ndarray) -> np.ndarray:
+    """The strict upper triangle of the pairwise squared distances
+    ``(sq_i + sq_j) - G_ij`` with ``G = (2 M) @ M.T``, unclipped, in
+    ``np.triu_indices`` order.
+
+    A single-column block computes only the triangle's pairs: ``sq_i``
+    and ``2 v_i`` repeated along each row, ``sq_j`` and ``v_j`` gathered
+    by column, then the same sum, product and difference the full matrix
+    takes on those pairs, so the bits are the same with neither the
+    ``m x m`` matrix nor numpy's non-BLAS matmul loop.
+
+    The gathers index with ``[]``: :func:`numpy.take` copies a read-only
+    index array (the memos are read-only) on every call.
     """
+    m = matrix.shape[0]
     sq = np.sum(matrix ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :]
     if matrix.shape[1] == 1:
         column = matrix[:, 0]
-        d2 -= np.multiply.outer(2.0 * column, column)
-    else:
-        d2 -= 2.0 * matrix @ matrix.T
-    return d2
+        per_row = np.arange(m - 1, -1, -1)
+        cols = _memo(_triangle_columns, m)
+        upper = np.repeat(sq, per_row)
+        upper += sq[cols]
+        cross = np.repeat(2.0 * column, per_row)
+        cross *= column[cols]
+        upper -= cross
+        return upper
+    d2 = sq[:, None] + sq[None, :]
+    d2 -= 2.0 * matrix @ matrix.T
+    return d2.reshape(-1)[_memo(_upper_triangle, m)]
 
 
 def median_bandwidth(matrix: np.ndarray, max_points: int = 500,
@@ -113,11 +147,13 @@ def median_bandwidth(matrix: np.ndarray, max_points: int = 500,
 
     The squared distances are the strict upper triangle of
     ``(sq_i + sq_j) - G_ij`` with ``G = (2 M) @ M.T``, clipped at zero,
-    gathered through triangle indices built once per subsample size.
-    Their median comes from one ``partition`` at ``N // 2`` (plus the
-    largest value below it when ``N`` is even), averaged exactly as
-    :func:`numpy.median` averages its two middle values, so the result is
-    bit-identical to ``sqrt(median(d2[triu_indices_from(d2, k=1)]))``.
+    gathered through triangle indices built once per subsample size (a
+    single-column block computes the triangle alone, see
+    :func:`_upper_distances`).  Their median comes from one
+    ``partition`` at ``N // 2`` (plus the largest value below it when
+    ``N`` is even), averaged exactly as :func:`numpy.median` averages its
+    two middle values, so the result is bit-identical to
+    ``sqrt(median(d2[triu_indices_from(d2, k=1)]))``.
     A NaN distance (non-finite input) makes that median NaN; like a
     degenerate (zero) median it yields the fallback bandwidth 1.0.
     """
@@ -133,9 +169,7 @@ def median_bandwidth(matrix: np.ndarray, max_points: int = 500,
         n = max_points
     if n < 2:
         return 1.0
-    d2 = _squared_distances(matrix)
-    upper = np.take(d2, _upper_triangle(n) if n <= _TRIANGLE_MEMO_ROWS
-                    else _upper_triangle.__wrapped__(n))
+    upper = _upper_distances(matrix)
     np.maximum(upper, 0.0, out=upper)
     if np.isnan(upper).any():
         return 1.0
@@ -331,12 +365,23 @@ class RCIT(CITester):
         feats -= feats.mean(axis=1, keepdims=True)
         return feats
 
-    def _group_eval(self, table: Table, y_names: tuple[str, ...],
-                    z_names: tuple[str, ...],
-                    x_blocks: list[tuple[str, ...]]
-                    ) -> list[tuple[float, float]]:
-        """``(p_value, statistic)`` per candidate sharing one (Y, Z) leg."""
-        self._check_finite(table, y_names, z_names, x_blocks)
+    def _yz_leg(self, table: Table, y_names: tuple[str, ...],
+                z_names: tuple[str, ...]) -> tuple:
+        """The group's shared ``(fy, fz, projector, eig_y)``.
+
+        A conditioned leg is held in the running ledger's slot
+        (:func:`~repro.ci.base.running_leg_slot`), keyed on everything it
+        depends on, and served from there to the run's next group with
+        the same key; an unconditioned leg (``fz`` and ``projector``
+        ``None``) is cheap and never held.
+        """
+        slot = running_leg_slot() if z_names else None
+        if slot is not None:
+            key = (self.method, self.cache_token(), table.fingerprint,
+                   y_names, z_names)
+            leg = slot.get(key)
+            if leg is not None:
+                return leg
         n = table.n_rows
         fy = self._features_for(table, y_names,
                                 self._n_features_for(len(y_names)))
@@ -349,6 +394,21 @@ class RCIT(CITester):
             fy -= fz @ (projector @ fy)
         cov_y = fy.T @ fy / n
         eig_y = np.maximum(np.linalg.eigvalsh(cov_y), 0.0)
+        leg = (fy, fz, projector, eig_y)
+        if slot is not None:
+            for array in leg:
+                array.setflags(write=False)
+            slot.hold(key, leg)
+        return leg
+
+    def _group_eval(self, table: Table, y_names: tuple[str, ...],
+                    z_names: tuple[str, ...],
+                    x_blocks: list[tuple[str, ...]]
+                    ) -> list[tuple[float, float]]:
+        """``(p_value, statistic)`` per candidate sharing one (Y, Z) leg."""
+        self._check_finite(table, y_names, z_names, x_blocks)
+        n = table.n_rows
+        fy, fz, projector, eig_y = self._yz_leg(table, y_names, z_names)
 
         out: list[tuple[float, float] | None] = [None] * len(x_blocks)
         by_cardinality: dict[int, list[int]] = {}

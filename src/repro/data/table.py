@@ -104,6 +104,29 @@ def _owned_column(name: str, arr: np.ndarray,
     return arr
 
 
+#: float64 holds every integer of at most this magnitude exactly.
+_EXACT_FLOAT_INT = 2 ** 53
+
+
+def _exact_int64(values: np.ndarray) -> np.ndarray | None:
+    """``values`` as int64 when they are integers or bools within
+    ``±2**53``, else ``None``.
+
+    Such values pass through ``float`` and ``round`` unchanged, so the
+    result equals the discrete testers' view
+    ``np.round(values.astype(float)).astype(np.int64)`` without the float
+    copies (an int64 array is returned as is).  ``None`` tells the caller
+    to take that float path.
+    """
+    if values.dtype.kind not in "biu":
+        return None
+    if (values.dtype.itemsize == 8 and values.size
+            and not (-_EXACT_FLOAT_INT <= int(values.min())
+                     and int(values.max()) <= _EXACT_FLOAT_INT)):
+        return None
+    return values.astype(np.int64, copy=False)
+
+
 def _unique_inverse(codes: np.ndarray, out: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(codes, return_inverse=True)`` for 1-D int64 ``codes``,
@@ -491,13 +514,18 @@ class Table:
     def _single_codes(self, name: str) -> tuple[np.ndarray, int]:
         """Dense codes of one rounded column (densified by
         :func:`_unique_inverse`, or — on a :meth:`with_appended_rows`
-        child — extended from the parent's codes at O(new rows)).  Both paths record the sorted level values
-        in ``_code_values`` and leave the codes in an append buffer with
-        spare rows, so future children can extend in turn."""
+        child — extended from the parent's codes at O(new rows)).  Both
+        paths record the sorted level values in ``_code_values`` and
+        leave the codes in an append buffer with spare rows, so future
+        children can extend in turn.  An integer column within ``±2**53``
+        is coded from its integers (:func:`_exact_int64`), any other
+        column from ``round(float_column)``."""
         prefix = self._prefix_codes.pop(name, None)
         if prefix is not None:
             return self._extended_codes(name, *prefix)
-        col = np.round(self.float_column(name)).astype(np.int64)
+        col = _exact_int64(self[name])
+        if col is None:
+            col = np.round(self.float_column(name)).astype(np.int64)
         buffer = _AppendBuffer(self._n_rows, np.int64)
         uniq, _ = _unique_inverse(col, out=buffer.array[:self._n_rows])
         self._code_values[name] = uniq
@@ -522,8 +550,10 @@ class Table:
         the full column is never re-sorted.
         """
         n0 = parent_codes.shape[0]
-        tail = np.round(self._float_chunk(name, slice(n0, self._n_rows))
-                        ).astype(np.int64)
+        window = slice(n0, self._n_rows)
+        tail = _exact_int64(self[name][window])
+        if tail is None:
+            tail = np.round(self._float_chunk(name, window)).astype(np.int64)
         uniq = np.union1d(parent_values, np.unique(tail))
         if uniq.size == parent_values.size:
             codes, buffer = _appended(parent_codes,

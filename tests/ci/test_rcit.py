@@ -14,7 +14,7 @@ from repro.ci.adaptive import AdaptiveCI
 from repro.ci.fisher_z import FisherZCI
 from repro.ci.gtest import _chi2_sf
 from repro.ci.rcit import (RCIT, RIT, _gamma_pvalue, _gamma_sf,
-                           _squared_distances, median_bandwidth,
+                           _upper_distances, median_bandwidth,
                            random_fourier_features, rff_draw)
 from repro.data.table import Table
 from repro.exceptions import CITestError
@@ -168,9 +168,9 @@ class TestMedianBandwidthBitwise:
 
 
 class TestSingleColumnDistancesBitwise:
-    """A single-column block's outer-product cross term gives exactly the
-    bits of the ``(2 M) @ M.T`` formula: distances and bandwidth alike,
-    non-finite rows included."""
+    """A single-column block's triangle-only distances give exactly the
+    bits of the strict upper triangle of the ``(2 M) @ M.T`` formula:
+    distances and bandwidth alike, non-finite rows included."""
 
     if given is not None:
         @settings(max_examples=80, deadline=None)
@@ -181,7 +181,8 @@ class TestSingleColumnDistancesBitwise:
                bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
         @example(n_rows=500, seed=0, scale=1.0, ties=False, bad=np.nan)
         @example(n_rows=3, seed=0, scale=1.0, ties=False, bad=-np.inf)
-        def test_outer_equals_matmul(self, n_rows, seed, scale, ties, bad):
+        def test_triangle_equals_matmul(self, n_rows, seed, scale, ties,
+                                        bad):
             rng = np.random.default_rng(seed)
             matrix = scale * rng.normal(size=(n_rows, 1))
             if ties:
@@ -190,8 +191,9 @@ class TestSingleColumnDistancesBitwise:
                 matrix[rng.integers(n_rows)] = bad
             with np.errstate(all="ignore"):
                 sq = np.sum(matrix ** 2, axis=1)
-                want = sq[:, None] + sq[None, :] - 2.0 * matrix @ matrix.T
-                got = _squared_distances(matrix)
+                full = sq[:, None] + sq[None, :] - 2.0 * matrix @ matrix.T
+                want = full[np.triu_indices(n_rows, k=1)]
+                got = _upper_distances(matrix)
                 assert got.shape == want.shape
                 np.testing.assert_array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))

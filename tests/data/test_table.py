@@ -510,3 +510,76 @@ class TestUniqueInverse:
         assert inverse.shape == want_inverse.shape
         np.testing.assert_array_equal(values, want_values)
         np.testing.assert_array_equal(inverse, want_inverse)
+
+
+EXACT = 2 ** 53
+
+
+@st.composite
+def coded_int_columns(draw):
+    """Bool/integer columns of every width, with values at and past
+    ``±2**53`` wherever the dtype reaches them: the edge of the integers
+    float64 holds exactly."""
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+    size = draw(st.integers(min_value=1, max_value=60))
+    if dtype.kind == "b":
+        return draw(hnp.arrays(dtype, size))
+    info = np.iinfo(dtype)
+    lo, hi = int(info.min), int(info.max)
+    edges = [v for v in (-EXACT - 3, -EXACT - 2, -EXACT - 1, -EXACT,
+                         -EXACT + 1, EXACT - 1, EXACT, EXACT + 1,
+                         EXACT + 2, EXACT + 3, lo, hi, -1, 0, 1)
+             if lo <= v <= hi]
+    elements = st.one_of(st.sampled_from(edges), st.integers(lo, hi),
+                         st.integers(max(lo, -4), min(hi, 4)))
+    return draw(hnp.arrays(dtype, size, elements=elements))
+
+
+def float_path_codes(values):
+    """The discrete testers' view through floats: the reference the
+    integer path must equal."""
+    with np.errstate(invalid="ignore"):
+        rounded = np.round(values.astype(float)).astype(np.int64)
+    levels, inverse = np.unique(rounded, return_inverse=True)
+    return inverse, levels.size
+
+
+class TestIntegerCodes:
+    """Integer and bool columns within ``±2**53`` are coded from their
+    integers, every other column through ``round(float)``: the codes are
+    the float path's to the bit, cold and on an appended tail."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=coded_int_columns(), split=st.floats(0.0, 1.0))
+    @example(values=np.array([EXACT, EXACT + 1, -EXACT, -EXACT - 1],
+                             dtype=np.int64), split=0.5)
+    @example(values=np.array([2 ** 64 - 1, EXACT, 0], dtype=np.uint64),
+             split=0.4)
+    @example(values=np.array([True, False, True]), split=0.7)
+    def test_equals_float_path(self, values, split):
+        want_codes, want_levels = float_path_codes(values)
+        with np.errstate(invalid="ignore"):
+            codes, n_levels = Table({"c": values}).discrete_codes("c")
+            assert n_levels == want_levels
+            np.testing.assert_array_equal(codes, want_codes)
+            cut = int(split * values.size)
+            parent = Table({"c": values[:cut]})
+            parent.discrete_codes("c")
+            child = parent.with_appended_rows({"c": values[cut:]})
+            codes, n_levels = child.discrete_codes("c")
+        assert n_levels == want_levels
+        np.testing.assert_array_equal(codes, want_codes)
+
+    @pytest.mark.parametrize("values,float_path", [
+        (np.array([3, -EXACT, EXACT], dtype=np.int64), False),
+        (np.array([3, EXACT + 1], dtype=np.int64), True),
+        (np.array([7, 2 ** 63], dtype=np.uint64), True),
+        (np.array([1, 0, 1], dtype=np.int8), False),
+        (np.array([True, False]), False),
+        (np.array([1.0, 2.0]), True),
+    ])
+    def test_float_copy_only_off_the_integer_path(self, values, float_path):
+        table = Table({"c": values})
+        with np.errstate(invalid="ignore"):
+            table.discrete_codes("c")
+        assert ("c" in table._float_cols) is float_path
