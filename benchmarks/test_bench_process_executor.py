@@ -17,6 +17,7 @@ Quantifies the engine's third execution layer and records it as a
    level: with the suite store warm, the burst executes zero tests.
 """
 
+import multiprocessing
 import os
 import time
 
@@ -36,11 +37,6 @@ N_ROWS = 100_000
 N_CANDIDATES = 160  # >=150-query discrete phase-2 burst (Table 2 regime)
 N_WORKERS = 2
 
-# Worker start-up aside, "fork" and "spawn" execute identically; the
-# benchmark uses fork where the platform has it so the recorded number is
-# about steady-state execution, not interpreter boot.
-MP_CONTEXT = "fork" if os.name == "posix" else "spawn"
-
 quad_core = (os.cpu_count() or 1) >= 4
 
 
@@ -50,7 +46,8 @@ def write_artifact():
     yield
     write_bench_artifact("process_executor",
                          {"n_rows": N_ROWS, "n_candidates": N_CANDIDATES,
-                          "n_workers": N_WORKERS, "mp_context": MP_CONTEXT},
+                          "n_workers": N_WORKERS,
+                          "start_method": multiprocessing.get_start_method()},
                          RESULTS)
 
 
@@ -79,8 +76,8 @@ def test_process_burst_speedup_and_parity(benchmark, burst):
     tester = GTestCI()
     serial_executor = SerialExecutor()
 
-    with ProcessExecutor(n_workers=N_WORKERS, min_batch=2,
-                         mp_context=MP_CONTEXT) as process_executor:
+    with ProcessExecutor(n_workers=N_WORKERS,
+                         min_batch=2) as process_executor:
         # Parity first (this also pays the one-off pool start-up), so the
         # timing comparison below is about the same answers and a warm pool.
         startup = time.perf_counter()

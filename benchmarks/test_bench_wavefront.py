@@ -20,6 +20,7 @@ Quantifies the two scheduling layers this PR added and records them as a
    everywhere; leg-outcome parity is asserted unconditionally.
 """
 
+import multiprocessing
 import os
 import time
 
@@ -43,11 +44,6 @@ DRIVER_LEGS = 4
 DRIVER_N_TRAIN = 8000
 DRIVER_JOBS = min(DRIVER_LEGS, os.cpu_count() or 1)
 
-# Worker start-up aside, "fork" and "spawn" execute identically; the
-# benchmark uses fork where the platform has it so the recorded number is
-# about steady-state execution, not interpreter boot.
-MP_CONTEXT = "fork" if os.name == "posix" else "spawn"
-
 cpu_count = os.cpu_count() or 1
 
 
@@ -60,7 +56,7 @@ def write_artifact():
                           "n_admissible": N_ADMISSIBLE,
                           "driver_legs": DRIVER_LEGS,
                           "driver_jobs": DRIVER_JOBS,
-                          "mp_context": MP_CONTEXT},
+                          "start_method": multiprocessing.get_start_method()},
                          RESULTS)
 
 
@@ -160,14 +156,12 @@ def test_suite_driver_speedup_and_parity(benchmark):
     assert len(legs) == DRIVER_LEGS
 
     inline_result = run_suite(legs, jobs=1)
-    parallel_result = run_suite(legs, jobs=DRIVER_JOBS,
-                                mp_context=MP_CONTEXT)
+    parallel_result = run_suite(legs, jobs=DRIVER_JOBS)
     assert [outcome_key(o) for o in parallel_result.outcomes] == \
            [outcome_key(o) for o in inline_result.outcomes]
 
     inline_seconds = min(run_suite(legs, jobs=1).seconds for _ in range(2))
-    parallel_seconds = min(run_suite(legs, jobs=DRIVER_JOBS,
-                                     mp_context=MP_CONTEXT).seconds
+    parallel_seconds = min(run_suite(legs, jobs=DRIVER_JOBS).seconds
                            for _ in range(2))
     speedup = inline_seconds / parallel_seconds
     RESULTS["suite_driver"] = {
@@ -187,5 +181,5 @@ def test_suite_driver_speedup_and_parity(benchmark):
             f"{speedup:.2f}x")
 
     benchmark.pedantic(
-        lambda: run_suite(legs, jobs=DRIVER_JOBS, mp_context=MP_CONTEXT),
+        lambda: run_suite(legs, jobs=DRIVER_JOBS),
         rounds=2, iterations=1)

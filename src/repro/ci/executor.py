@@ -12,11 +12,11 @@ remainder through an executor, which decides *how* the inner tester's
   This scales a discrete (G-test) burst past the GIL: the fused counting
   kernels are pure-numpy integer work that holds the GIL, but two
   processes each fusing half a burst run in parallel.  Workers receive
-  the ``(tester, table)`` pair once at pool start-up (spawn-safe
-  pickling; the table ships without its lazy caches and re-warms its
-  ``discrete_codes`` per worker) and the pool is kept alive across calls
-  for the same pair, so a selection run pays the process start-up cost
-  once, not per burst.
+  the ``(tester, table)`` pair once at pool start-up (a fork-started
+  worker inherits it; under spawn or forkserver the table is pickled
+  without its lazy caches and re-warms its ``discrete_codes`` per
+  worker) and the pool is kept alive across calls for the same pair, so
+  a selection run pays the process start-up cost once, not per burst.
 
 Sharding splits a backend's fusion groups at shard boundaries — results
 stay bitwise identical (fusion is exact: discrete kernels count the same
@@ -38,16 +38,16 @@ transparent: the caller's thread sees the original exception.
 
 Executor choice is one knob: the executor a caller passes, else the
 ``REPRO_CI_EXECUTOR`` environment variable (``serial`` / ``process``;
-worker count via ``REPRO_CI_JOBS``, multiprocessing start method via
-``REPRO_CI_MP_CONTEXT``), else serial.  The environment variable is how
-the CI matrix runs the whole test suite under process execution to
-enforce the equivalence contract.
+worker count via ``REPRO_CI_JOBS``), else serial.  The environment
+variable is how the CI matrix runs the whole test suite under process
+execution to enforce the equivalence contract.  Pools start workers the
+interpreter's way: the default multiprocessing start method, or the one
+an application sets with :func:`multiprocessing.set_start_method`.
 """
 
 from __future__ import annotations
 
 import contextvars
-import multiprocessing
 import os
 import threading
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -59,10 +59,6 @@ from repro.exceptions import CITestError
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.ci.base import CIQuery, CIResult, CITester
     from repro.data.table import Table
-
-ENV_EXECUTOR = env.CI_EXECUTOR.name
-ENV_JOBS = env.CI_JOBS.name
-ENV_MP_CONTEXT = env.CI_MP_CONTEXT.name
 
 
 def _find_offending_query(tester: "CITester", table: "Table",
@@ -103,16 +99,6 @@ def _run_shard(tester: "CITester", table: "Table",
         raise error from exc
 
 
-def _start_method(method: str, source: str) -> str:
-    """``method`` if this platform offers that multiprocessing start
-    method; otherwise a ``ValueError`` naming ``source``."""
-    methods = multiprocessing.get_all_start_methods()
-    if method not in methods:
-        raise ValueError(
-            f"{source} must be one of {methods}, got {method!r}")
-    return method
-
-
 def _contiguous_shards(queries: list, n_shards: int) -> list[list]:
     """Split ``queries`` into contiguous runs, preserving input order."""
     bounds = [round(i * len(queries) / n_shards)
@@ -146,10 +132,12 @@ class SerialExecutor(BatchExecutor):
 
 
 # Per-worker state for ProcessExecutor, set once by the pool initializer:
-# the worker's private (tester, table) pair.  The table arrives without its
-# lazy caches (see Table.__getstate__) and re-builds them here, so every
-# worker holds warm, process-local discrete codes shared across the shards
-# it evaluates — never concurrently-mutated parent state.
+# the worker's private (tester, table) pair.  A fork-started worker
+# inherits the parent's copy; under spawn or forkserver the table arrives
+# without its lazy caches (see Table.__getstate__) and re-builds them
+# here.  Either way every worker holds warm, process-local discrete codes
+# shared across the shards it evaluates — never concurrently-mutated
+# parent state.
 _PROCESS_STATE: dict = {}
 
 
@@ -171,7 +159,7 @@ def _process_worker_run(shard: Sequence["CIQuery"]) -> list["CIResult"]:
 class ProcessExecutor(BatchExecutor):
     """Shard the batch across worker processes (true discrete parallelism).
 
-    The ``(tester, table)`` pair is pickled into each worker once, at pool
+    The ``(tester, table)`` pair reaches each worker once, at pool
     start-up (``initargs``), and shards then travel as lightweight query
     lists; results come back as plain :class:`~repro.ci.base.CIResult`
     values.  The pool is cached on the executor and reused while the
@@ -180,26 +168,24 @@ class ProcessExecutor(BatchExecutor):
     Call :meth:`close` (or use the executor as a context manager) to
     release the workers early; dropping the executor releases them too.
 
-    ``mp_context`` selects the multiprocessing start method.  The default
-    ``"spawn"`` works everywhere and is what the serialization contract is
-    written against; ``"fork"`` starts workers far faster on POSIX and is
-    safe here because workers only compute on their private copies.  A
-    start method this platform lacks raises ``ValueError`` here, not at
-    the first pooled batch.
+    Workers start by the interpreter's default start method.  A child
+    forked from the process that owns the pool inherits the pool object
+    but not the thread that feeds it, so a pool is only ever used and
+    shut down by the process that started it; a forked child drops it
+    and starts its own.
     """
 
     name = "process"
 
     def __init__(self, n_workers: int | None = None,
-                 min_batch: int = 16,
-                 mp_context: str = "spawn") -> None:
+                 min_batch: int = 16) -> None:
         if n_workers is not None and n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers or min(8, os.cpu_count() or 1)
         self.min_batch = min_batch
-        self.mp_context = _start_method(mp_context, "mp_context")
         self._pool: ProcessPoolExecutor | None = None
         self._pool_key: tuple | None = None
+        self._pool_pid: int | None = None
         # One instance may be shared across ledgers (default_executor()
         # memoises); serialise pooled runs so one caller can never tear
         # down a pool another is mid-flight on.
@@ -223,27 +209,33 @@ class ProcessExecutor(BatchExecutor):
     def _pool_for(self, tester: "CITester", table: "Table",
                   queries: Sequence["CIQuery"]) -> ProcessPoolExecutor:
         key = self._pool_key_for(tester, table)
-        if self._pool is not None and self._pool_key == key:
+        if (self._pool is not None and self._pool_key == key
+                and self._pool_pid == os.getpid()):
             return self._pool
         self.close()
         warm_names = sorted({name for query in queries
                              for name in query.x + query.y + query.z})
         self._pool = ProcessPoolExecutor(
             max_workers=self.n_workers,
-            mp_context=multiprocessing.get_context(self.mp_context),
             initializer=_process_worker_init,
             initargs=(tester, table, warm_names),
         )
         self._pool_key = key
+        self._pool_pid = os.getpid()
         return self._pool
 
     def close(self) -> None:
-        """Shut down the cached worker pool (idempotent)."""
+        """Shut down the cached worker pool (idempotent).
+
+        A pool another process started (this executor was inherited by a
+        forked child) is dropped, never shut down: it is not this
+        process's to stop, and its feeding thread does not exist here.
+        """
         with self._lock:
-            if self._pool is not None:
+            if self._pool is not None and self._pool_pid == os.getpid():
                 self._pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
-                self._pool_key = None
+            self._pool = None
+            self._pool_key = None
 
     def __enter__(self) -> "ProcessExecutor":
         return self
@@ -299,8 +291,7 @@ class ProcessExecutor(BatchExecutor):
                 raise error from exc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ProcessExecutor(n_workers={self.n_workers}, "
-                f"mp_context={self.mp_context!r})")
+        return f"ProcessExecutor(n_workers={self.n_workers})"
 
 
 #: Every executor by its ``name`` attribute.
@@ -335,8 +326,6 @@ def default_executor() -> BatchExecutor:
 
     * ``REPRO_CI_EXECUTOR`` — ``serial`` (the default) or ``process``
     * ``REPRO_CI_JOBS`` — worker count for ``process`` (at least 1)
-    * ``REPRO_CI_MP_CONTEXT`` — start method for ``process``
-      (``spawn``/``fork``/``forkserver``, as the platform offers them)
 
     The process executor runs only when ``REPRO_CI_EXECUTOR`` names it:
     unset means serial, never a guess.  An invalid value fails here,
@@ -353,9 +342,6 @@ def default_executor() -> BatchExecutor:
     jobs = env.CI_JOBS.read_int(minimum=1)
     if jobs is not None:
         kwargs["n_workers"] = jobs
-    context = env.CI_MP_CONTEXT.read()
-    if context and name == "process":
-        kwargs["mp_context"] = _start_method(context, ENV_MP_CONTEXT)
     key = (name, *sorted(kwargs.items()))
     cached = _DEFAULT_EXECUTORS.get(key)
     if cached is None:

@@ -9,8 +9,8 @@ Commands:
   run the full Figure-2 method suite on one dataset and print the
   accuracy/fairness table,
 * ``python -m repro suite --datasets german compas --algorithms grpsel seqsel``
-  run a (dataset × selector × classifier) experiment suite, legs in
-  parallel worker processes over one shared experiment store,
+  run a (dataset × selector × classifier) experiment suite over one
+  shared experiment store, legs inline or in ``--jobs`` worker processes,
 * ``python -m repro stream --dataset german --batches 4``
   simulate the online setting on a bundled dataset: candidate features
   arrive in batches (and rows optionally append per batch) over one
@@ -22,11 +22,15 @@ Commands:
 * ``python -m repro datasets``
   list bundled datasets and their role assignments.
 
-``select``/``evaluate``/``suite`` share the CI-test configuration flags:
-``--tester`` picks the backend family
+``select``/``evaluate``/``stream``/``suite`` share the CI-test
+configuration flags: ``--tester`` picks the backend family
 (:func:`repro.ci.default_tester`), ``--subsets`` the phase-1 subset
-strategy (:func:`repro.core.subset_search.strategy_by_name`), ``--jobs``
-the CI-batch worker processes, and ``--store`` a cross-run cache tree.
+strategy (:func:`repro.core.subset_search.strategy_by_name`), and
+``--store`` a cross-run cache tree.  ``--jobs`` belongs to ``suite``
+alone and sets its experiment-leg worker processes; CI-test batches
+shard across processes only through ``REPRO_CI_EXECUTOR`` and
+``REPRO_CI_JOBS``.  Every pool starts its workers by the interpreter's
+default multiprocessing start method.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import sys
 from typing import Sequence
 
 from repro.ci import default_tester
-from repro.ci.executor import BatchExecutor, ProcessExecutor
 from repro.ci.store import ExperimentStore
 from repro.core.grpsel import GrpSel
 from repro.core.seqsel import SeqSel
@@ -51,11 +54,7 @@ SUBSET_STRATEGIES = ("exhaustive", "full-set", "marginal+full", "greedy")
 CLASSIFIER_NAMES = ("logistic", "tree", "forest", "nb")
 
 
-def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="CI-test worker processes (>1 shards test batches across a "
-             "process pool; results and counts are identical to serial)")
+def _add_store_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store", default=None, metavar="DIR",
         help="experiment-store directory: caches CI verdicts and finished "
@@ -73,14 +72,6 @@ def _add_ci_flags(parser: argparse.ArgumentParser,
         "--subsets", choices=SUBSET_STRATEGIES, default=None,
         help="phase-1 subset-search strategy (default: the selector's, "
              "exhaustive)")
-
-
-def _executor_from_args(args: argparse.Namespace) -> BatchExecutor | None:
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    if args.jobs == 1:
-        return None
-    return ProcessExecutor(n_workers=args.jobs)
 
 
 def _store_from_args(args: argparse.Namespace) -> ExperimentStore | None:
@@ -109,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="CI-test significance level (default 0.01)")
     select.add_argument("--seed", type=int, default=0)
     _add_ci_flags(select)
-    _add_execution_flags(select)
+    _add_store_flag(select)
 
     evaluate = sub.add_parser("evaluate",
                               help="run the full method suite on one dataset")
@@ -120,12 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--n-train", type=int, default=None,
                           help="override the training-set size")
     _add_ci_flags(evaluate)
-    _add_execution_flags(evaluate)
+    _add_store_flag(evaluate)
 
     suite = sub.add_parser(
         "suite",
-        help="run (dataset x selector x classifier) legs in parallel "
-             "worker processes over one shared experiment store")
+        help="run (dataset x selector x classifier) legs, inline or in "
+             "--jobs worker processes, over one shared experiment store")
     suite.add_argument("--datasets", choices=sorted(LOADERS), nargs="+",
                        required=True, metavar="NAME",
                        help=f"datasets to sweep ({', '.join(sorted(LOADERS))})")
@@ -153,10 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="experiment-leg worker processes (default: 1, "
                             "every leg inline)")
-    suite.add_argument("--mp-context", default="spawn",
-                       choices=("spawn", "fork", "forkserver"),
-                       help="multiprocessing start method for the leg "
-                            "workers (default: spawn)")
     suite.add_argument("--store", default=None, metavar="DIR",
                        help="shared experiment-store root for all legs "
                             "(saves append; a warm rerun executes zero "
@@ -186,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="CI-test significance level (default 0.01)")
     stream.add_argument("--seed", type=int, default=0)
     _add_ci_flags(stream)
-    _add_execution_flags(stream)
+    _add_store_flag(stream)
 
     lint = sub.add_parser(
         "lint",
@@ -213,13 +200,11 @@ def cmd_select(args: argparse.Namespace) -> int:
     problem = dataset.problem()
     tester = _tester_from_args(args)
     strategy = strategy_by_name(args.subsets) if args.subsets else None
-    executor = _executor_from_args(args)
     if args.algorithm == "grpsel":
         selector = GrpSel(tester=tester, subset_strategy=strategy,
-                          seed=args.seed, executor=executor)
+                          seed=args.seed)
     else:
-        selector = SeqSel(tester=tester, subset_strategy=strategy,
-                          executor=executor)
+        selector = SeqSel(tester=tester, subset_strategy=strategy)
     store = _store_from_args(args)
     if store is not None:
         with store:
@@ -242,7 +227,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = LOADERS[args.dataset](**kwargs)
     result = run_tradeoff(dataset, seed=args.seed, alpha=args.alpha,
                           store=_store_from_args(args),
-                          executor=_executor_from_args(args),
                           tester=args.tester,
                           subsets=args.subsets)
     print(render_table(result.table(),
@@ -260,8 +244,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
                        alpha=args.alpha, tester=args.tester,
                        subsets=args.subsets, n_train=args.n_train,
                        n_test=args.n_test)
-    result = run_suite(legs, store=args.store, jobs=args.jobs,
-                       mp_context=args.mp_context)
+    result = run_suite(legs, store=args.store, jobs=args.jobs)
     print(render_table(
         result.table(),
         title=f"Suite: {len(result.outcomes)} legs, "
@@ -319,7 +302,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         subset_strategy=(strategy_by_name(args.subsets)
                          if args.subsets else None),
         cache=store.ci_cache("online") if store is not None else False,
-        executor=_executor_from_args(args),
         delta=args.delta)
 
     rows = []

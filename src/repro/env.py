@@ -19,8 +19,8 @@ Conventions, applied uniformly:
   ``ValueError`` from ``int()``.
 
 Modules re-export their historical ``ENV_*`` constants from the
-:class:`EnvVar` instances declared here (``ENV_EXECUTOR =
-env.CI_EXECUTOR.name``), so no ``REPRO_*`` string literal exists outside
+:class:`EnvVar` instances declared here (``ENV_TESTER =
+env.CI_TESTER.name``), so no ``REPRO_*`` string literal exists outside
 this file.
 """
 
@@ -34,7 +34,6 @@ __all__ = [
     "CI_TESTER",
     "CI_EXECUTOR",
     "CI_JOBS",
-    "CI_MP_CONTEXT",
     "CI_WAVE_CELLS",
     "markdown_table",
     "read",
@@ -127,11 +126,6 @@ CI_JOBS = _register(
     "REPRO_CI_JOBS", "",
     "worker count for the process executor (at least 1); unset uses "
     "`min(8, cpu_count)`")
-
-CI_MP_CONTEXT = _register(
-    "REPRO_CI_MP_CONTEXT", "",
-    "multiprocessing start method for the process executor "
-    "(`spawn`/`fork`/`forkserver`); unset uses `spawn`")
 
 CI_WAVE_CELLS = _register(
     "REPRO_CI_WAVE_CELLS", str(1 << 25),

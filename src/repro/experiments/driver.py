@@ -4,7 +4,8 @@ classifier) legs over one shared :class:`~repro.ci.store.ExperimentStore`.
 The CI engine already shards *test batches* across processes
 (:class:`~repro.ci.executor.ProcessExecutor`); this module parallelises
 one level up — whole experiment legs run in worker processes when the
-caller asks for more than one job, and inline otherwise.  A leg is a
+caller asks for more than one job, and inline otherwise.  Workers start
+by the interpreter's default multiprocessing start method.  A leg is a
 picklable :class:`ExperimentLeg` *spec* (names and scalars only: dataset
 loader key, algorithm, classifier, tester/subset-strategy names, seed);
 each worker materialises the dataset/selector/classifier from the spec,
@@ -125,7 +126,12 @@ class LegOutcome:
 
 @dataclass
 class SuiteResult:
-    """All leg outcomes of one driver run."""
+    """All leg outcomes of one driver run.
+
+    ``jobs`` is the number of worker processes that ran the legs: 1 when
+    they ran inline, else the smaller of the ``jobs`` asked for and the
+    number of legs.
+    """
 
     outcomes: list[LegOutcome] = field(default_factory=list)
     seconds: float = 0.0
@@ -133,28 +139,6 @@ class SuiteResult:
 
     def table(self) -> list[dict]:
         return [outcome.row() for outcome in self.outcomes]
-
-    def by_label(self, label: str) -> LegOutcome:
-        """The unique outcome whose ``leg.label`` matches ``label``.
-
-        A label collapses only ``dataset/algorithm/classifier`` — legs
-        differing in seed, tester, alpha, or sample counts share one
-        label (a seed sweep is routine), and silently returning "the
-        first" would hand back an arbitrary spec.  Ambiguity raises
-        ``KeyError`` instead; disambiguate by filtering ``outcomes`` on
-        the full ``leg`` spec.
-        """
-        matches = [outcome for outcome in self.outcomes
-                   if outcome.leg.label == label]
-        if not matches:
-            raise KeyError(f"no outcome for leg {label!r}")
-        if len(matches) > 1:
-            raise KeyError(
-                f"{len(matches)} outcomes share label {label!r} (legs "
-                "differing only in seed/tester/alpha/n_train collapse to "
-                "one label); filter .outcomes on the full leg spec "
-                "instead")
-        return matches[0]
 
 
 def expand_legs(datasets: Sequence[str], algorithms: Sequence[str] = ("grpsel",),
@@ -196,8 +180,7 @@ def _execute_leg(leg: ExperimentLeg,
                       seconds=time.perf_counter() - start)
 
 
-def map_parallel(fn: Callable, items: Sequence, jobs: int,
-                 mp_context: str = "spawn") -> list:
+def map_parallel(fn: Callable, items: Sequence, jobs: int) -> list:
     """Map ``fn`` over ``items``, ``jobs`` worker processes at a time.
 
     :func:`run_suite`'s pool primitive.  ``fn`` must be picklable (a
@@ -215,11 +198,7 @@ def map_parallel(fn: Callable, items: Sequence, jobs: int,
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    import multiprocessing
-
-    with ProcessPoolExecutor(
-            max_workers=min(jobs, len(items)),
-            mp_context=multiprocessing.get_context(mp_context)) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         futures = [pool.submit(fn, item) for item in items]
         try:
             return [future.result() for future in futures]
@@ -233,16 +212,17 @@ def map_parallel(fn: Callable, items: Sequence, jobs: int,
 
 def run_suite(legs: Sequence[ExperimentLeg],
               store: ExperimentStore | str | os.PathLike | None = None,
-              jobs: int = 1,
-              mp_context: str = "spawn") -> SuiteResult:
+              jobs: int = 1) -> SuiteResult:
     """Run every leg, ``jobs`` at a time in worker processes.
 
     ``store`` (an :class:`~repro.ci.store.ExperimentStore` or root path)
     shares one append-only cache tree across all legs — pass the same
     root on a rerun and the whole suite replays from the recorded
     selections without executing a single CI test.  ``jobs`` is the
-    number of worker processes; the default, 1, runs every leg inline
-    (no pool), which is also the fallback for a single leg.
+    number of worker processes asked for; the default, 1, runs every leg
+    inline (no pool), which is also the fallback for a single leg.  The
+    result's ``jobs`` records the workers that ran, never more than the
+    legs.
 
     Legs are validated up front so misspelled names fail in the parent
     before any worker spawns.  Results come back in leg order.
@@ -275,7 +255,7 @@ def run_suite(legs: Sequence[ExperimentLeg],
 
     start = time.perf_counter()
     runner = functools.partial(_execute_leg, store_root=store_root)
-    outcomes = map_parallel(runner, legs, jobs, mp_context=mp_context)
+    outcomes = map_parallel(runner, legs, jobs)
     return SuiteResult(outcomes=outcomes,
                        seconds=time.perf_counter() - start,
-                       jobs=jobs)
+                       jobs=min(jobs, len(legs)))

@@ -144,8 +144,7 @@ class TestFusedEquivalence:
 class TestLedgerAndExecutorInvariants:
     def executors(self):
         return [SerialExecutor(),
-                ProcessExecutor(n_workers=2, min_batch=2,
-                                mp_context="fork")]
+                ProcessExecutor(n_workers=2, min_batch=2)]
 
     def test_counts_and_results_executor_invariant(self):
         table = build_table(seed=9, n_rows=100, n_features=5)

@@ -73,8 +73,7 @@ def make_problem(n=500, seed=0, n_features=N_FEATURES):
 def executor_factories():
     return [
         pytest.param(lambda: None, id="serial"),
-        pytest.param(lambda: ProcessExecutor(n_workers=2, min_batch=2,
-                                             mp_context="fork"),
+        pytest.param(lambda: ProcessExecutor(n_workers=2, min_batch=2),
                      id="process"),
     ]
 

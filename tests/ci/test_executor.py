@@ -1,5 +1,7 @@
 """Tests for the pluggable batch executors."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -29,9 +31,8 @@ def queries(table):
 
 
 def pooled(min_batch=2):
-    """A small fork-started process pool; the generic pooled executor."""
-    return ProcessExecutor(n_workers=2, min_batch=min_batch,
-                           mp_context="fork")
+    """A small process pool; the generic pooled executor."""
+    return ProcessExecutor(n_workers=2, min_batch=min_batch)
 
 
 class TestExecutors:
@@ -54,10 +55,6 @@ class TestExecutors:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError, match="n_workers"):
             ProcessExecutor(n_workers=0)
-
-    def test_unknown_start_method_fails_at_construction(self):
-        with pytest.raises(ValueError, match="mp_context"):
-            ProcessExecutor(mp_context="bogus")
 
 
 class TestLedgerExecutorAccounting:
@@ -144,11 +141,9 @@ class TestWorkerErrorPropagation:
         return next(q for q in qs if "f3" in q.x)
 
     @pytest.mark.parametrize("make_executor", [
-        pytest.param(lambda: ProcessExecutor(n_workers=2, min_batch=2,
-                                             mp_context="fork"),
+        pytest.param(lambda: ProcessExecutor(n_workers=2, min_batch=2),
                      id="process"),
-        pytest.param(lambda: ProcessExecutor(n_workers=2, min_batch=64,
-                                             mp_context="fork"),
+        pytest.param(lambda: ProcessExecutor(n_workers=2, min_batch=64),
                      id="process-serial-fallback"),
     ])
     def test_failure_raises_citesterror_with_query(self, make_executor):
@@ -195,14 +190,12 @@ class TestDefaultExecutorEnv:
         assert isinstance(default_executor(), SerialExecutor)
         assert isinstance(CITestLedger(GTestCI()).executor, SerialExecutor)
 
-    def test_env_selects_process_with_jobs_and_context(self, monkeypatch):
+    def test_env_selects_process_with_jobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_CI_EXECUTOR", "process")
         monkeypatch.setenv("REPRO_CI_JOBS", "3")
-        monkeypatch.setenv("REPRO_CI_MP_CONTEXT", "fork")
         executor = default_executor()
         assert isinstance(executor, ProcessExecutor)
         assert executor.n_workers == 3
-        assert executor.mp_context == "fork"
         assert isinstance(CITestLedger(GTestCI()).executor, ProcessExecutor)
 
     def test_invalid_env_values_fail_loudly(self, monkeypatch):
@@ -215,10 +208,6 @@ class TestDefaultExecutorEnv:
             monkeypatch.setenv("REPRO_CI_JOBS", jobs)
             with pytest.raises(ValueError, match="REPRO_CI_JOBS"):
                 default_executor()
-        monkeypatch.delenv("REPRO_CI_JOBS")
-        monkeypatch.setenv("REPRO_CI_MP_CONTEXT", "bogus")
-        with pytest.raises(ValueError, match="REPRO_CI_MP_CONTEXT"):
-            default_executor()
 
     def test_explicit_executor_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CI_EXECUTOR", "process")
@@ -232,7 +221,6 @@ class TestDefaultExecutorEnv:
         now one shared, thread-safe instance per configuration."""
         monkeypatch.setenv("REPRO_CI_EXECUTOR", "process")
         monkeypatch.setenv("REPRO_CI_JOBS", "2")
-        monkeypatch.setenv("REPRO_CI_MP_CONTEXT", "fork")
         first = default_executor()
         assert default_executor() is first
         assert CITestLedger(GTestCI()).executor is \
@@ -267,8 +255,7 @@ class TestBrokenPoolRecovery:
         import signal
         table = make_table()
         qs = queries(table)
-        with ProcessExecutor(n_workers=2, min_batch=2,
-                             mp_context="fork") as executor:
+        with ProcessExecutor(n_workers=2, min_batch=2) as executor:
             first = executor.run(GTestCI(), table, qs)
             for pid in list(executor._pool._processes):
                 _os.kill(pid, signal.SIGKILL)
@@ -277,3 +264,61 @@ class TestBrokenPoolRecovery:
             assert executor._pool is None  # wedged pool torn down
             again = executor.run(GTestCI(), table, qs)  # fresh pool
         assert [r.p_value for r in again] == [r.p_value for r in first]
+
+
+#: Seconds a forked child gets to answer before the test kills it.
+CHILD_TIMEOUT = 30
+
+
+def result_key(result):
+    return (result.query, result.independent, result.p_value,
+            result.statistic)
+
+
+def _rerun_in_child(executor, table, batch, sender):
+    """Fork-child side: rerun ``batch`` through the inherited executor."""
+    ledger = CITestLedger(GTestCI(), executor=executor)
+    sender.send([result_key(r) for r in ledger.test_batch(table, batch)])
+    executor.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+class TestForkedChild:
+    def test_child_reruns_a_pooled_batch_on_its_own_pool(self):
+        """Regression: a child forked while its parent's executor held a
+        live pool inherited that pool, and a batch under the same
+        ``(tester, table)`` key went to it.  The thread that feeds the
+        pool exists only in the parent, so the child waited forever.  The
+        child must drop the inherited pool, leave it running for the
+        parent, and start its own."""
+        table = make_table()
+        qs = queries(table)
+        serial = [result_key(r)
+                  for r in SerialExecutor().run(GTestCI(), table, qs)]
+        context = multiprocessing.get_context("fork")
+        with pooled() as executor:
+            parent = CITestLedger(GTestCI(), executor=executor)
+            assert [result_key(r)
+                    for r in parent.test_batch(table, qs)] == serial
+            assert executor._pool is not None
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_rerun_in_child,
+                                    args=(executor, table, qs, sender))
+            child.start()
+            sender.close()
+            try:
+                got = (receiver.recv() if receiver.poll(CHILD_TIMEOUT)
+                       else "timed out")
+            except EOFError:
+                got = "died without answering"
+            finally:
+                child.join(CHILD_TIMEOUT)
+                if child.is_alive():
+                    child.kill()
+                    child.join()
+            assert got == serial
+            assert child.exitcode == 0
+            # The parent's pool survived the child.
+            assert [result_key(r)
+                    for r in executor.run(GTestCI(), table, qs)] == serial

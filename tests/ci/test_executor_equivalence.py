@@ -7,10 +7,11 @@ never changes the ledger's ``n_tests`` or ``cache_hits``.  This file
 machine-checks that claim on random workloads (hypothesis), including
 in-batch duplicates and memoisation.
 
-Process executors here use the ``fork`` start method — pool start-up per
-random example would otherwise dominate the suite — while one dedicated
-test pushes a batch through a real ``spawn`` pool to pin the spawn-safe
-serialization contract itself.
+Process executors here start workers the interpreter's way (fork on
+Linux, where pool start-up per random example stays cheap), while one
+dedicated test sets the global start method to ``spawn`` and pushes a
+batch through a real spawn pool to pin the spawn-safe serialization
+contract itself.
 """
 
 import numpy as np
@@ -63,7 +64,7 @@ def pooled_executors():
     """Fresh pooled executors, small-batch thresholds forced down so the
     pooled code path actually runs on hypothesis-sized batches."""
     return [
-        ProcessExecutor(n_workers=2, min_batch=2, mp_context="fork"),
+        ProcessExecutor(n_workers=2, min_batch=2),
     ]
 
 
@@ -135,17 +136,17 @@ class TestExecutorEquivalence:
 
 
 class TestSpawnSafety:
-    def test_spawn_pool_matches_serial(self):
+    def test_spawn_pool_matches_serial(self, start_method):
         """The serialization contract proper: tester + cache-stripped table
         cross a *spawn* boundary and come back bitwise identical."""
+        assert start_method == "spawn"
         table = build_table(seed=7, n_rows=200, n_features=6)
         table.warm_cache()
         queries = [CIQuery.make(f"f{i}", "y", Z_CHOICES[i % 4])
                    for i in range(6)]
         baseline = [result_tuple(r)
                     for r in SerialExecutor().run(GTestCI(), table, queries)]
-        with ProcessExecutor(n_workers=2, min_batch=2,
-                             mp_context="spawn") as executor:
+        with ProcessExecutor(n_workers=2, min_batch=2) as executor:
             got = [result_tuple(r)
                    for r in executor.run(GTestCI(), table, queries)]
         assert got == baseline
@@ -170,8 +171,7 @@ class TestPoolReuse:
     def test_pool_persists_across_same_pair_calls(self):
         table = build_table(seed=1, n_rows=80, n_features=5)
         queries = [CIQuery.make(f"f{i}", "y", ("a",)) for i in range(5)]
-        with ProcessExecutor(n_workers=2, min_batch=2,
-                             mp_context="fork") as executor:
+        with ProcessExecutor(n_workers=2, min_batch=2) as executor:
             executor.run(GTestCI(), table, queries)
             first_pool = executor._pool
             executor.run(GTestCI(), table, queries)
@@ -190,8 +190,7 @@ class TestPoolKeyStability:
         the documented start-up amortisation."""
         table = build_table(seed=5, n_rows=80, n_features=5)
         queries = [CIQuery.make(f"f{i}", "y", ("a",)) for i in range(5)]
-        with ProcessExecutor(n_workers=2, min_batch=2,
-                             mp_context="fork") as executor:
+        with ProcessExecutor(n_workers=2, min_batch=2) as executor:
             tester = GTestCI()
             executor.run(tester, table, queries)
             pool = executor._pool
@@ -261,8 +260,7 @@ class TestProcessBoundaryErrorReplay:
 
     def test_attribution_survives_process_pickle_trip(self):
         table, queries = self._workload()
-        with ProcessExecutor(n_workers=2, min_batch=2,
-                             mp_context="fork") as executor:
+        with ProcessExecutor(n_workers=2, min_batch=2) as executor:
             with pytest.raises(CITestError) as excinfo:
                 executor.run(ExplodingTester(poison="f3"), table, queries)
         assert excinfo.value.query == CIQuery.make("f3", "y", ("a",))
@@ -270,8 +268,7 @@ class TestProcessBoundaryErrorReplay:
 
     def test_batch_only_failure_crosses_back_with_query_none(self):
         table, queries = self._workload()
-        with ProcessExecutor(n_workers=2, min_batch=2,
-                             mp_context="fork") as executor:
+        with ProcessExecutor(n_workers=2, min_batch=2) as executor:
             with pytest.raises(CITestError) as excinfo:
                 executor.run(BatchOnlyFailingTester(), table, queries)
         assert excinfo.value.query is None

@@ -107,13 +107,13 @@ class TestRunBitsEqualLoneTests:
                               executor=SerialExecutor())
         assert_run_matches_lone_tests(ledger, tester_seed, tables, batches)
 
-    @pytest.mark.parametrize("mp_context,examples", [("fork", 8),
-                                                     ("spawn", 2)])
-    def test_process_pool(self, mp_context, examples):
+    @pytest.mark.parametrize("start_method,examples",
+                             [("fork", 8), ("spawn", 2)],
+                             indirect=["start_method"])
+    def test_process_pool(self, start_method, examples):
         # min_batch=3: one- and two-query batches run in the dispatching
         # process (where the slot is visible), longer ones in the pool.
-        with ProcessExecutor(n_workers=2, min_batch=3,
-                             mp_context=mp_context) as executor:
+        with ProcessExecutor(n_workers=2, min_batch=3) as executor:
             @settings(max_examples=examples, deadline=None,
                       suppress_health_check=[HealthCheck.too_slow])
             @given(run=runs())
@@ -274,8 +274,7 @@ class TestSlotVisibility:
         assert running_leg_slot() is None
 
     def test_forked_pool_workers_see_no_slot(self, table):
-        with ProcessExecutor(n_workers=2, min_batch=2,
-                             mp_context="fork") as executor:
+        with ProcessExecutor(n_workers=2, min_batch=2) as executor:
             ledger = CITestLedger(SlotProbe(), executor=executor)
             results = ledger.test_batch(table, self.queries(4))
         assert [r.p_value for r in results] == [1.0] * 4

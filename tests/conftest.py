@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,19 @@ def chain_problem(chain_scm):
 def planted_scm():
     spec = FairnessGraphSpec(n_features=12, n_biased=3, seed=3)
     return fairness_scm(spec)
+
+
+@pytest.fixture
+def start_method(request):
+    """Set the global multiprocessing start method for one test and
+    restore it afterwards.
+
+    Pools start workers the interpreter's way, so this is how a test
+    pins one method: ``spawn`` unless the test parametrizes
+    ``start_method`` indirectly.
+    """
+    method = getattr(request, "param", "spawn")
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    yield method
+    multiprocessing.set_start_method(previous, force=True)

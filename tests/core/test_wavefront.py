@@ -185,8 +185,7 @@ class TestWavefrontMatchesSequential:
 def executor_factories():
     return [
         pytest.param(lambda: None, id="serial"),
-        pytest.param(lambda: ProcessExecutor(n_workers=2, min_batch=2,
-                                             mp_context="fork"),
+        pytest.param(lambda: ProcessExecutor(n_workers=2, min_batch=2),
                      id="process"),
     ]
 

@@ -34,15 +34,14 @@ class TestRunSuite:
     def test_parallel_matches_inline(self, tmp_path):
         legs = small_legs()
         inline = run_suite(legs, jobs=1)
-        parallel = run_suite(legs, jobs=2, mp_context="fork")
+        parallel = run_suite(legs, jobs=2)
         assert [outcome_key(o) for o in inline.outcomes] == \
                [outcome_key(o) for o in parallel.outcomes]
         assert parallel.jobs == 2
 
     def test_warm_store_replays_cold_counts(self, tmp_path):
         legs = small_legs()
-        cold = run_suite(legs, store=tmp_path / "suite", jobs=2,
-                         mp_context="fork")
+        cold = run_suite(legs, store=tmp_path / "suite", jobs=2)
         warm = run_suite(legs, store=tmp_path / "suite", jobs=1)
         assert [outcome_key(o) for o in warm.outcomes] == \
                [outcome_key(o) for o in cold.outcomes]
@@ -61,6 +60,12 @@ class TestRunSuite:
         result = run_suite(small_legs()[:2])
         assert result.jobs == 1
         assert len(result.outcomes) == 2
+
+    def test_jobs_records_the_workers_that_ran(self):
+        """Regression: ``jobs`` echoed the request, so one leg at
+        ``jobs=4`` reported 4 workers although it ran inline."""
+        assert run_suite(small_legs()[:1], jobs=4).jobs == 1
+        assert run_suite(small_legs()[:2], jobs=8).jobs == 2
 
     def test_table_rows_align_with_legs(self):
         result = run_suite(small_legs()[:2], jobs=1)
@@ -119,7 +124,7 @@ class TestRunSuite:
             run_suite(legs + [ExperimentLeg(dataset="compas",
                                             tester="gtest", n_train=3,
                                             n_test=4)],
-                      jobs=2, mp_context="fork")
+                      jobs=2)
 
 
 def _mark_and_maybe_fail(item, marker_dir):
@@ -147,25 +152,8 @@ class TestMapParallel:
         fn = functools.partial(_mark_and_maybe_fail,
                                marker_dir=str(tmp_path))
         with pytest.raises(RuntimeError, match="item zero exploded"):
-            map_parallel(fn, list(range(8)), jobs=2, mp_context="fork")
+            map_parallel(fn, list(range(8)), jobs=2)
         ran = {int(p.stem) for p in tmp_path.glob("*.ran")}
         assert 0 in ran
         assert len(ran) <= 4, f"queued items ran after the failure: {ran}"
 
-
-class TestSuiteByLabel:
-    def test_unique_label_resolves_and_missing_raises(self):
-        result = run_suite(small_legs()[:2], jobs=1)
-        assert result.by_label("german/seqsel/logistic").leg.algorithm \
-               == "seqsel"
-        with pytest.raises(KeyError, match="no outcome"):
-            result.by_label("adult/grpsel/logistic")
-
-    def test_ambiguous_label_raises_instead_of_first_match(self):
-        """Legs differing only in seed share one label; silently
-        handing back "the first" would pick an arbitrary spec."""
-        legs = [ExperimentLeg(dataset="german", seed=seed, **SMALL)
-                for seed in (0, 1)]
-        result = run_suite(legs, jobs=1)
-        with pytest.raises(KeyError, match="2 outcomes share"):
-            result.by_label(legs[0].label)

@@ -55,9 +55,8 @@ class TestReadSemantics:
 class TestRegistry:
     def test_all_names_are_repro_prefixed_and_sorted(self):
         names = [entry.name for entry in env.registry()]
-        assert names == sorted(names)
-        assert all(name.startswith("REPRO_") for name in names)
-        assert len(names) >= 5
+        assert names == ["REPRO_CI_EXECUTOR", "REPRO_CI_JOBS",
+                         "REPRO_CI_TESTER", "REPRO_CI_WAVE_CELLS"]
 
     def test_var_lookup(self):
         assert env.var("REPRO_CI_TESTER") is env.CI_TESTER

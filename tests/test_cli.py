@@ -43,12 +43,11 @@ class TestParser:
         args = build_parser().parse_args(
             ["stream", "--dataset", "german", "--batches", "4",
              "--rows-per-batch", "50", "--delta", "off",
-             "--tester", "gtest", "--jobs", "2"])
+             "--tester", "gtest"])
         assert args.dataset == "german"
         assert args.batches == 4
         assert args.rows_per_batch == 50
         assert args.delta == "off"
-        assert args.jobs == 2
 
     def test_stream_delta_defaults_to_column(self):
         args = build_parser().parse_args(["stream", "--dataset", "german"])
@@ -65,17 +64,25 @@ class TestParser:
             ["suite", "--datasets", "german", "compas",
              "--algorithms", "grpsel", "seqsel",
              "--classifiers", "logistic", "tree",
-             "--jobs", "3", "--mp-context", "fork", "--store", "cache-dir"])
+             "--jobs", "3", "--store", "cache-dir"])
         assert args.datasets == ["german", "compas"]
         assert args.algorithms == ["grpsel", "seqsel"]
         assert args.classifiers == ["logistic", "tree"]
         assert args.jobs == 3
-        assert args.mp_context == "fork"
         assert args.store == "cache-dir"
 
     def test_suite_jobs_default_inline(self):
         args = build_parser().parse_args(["suite", "--datasets", "german"])
         assert args.jobs == 1
+
+    @pytest.mark.parametrize("command", ["select", "evaluate", "stream"])
+    def test_jobs_is_suite_only(self, command, capsys):
+        """CI batches shard through REPRO_CI_EXECUTOR/REPRO_CI_JOBS, not
+        a per-command flag that never reached a pool."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [command, "--dataset", "german", "--jobs", "2"])
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestCommands:
