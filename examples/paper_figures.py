@@ -7,9 +7,8 @@ Usage:
 
 Artefacts: fig2, fig3a, fig3b, table2, fig4, fig5, spurious, robust.
 
-Figures are rendered as text tables / ASCII scatter plots (no matplotlib
-in the offline environment); EXPERIMENTS.md records the shapes against the
-paper's claims.
+Figures are rendered as text tables / ASCII scatter plots, so no plotting
+library is needed.
 """
 
 import sys
@@ -27,8 +26,9 @@ from repro.experiments import (
 )
 from repro.experiments.figures import ascii_scatter, render_series, render_table
 
-# Smaller-than-paper sweep sizes keep the full run under ~15 minutes;
-# pass --full for the paper-scale parameters.
+# Smaller-than-paper sweep sizes keep the default run to about a minute
+# on a 2-core x86_64 host; --full (the paper-scale parameters) takes
+# about three and a half minutes there.
 FAST = "--full" not in sys.argv
 
 

@@ -5,7 +5,7 @@ Reproduction of Galhotra, Shanmugam, Sattigeri & Varshney, SIGMOD 2022
 algorithms (SeqSel, GrpSel), all evaluation baselines, and every substrate
 they need — conditional-independence testing, structural causal models,
 classifiers, fairness metrics, and dataset generators — from scratch on
-numpy/scipy/networkx.
+numpy/scipy.
 
 Quickstart::
 

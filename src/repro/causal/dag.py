@@ -1,22 +1,27 @@
 """Causal DAG representation.
 
-Thin, validated wrapper around :class:`networkx.DiGraph` exposing exactly the
+A validated, immutable graph over named variables exposing exactly the
 graph queries the paper needs: parents/children/ancestors/descendants,
 topological order, and graph surgery (removing incoming edges, the
-``G_bar(A)`` mutilation used in interventional fairness).
+``G_bar(A)`` mutilation used in interventional fairness).  Every edit
+returns a new DAG, so each node's parent and child sets and the
+topological order are built once, in plain dicts, when the DAG is made.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
-import networkx as nx
+import heapq
+from typing import Iterable, Iterator, Mapping
 
 from repro.exceptions import GraphError
 
 
 class CausalDAG:
     """A directed acyclic graph over named variables.
+
+    Nodes keep the order they were given in (the ``nodes`` argument, then
+    edge endpoints as first seen), and edges are grouped by parent in that
+    order, each parent's children in the order first given.
 
     >>> g = CausalDAG(nodes=["s", "x", "y"], edges=[("s", "x"), ("x", "y")])
     >>> sorted(g.descendants("s"))
@@ -28,118 +33,142 @@ class CausalDAG:
         nodes: Iterable[str] = (),
         edges: Iterable[tuple[str, str]] = (),
     ) -> None:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(nodes)
+        # Insertion-ordered children per node; dict keys drop duplicates.
+        succ: dict[str, dict[str, None]] = {node: {} for node in nodes}
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop on {u!r}")
-            graph.add_edge(u, v)
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
-            raise GraphError(f"graph contains a cycle: {cycle}")
-        self._graph = graph
+            succ.setdefault(u, {})[v] = None
+            succ.setdefault(v, {})
+        pred: dict[str, list[str]] = {node: [] for node in succ}
+        for u, children in succ.items():
+            for v in children:
+                pred[v].append(u)
+        self._nodes = tuple(succ)
+        self._edges = tuple((u, v) for u, children in succ.items()
+                            for v in children)
+        self._children = {u: frozenset(vs) for u, vs in succ.items()}
+        self._parents = {v: frozenset(us) for v, us in pred.items()}
+        self._order = self._topological_sort()
+
+    def _topological_sort(self) -> tuple[str, ...]:
+        """Kahn's algorithm, always emitting the smallest ready name.
+
+        The order is a pure function of the graph:
+        ``StructuralCausalModel.sample`` draws its random streams in it,
+        and ``nodes_by_role`` lists every candidate by it.
+        """
+        indegree = {node: len(us) for node, us in self._parents.items()}
+        ready = [node for node, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            node = heapq.heappop(ready)
+            order.append(node)
+            for child in self._children[node]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    heapq.heappush(ready, child)
+        if len(order) < len(self._nodes):
+            stuck = sorted(set(self._nodes) - set(order))
+            raise GraphError(f"graph contains a cycle among {stuck}")
+        return tuple(order)
 
     # -- construction ------------------------------------------------------
 
-    @classmethod
-    def from_networkx(cls, graph: nx.DiGraph) -> "CausalDAG":
-        """Wrap an existing digraph (validated for acyclicity)."""
-        return cls(graph.nodes, graph.edges)
-
-    def copy(self) -> "CausalDAG":
-        """Independent copy."""
-        return CausalDAG(self.nodes, self.edges)
-
     def add_edge(self, u: str, v: str) -> "CausalDAG":
         """New DAG with one extra edge (validates acyclicity)."""
-        return CausalDAG(self.nodes, list(self.edges) + [(u, v)])
+        return CausalDAG(self._nodes, self._edges + ((u, v),))
 
     def add_node(self, node: str) -> "CausalDAG":
         """New DAG with one extra (isolated) node."""
-        return CausalDAG(list(self.nodes) + [node], self.edges)
+        return CausalDAG(self._nodes + (node,), self._edges)
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def nodes(self) -> list[str]:
         """All node names."""
-        return list(self._graph.nodes)
+        return list(self._nodes)
 
     @property
     def edges(self) -> list[tuple[str, str]]:
         """All directed edges ``(parent, child)``."""
-        return list(self._graph.edges)
+        return list(self._edges)
 
     @property
     def n_nodes(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._nodes)
 
     @property
     def n_edges(self) -> int:
-        return self._graph.number_of_edges()
+        return len(self._edges)
 
     def __contains__(self, node: str) -> bool:
-        return node in self._graph
+        return node in self._parents
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._graph.nodes)
+        return iter(self._nodes)
 
     def has_edge(self, u: str, v: str) -> bool:
         """``True`` iff the directed edge ``u -> v`` exists."""
-        return self._graph.has_edge(u, v)
+        return v in self._children.get(u, ())
 
     def _require(self, *nodes: str) -> None:
-        missing = [n for n in nodes if n not in self._graph]
+        missing = [n for n in nodes if n not in self._parents]
         if missing:
             raise GraphError(f"unknown nodes: {missing}")
 
-    def parents(self, node: str) -> set[str]:
+    def parents(self, node: str) -> frozenset[str]:
         """Direct causes of ``node``."""
-        self._require(node)
-        return set(self._graph.predecessors(node))
+        try:
+            return self._parents[node]
+        except KeyError:
+            raise GraphError(f"unknown nodes: {[node]}") from None
 
-    def children(self, node: str) -> set[str]:
+    def children(self, node: str) -> frozenset[str]:
         """Direct effects of ``node``."""
-        self._require(node)
-        return set(self._graph.successors(node))
+        try:
+            return self._children[node]
+        except KeyError:
+            raise GraphError(f"unknown nodes: {[node]}") from None
+
+    def _reach(self, step: Mapping[str, frozenset[str]],
+               nodes: Iterable[str]) -> set[str]:
+        """Nodes one or more ``step`` edges away from any of ``nodes``."""
+        stack = list(nodes)
+        self._require(*stack)
+        out: set[str] = set()
+        while stack:
+            for nxt in step[stack.pop()]:
+                if nxt not in out:
+                    out.add(nxt)
+                    stack.append(nxt)
+        return out
 
     def ancestors(self, node: str) -> set[str]:
         """All (strict) ancestors of ``node``."""
-        self._require(node)
-        return set(nx.ancestors(self._graph, node))
+        return self._reach(self._parents, (node,))
 
     def descendants(self, node: str) -> set[str]:
         """All (strict) descendants of ``node``."""
-        self._require(node)
-        return set(nx.descendants(self._graph, node))
+        return self._reach(self._children, (node,))
 
     def ancestors_of(self, nodes: Iterable[str]) -> set[str]:
         """Union of strict ancestors over a node set, in one reverse walk."""
-        stack = list(nodes)
-        self._require(*stack)
-        predecessors = self._graph.pred
-        out: set[str] = set()
-        while stack:
-            for parent in predecessors[stack.pop()]:
-                if parent not in out:
-                    out.add(parent)
-                    stack.append(parent)
-        return out
+        return self._reach(self._parents, nodes)
 
     def descendants_of(self, nodes: Iterable[str]) -> set[str]:
-        """Union of strict descendants over a node set."""
-        out: set[str] = set()
-        for node in nodes:
-            out |= self.descendants(node)
-        return out
+        """Union of strict descendants over a node set, in one walk."""
+        return self._reach(self._children, nodes)
 
     def topological_order(self) -> list[str]:
-        """Nodes in a (deterministic) topological order."""
-        return list(nx.lexicographical_topological_sort(self._graph))
+        """Nodes in topological order, the smallest ready name first."""
+        return list(self._order)
 
     def roots(self) -> set[str]:
         """Nodes with no parents (exogenous observables)."""
-        return {n for n in self._graph if self._graph.in_degree(n) == 0}
+        return {n for n, parents in self._parents.items() if not parents}
 
     # -- graph surgery ---------------------------------------------------------
 
@@ -151,40 +180,24 @@ class CausalDAG:
         """
         cut = set(nodes)
         self._require(*cut)
-        kept = [(u, v) for u, v in self.edges if v not in cut]
-        return CausalDAG(self.nodes, kept)
+        kept = [(u, v) for u, v in self._edges if v not in cut]
+        return CausalDAG(self._nodes, kept)
 
     def remove_outgoing(self, nodes: Iterable[str]) -> "CausalDAG":
         """``G`` with outgoing edges of ``nodes`` removed (the backdoor
         criterion's ``G_underbar(X)``)."""
         cut = set(nodes)
         self._require(*cut)
-        kept = [(u, v) for u, v in self.edges if u not in cut]
-        return CausalDAG(self.nodes, kept)
+        kept = [(u, v) for u, v in self._edges if u not in cut]
+        return CausalDAG(self._nodes, kept)
 
     def subgraph(self, nodes: Iterable[str]) -> "CausalDAG":
         """Induced subgraph on ``nodes``."""
         keep = set(nodes)
         self._require(*keep)
         return CausalDAG(
-            keep, [(u, v) for u, v in self.edges if u in keep and v in keep]
+            keep, [(u, v) for u, v in self._edges if u in keep and v in keep]
         )
-
-    def moralize(self) -> nx.Graph:
-        """Moral graph: undirected skeleton plus married parents."""
-        moral = nx.Graph()
-        moral.add_nodes_from(self.nodes)
-        moral.add_edges_from(self.edges)
-        for node in self.nodes:
-            parents = sorted(self.parents(node))
-            for i, p in enumerate(parents):
-                for q in parents[i + 1:]:
-                    moral.add_edge(p, q)
-        return moral
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Copy of the underlying digraph."""
-        return self._graph.copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CausalDAG({self.n_nodes} nodes, {self.n_edges} edges)"

@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-import networkx as nx
-
 from repro.exceptions import GraphError
 
 
@@ -112,17 +110,6 @@ class CPDAG:
                     seen.add(nxt)
                     frontier.append(nxt)
         return seen - set(sources)
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Digraph with undirected edges as symmetric pairs."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._nodes)
-        graph.add_edges_from(self._directed)
-        for edge in self._undirected:
-            u, v = tuple(edge)
-            graph.add_edge(u, v)
-            graph.add_edge(v, u)
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CPDAG({len(self._nodes)} nodes, {len(self._directed)} directed, "

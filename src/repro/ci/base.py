@@ -646,23 +646,6 @@ class CITestLedger(CITester):
             active = undecided
         return results
 
-    def counts_by_conditioning_size(self) -> dict[int, int]:
-        """Histogram of tests by |Z| (used for the Figure 3b analysis)."""
-        out: dict[int, int] = {}
-        for entry in self.entries:
-            size = len(entry.query.z)
-            out[size] = out.get(size, 0) + 1
-        return out
-
-
-def contingency_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cross-tabulate two integer-coded 1-D arrays into a count matrix."""
-    xi, x_codes = np.unique(x, return_inverse=True)
-    yi, y_codes = np.unique(y, return_inverse=True)
-    counts = np.zeros((xi.size, yi.size), dtype=np.int64)
-    np.add.at(counts, (x_codes, y_codes), 1)
-    return counts
-
 
 def encode_rows(matrix: np.ndarray) -> np.ndarray:
     """Encode each row of a discrete matrix as a single integer code.

@@ -29,11 +29,13 @@ class OracleCI(CITester):
     Selection algorithms issue thousands of queries sharing the same
     ``(Y, Z)`` pair (phase 1: Y = S with Z ranging over a couple of
     admissible subsets; phase 2: Y = target with one fixed Z), so the
-    oracle caches the d-connected set per ``(sources, Z)`` pair and answers
-    each query with a set-disjointness check — this is what makes the
-    Figure 4/5 sweeps at n = 5000 run in seconds rather than hours.  Nodes
-    are checked against the DAG once per distinct ``(sources, Z)``, when
-    its reachable set is computed; a query then checks only its other side.
+    oracle caches the set d-connected to Y given Z per ``(Y, Z)`` pair and
+    answers each query with a set-disjointness check against its X — this
+    is what makes the Figure 4/5 sweeps and the §5.3 recovery graphs at
+    n = 5000 run in seconds rather than hours.  d-separation is symmetric,
+    so the walk starts from Y even when X is the smaller side.  Nodes are
+    checked against the DAG once per distinct ``(Y, Z)``, when its
+    reachable set is computed; a query then checks only its X.
     """
 
     method = "oracle"
@@ -41,8 +43,6 @@ class OracleCI(CITester):
     def __init__(self, dag: CausalDAG, alpha: float = 0.01) -> None:
         super().__init__(alpha=alpha)
         self.dag = dag
-        # Derived from self.dag, which cache_token() digests node by node.
-        self._nodes = frozenset(self.dag.nodes)
         self._reach_cache: dict[tuple, frozenset[str]] = {}
         self._cache_token: tuple | None = None
 
@@ -62,17 +62,17 @@ class OracleCI(CITester):
         return self._cache_token
 
     def _require(self, names: tuple[str, ...]) -> None:
-        missing = [name for name in names if name not in self._nodes]
+        missing = [name for name in names if name not in self.dag]
         if missing:
             raise CITestError(f"oracle DAG lacks nodes: {missing}")
 
-    def _connected_set(self, sources: tuple[str, ...],
+    def _connected_set(self, y: tuple[str, ...],
                        given: tuple[str, ...]) -> frozenset[str]:
-        key = (sources, given)
+        key = (y, given)
         cached = self._reach_cache.get(key)
         if cached is None:
-            self._require(sources + given)
-            cached = frozenset(active_reachable(self.dag, sources, given))
+            self._require(y + given)
+            cached = frozenset(active_reachable(self.dag, y, given))
             self._reach_cache[key] = cached
         return cached
 
@@ -81,19 +81,14 @@ class OracleCI(CITester):
         results = []
         pair: tuple = ()
         for query in as_queries(queries):
-            # Reuse the cached reachable set of the smaller side (normally
-            # Y: the sensitive attributes or the target).
-            if len(query.y) <= len(query.x):
-                sources, others = query.y, query.x
-            else:
-                sources, others = query.x, query.y
-            # Queries from one QueryFrame share their y/z tuples, so this
-            # comparison is by identity and a long Z is not re-hashed.
-            if (sources, query.z) != pair:
-                pair = (sources, query.z)
+            # One reachable set per (Y, Z): queries from one QueryFrame
+            # share their y/z tuples, so this comparison is by identity
+            # and a long Z is not re-hashed.
+            if (query.y, query.z) != pair:
+                pair = (query.y, query.z)
                 reach = self._connected_set(*pair)
-            self._require(others)
-            independent = reach.isdisjoint(others)
+            self._require(query.x)
+            independent = reach.isdisjoint(query.x)
             # Oracle "p-values" are degenerate but keep the CIResult contract.
             results.append(CIResult(
                 independent=independent,

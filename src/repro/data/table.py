@@ -33,23 +33,59 @@ values span at most as many levels as there are rows (a presence table
 over the span), and a single column's codes live in an append buffer
 too, so a grown column's codes cost O(new rows) when no level is new.
 Hashing, finiteness scans and the float moment pass on very long columns
-walk the rows in the fixed block sizes of :mod:`repro.data.backend`, so
-every observable is a pure function of the column values.
+walk the rows in fixed block sizes (:data:`HASH_BLOCK_ROWS`,
+:data:`MOMENT_BLOCK_ROWS`), constants of the engine and never settings,
+so every observable is a pure function of the column values.  Counting
+kernels and code builders run in one pass: the paper's tables fit in
+memory many times over.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.exceptions import SchemaError
-from repro.data.backend import (MOMENT_BLOCK_ROWS, hash_array_blocks,
-                                iter_slices)
 from repro.data.schema import ColumnSpec, Kind, Role, TableSchema
 from repro.rng import SeedLike, as_generator
+
+#: Fixed block length for content hashing.  Independent of every user
+#: setting: BLAKE2 digests are incremental, so hashing in any block size
+#: yields the byte-stream digest — this constant only bounds peak memory.
+HASH_BLOCK_ROWS = 1 << 20
+
+#: Fixed block length for streaming floating-point moment passes
+#: (``Table.standardized_block`` on huge columns).  A constant, not a
+#: setting: float accumulation order affects rounding, so the moment
+#: pass always uses this block size and its results depend only on the
+#: column values.
+MOMENT_BLOCK_ROWS = 1 << 18
+
+
+def iter_slices(n: int, chunk: int) -> Iterator[slice]:
+    """Consecutive ``slice`` windows of ``chunk`` rows (the last one
+    shorter) covering ``range(n)``."""
+    for start in range(0, n, chunk):
+        yield slice(start, min(start + chunk, n))
+
+
+def hash_array_blocks(digest, arr: np.ndarray) -> None:
+    """Feed ``arr``'s raw bytes into ``digest`` in fixed-size blocks.
+
+    The canonical byte stream of a numeric column: :data:`HASH_BLOCK_ROWS`
+    windows, each serialized contiguously.  BLAKE2 digests are
+    concatenation-invariant, so the result equals hashing the whole
+    buffer at once — and a retained (pre-finalized) digest object can be
+    extended with just the *appended* rows of a grown column and still
+    produce the full-column digest (the prefix-cache path of
+    ``Table.with_appended_rows``).  Peak memory stays one block
+    regardless of column length.
+    """
+    for window in iter_slices(arr.shape[0], HASH_BLOCK_ROWS):
+        digest.update(np.ascontiguousarray(arr[window]).tobytes())
 
 
 def standardize_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -599,12 +635,11 @@ class Table:
         stale because tables are immutable under the documented
         no-mutation contract.
 
-        Columns longer than the fixed
-        :data:`~repro.data.backend.MOMENT_BLOCK_ROWS` stream through a
-        two-pass moment computation (sum, then squared deviations)
-        instead of materialising the stacked matrix.  The block size is a
-        constant, never a setting, so the result depends only on the
-        column values.
+        Columns longer than the fixed :data:`MOMENT_BLOCK_ROWS` stream
+        through a two-pass moment computation (sum, then squared
+        deviations) instead of materialising the stacked matrix.  The
+        block size is a constant, never a setting, so the result depends
+        only on the column values.
         """
         key = (names,) if isinstance(names, str) else tuple(names)
         cached = self._std_blocks.get(key)
@@ -622,9 +657,9 @@ class Table:
 
         Pass 1 (the per-column block sums) is memoised in
         ``_moment_sums``, keyed by block index: the block grid is the
-        fixed :data:`~repro.data.backend.MOMENT_BLOCK_ROWS`, so a full
-        block's sum is a pure function of the column content and can be
-        reused across overlapping name-tuples *and* by
+        fixed :data:`MOMENT_BLOCK_ROWS`, so a full block's sum is a pure
+        function of the column content and can be reused across
+        overlapping name-tuples *and* by
         :meth:`with_appended_rows` children (a grown column's old full
         blocks cover identical rows).  Reuse replays the exact same
         additions in the exact same order, so the output stays bitwise

@@ -8,7 +8,6 @@ from repro.fairness.causal_metrics import (
 from repro.fairness.group_metrics import (
     absolute_odds_difference,
     demographic_parity_difference,
-    disparate_impact_ratio,
     equal_opportunity_difference,
 )
 from repro.fairness.counterfactual import (
@@ -23,7 +22,6 @@ __all__ = [
     "is_causally_fair",
     "absolute_odds_difference",
     "demographic_parity_difference",
-    "disparate_impact_ratio",
     "equal_opportunity_difference",
     "counterfactual_table",
     "counterfactual_unfairness",

@@ -63,21 +63,3 @@ def equal_opportunity_difference(y_true: np.ndarray, y_pred: np.ndarray,
     cm_p = confusion_counts(y_true[priv], y_pred[priv], positive=positive)
     cm_u = confusion_counts(y_true[unpriv], y_pred[unpriv], positive=positive)
     return abs(cm_p.tpr - cm_u.tpr)
-
-
-def disparate_impact_ratio(y_pred: np.ndarray, sensitive: np.ndarray,
-                           privileged=1, positive=1) -> float:
-    """P(Y'=1 | unpriv) / P(Y'=1 | priv) — the 80%-rule ratio.
-
-    Returns 1.0 on empty groups and ``inf`` when the privileged rate is 0
-    but the unprivileged rate is not.
-    """
-    priv, unpriv = _group_masks(sensitive, privileged)
-    if priv.sum() == 0 or unpriv.sum() == 0:
-        return 1.0
-    y_pred = np.asarray(y_pred)
-    rate_p = float(np.mean(y_pred[priv] == positive))
-    rate_u = float(np.mean(y_pred[unpriv] == positive))
-    if rate_p == 0.0:
-        return 1.0 if rate_u == 0.0 else float("inf")
-    return rate_u / rate_p

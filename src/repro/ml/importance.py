@@ -1,4 +1,4 @@
-"""Feature importance: |coefficient| and permutation importances.
+"""Feature importance: permutation importances.
 
 Used by the SPred baseline (drop features most predictive of the sensitive
 attribute) and by the paper's check that phase-2 features (C2) still carry
@@ -10,15 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import Classifier
-from repro.ml.logistic import LogisticRegression
 from repro.rng import SeedLike, as_generator
-
-
-def coefficient_importance(model: LogisticRegression) -> np.ndarray:
-    """Mean absolute coefficient magnitude per feature."""
-    if model.coef_ is None:
-        raise ValueError("model must be fitted")
-    return np.mean(np.abs(model.coef_), axis=0)
 
 
 def permutation_importance(model: Classifier, X: np.ndarray, y: np.ndarray,
@@ -42,11 +34,3 @@ def permutation_importance(model: Classifier, X: np.ndarray, y: np.ndarray,
             drops.append(baseline - model.score(shuffled, y))
         importances[j] = float(np.mean(drops))
     return importances
-
-
-def rank_features(names: list[str], importances: np.ndarray) -> list[tuple[str, float]]:
-    """Features sorted by decreasing importance."""
-    if len(names) != importances.shape[0]:
-        raise ValueError("names and importances lengths differ")
-    order = np.argsort(-importances, kind="stable")
-    return [(names[i], float(importances[i])) for i in order]

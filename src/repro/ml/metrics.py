@@ -1,4 +1,4 @@
-"""Classification metrics: accuracy, confusion counts, ROC AUC."""
+"""Classification metrics: accuracy and confusion counts."""
 
 from __future__ import annotations
 
@@ -62,34 +62,3 @@ def confusion_counts(y_true: np.ndarray, y_pred: np.ndarray,
         tn=int(np.sum(~pos_t & ~pos_p)),
         fn=int(np.sum(pos_t & ~pos_p)),
     )
-
-
-def roc_auc(y_true: np.ndarray, scores: np.ndarray, positive=1) -> float:
-    """Area under the ROC curve via the rank (Mann–Whitney) formulation."""
-    y_true = np.asarray(y_true)
-    scores = np.asarray(scores, dtype=float)
-    pos = scores[y_true == positive]
-    neg = scores[y_true != positive]
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("ROC AUC needs both classes present")
-    order = np.argsort(np.concatenate([pos, neg]), kind="stable")
-    ranks = np.empty(order.size, dtype=float)
-    ranks[order] = np.arange(1, order.size + 1)
-    # Average ties so the AUC is exact under duplicated scores.
-    combined = np.concatenate([pos, neg])
-    for value in np.unique(combined):
-        mask = combined == value
-        if mask.sum() > 1:
-            ranks[mask] = ranks[mask].mean()
-    rank_sum = ranks[: pos.size].sum()
-    u = rank_sum - pos.size * (pos.size + 1) / 2.0
-    return float(u / (pos.size * neg.size))
-
-
-def log_loss(y_true: np.ndarray, probs: np.ndarray, classes: np.ndarray) -> float:
-    """Cross-entropy of predicted probabilities against true labels."""
-    y_true = np.asarray(y_true)
-    probs = np.clip(np.asarray(probs, dtype=float), 1e-12, 1.0)
-    class_index = {c: i for i, c in enumerate(classes.tolist())}
-    idx = np.array([class_index[v] for v in y_true.tolist()])
-    return float(-np.mean(np.log(probs[np.arange(y_true.size), idx])))

@@ -1,7 +1,6 @@
 """Property-based tests: d-separation vs brute-force path enumeration,
 and the graphoid axioms on random DAGs."""
 
-import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,20 +28,40 @@ def random_dags(draw, max_nodes=7):
 
 
 def blocked_by_enumeration(dag: CausalDAG, x: str, y: str, z: set) -> bool:
-    """Literal Definition 3: every undirected path must be blocked."""
-    ug = nx.Graph()
-    ug.add_nodes_from(dag.nodes)
-    ug.add_edges_from(dag.edges)
-    z_desc = set(z)
-    for node in z:
-        z_desc |= dag.ancestors(node)  # nodes whose descendant is in z
+    """Literal Definition 3: every undirected path must be blocked.
 
-    for path in nx.all_simple_paths(ug, x, y):
+    Built from ``dag.edges`` alone, so it shares no code with ``dsep.py``
+    or the DAG's own walks.
+    """
+    edges = set(dag.edges)
+    neighbours: dict[str, set[str]] = {}
+    parents: dict[str, set[str]] = {}
+    for u, v in edges:
+        neighbours.setdefault(u, set()).add(v)
+        neighbours.setdefault(v, set()).add(u)
+        parents.setdefault(v, set()).add(u)
+    z_desc = set(z)  # z and the nodes whose descendant is in z
+    stack = list(z)
+    while stack:
+        for parent in parents.get(stack.pop(), ()):
+            if parent not in z_desc:
+                z_desc.add(parent)
+                stack.append(parent)
+
+    def simple_paths(path):
+        if path[-1] == y:
+            yield path
+            return
+        for nxt in neighbours.get(path[-1], ()):
+            if nxt not in path:
+                yield from simple_paths(path + [nxt])
+
+    for path in simple_paths([x]):
         path_blocked = False
         for idx in range(1, len(path) - 1):
             prev, mid, nxt = path[idx - 1], path[idx], path[idx + 1]
-            into_mid = dag.has_edge(prev, mid)
-            is_collider = into_mid and dag.has_edge(nxt, mid)
+            into_mid = (prev, mid) in edges
+            is_collider = into_mid and (nxt, mid) in edges
             if is_collider:
                 if mid not in z_desc:
                     path_blocked = True

@@ -9,7 +9,6 @@ from repro.ci.base import (
     CIQuery,
     CIResult,
     CITestLedger,
-    contingency_counts,
     encode_rows,
 )
 from repro.ci.gtest import GTestCI
@@ -146,13 +145,6 @@ class TestLedger:
         ledger.test(t, "x", "y")
         assert ledger.n_tests == 2
 
-    def test_conditioning_size_histogram(self):
-        ledger = CITestLedger(GTestCI())
-        t = binary_table()
-        ledger.test(t, "x", "y")
-        ledger.test(t, "x", "y", ["s"])
-        assert ledger.counts_by_conditioning_size() == {0: 1, 1: 1}
-
     def test_total_seconds_positive(self):
         ledger = CITestLedger(GTestCI())
         ledger.test(binary_table(), "x", "y")
@@ -169,12 +161,6 @@ class TestLedgerNesting:
 
 
 class TestHelpers:
-    def test_contingency_counts(self):
-        x = np.array([0, 0, 1, 1, 1])
-        y = np.array([0, 1, 0, 1, 1])
-        counts = contingency_counts(x, y)
-        np.testing.assert_array_equal(counts, [[1, 1], [1, 2]])
-
     def test_encode_rows_distinct(self):
         m = np.array([[0, 0], [0, 1], [0, 0], [1, 1]])
         codes = encode_rows(m)

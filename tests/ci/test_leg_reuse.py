@@ -114,9 +114,6 @@ class TestRunBitsEqualLoneTests:
         # min_batch=3: one- and two-query batches run in the dispatching
         # process (where the slot is visible), longer ones in the pool.
         with ProcessExecutor(n_workers=2, min_batch=3) as executor:
-            @settings(max_examples=examples, deadline=None,
-                      suppress_health_check=[HealthCheck.too_slow])
-            @given(run=runs())
             def check(run):
                 tester_seed, tables, batches = run
                 ledger = CITestLedger(RCIT(seed=tester_seed),
@@ -124,7 +121,21 @@ class TestRunBitsEqualLoneTests:
                 assert_run_matches_lone_tests(ledger, tester_seed, tables,
                                               batches)
 
-            check()
+            # A few draws may hold only one- and two-query batches, so a
+            # fixed batch of three distinct queries makes sure the run
+            # crosses into a pool of this start method.
+            tables = (build_table(0, 60), build_table(1, 60))
+            check((0, tables, [(0, [CIQuery.make(x, ("y",), ("z1",))
+                                    for x in X_CHOICES[:3]])]))
+            assert executor._pool is not None
+
+            @settings(max_examples=examples, deadline=None,
+                      suppress_health_check=[HealthCheck.too_slow])
+            @given(run=runs())
+            def check_drawn(run):
+                check(run)
+
+            check_drawn()
 
 
 class TestTable2ShapedRun:

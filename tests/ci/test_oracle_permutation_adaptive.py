@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from repro.causal.dag import CausalDAG
+from repro.ci import oracle as oracle_module
 from repro.ci.adaptive import AdaptiveCI
+from repro.ci.base import CITestLedger
+from repro.ci.executor import SerialExecutor
 from repro.ci.oracle import GraphoidOracleBackend, OracleCI
 from repro.ci.permutation import PermutationCI
+from repro.core.grpsel import GrpSel
+from repro.core.seqsel import SeqSel
+from repro.core.subset_search import MarginalThenFull
 from repro.data.schema import Kind, Role
+from repro.data.synthetic import planted_bias_problem
 from repro.data.table import Table
 from repro.exceptions import CITestError
 
@@ -57,6 +64,34 @@ class TestOracleCI:
     def test_graphoid_backend(self):
         backend = GraphoidOracleBackend(self.chain())
         assert backend.independent({"a"}, {"c"}, {"b"})
+
+    @pytest.mark.parametrize("make", [
+        lambda ledger: SeqSel(tester=ledger,
+                              subset_strategy=MarginalThenFull()),
+        lambda ledger: GrpSel(tester=ledger,
+                              subset_strategy=MarginalThenFull(), seed=0),
+    ], ids=["seqsel", "grpsel"])
+    def test_one_walk_per_distinct_y_and_z(self, monkeypatch, make):
+        """Every reach set is walked from Y, once per ``(Y, Z)``.  The
+        redundant features hang off a second sensitive root, so |S| = 2
+        and each one-column phase-1 query ``X ⊥ S | A'`` has the smaller
+        X side; a walk from it would cost one walk per query."""
+        walks = []
+        real = oracle_module.active_reachable
+
+        def counting(dag, sources, given=()):
+            walks.append((sources, given))
+            return real(dag, sources, given)
+
+        monkeypatch.setattr(oracle_module, "active_reachable", counting)
+        planted = planted_bias_problem(300, 6, redundant_fraction=0.25,
+                                       seed=0)
+        assert len(planted.problem.sensitive) == 2
+        ledger = CITestLedger(OracleCI(planted.scm.dag),
+                              executor=SerialExecutor())
+        make(ledger).select(planted.problem)
+        pairs = {(entry.query.y, entry.query.z) for entry in ledger.entries}
+        assert len(walks) == len(pairs)
 
 
 class TestPermutationCI:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.data.schema import Kind, Role
-from repro.data.table import Table, _infer_kind, _unique_inverse
+from repro.data.table import Table, _infer_kind, _unique_inverse, iter_slices
 from repro.exceptions import SchemaError
 
 #: Every bool and integer width ``_infer_kind`` answers without sorting.
@@ -88,6 +88,13 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             Table({"a": np.zeros(3)}, roles={"ghost": Role.TARGET})
 
+    def test_empty_columns_roundtrip(self):
+        table = Table({"a": np.array([], dtype=np.int64)})
+        assert table.n_rows == 0
+        assert table["a"].shape == (0,)
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone.equals(table)
+
     @settings(max_examples=300, deadline=None)
     @given(values=int_columns())
     @example(values=np.array([], dtype=np.uint64))
@@ -105,6 +112,15 @@ class TestConstruction:
         # Bool and integer columns skip the sort, and must still give
         # exactly the kind np.unique gives.
         assert _infer_kind(values) is unique_kind(values)
+
+
+class TestRowWindows:
+    def test_iter_slices_partitions_exactly(self):
+        for n in (0, 1, 7, 64):
+            for chunk in (1, 3, 7, 100):
+                windows = list(iter_slices(n, chunk))
+                covered = [i for w in windows for i in range(w.start, w.stop)]
+                assert covered == list(range(n))
 
 
 class TestAccess:

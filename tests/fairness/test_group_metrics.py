@@ -6,7 +6,6 @@ import pytest
 from repro.fairness.group_metrics import (
     absolute_odds_difference,
     demographic_parity_difference,
-    disparate_impact_ratio,
     equal_opportunity_difference,
 )
 
@@ -75,20 +74,3 @@ class TestEqualOpportunity:
         s = np.array([1, 1, 0, 0])
         assert equal_opportunity_difference(y, p, s) == 0.0
         assert absolute_odds_difference(y, p, s) == 0.5
-
-
-class TestDisparateImpact:
-    def test_parity_is_one(self):
-        p = np.array([1, 0, 1, 0])
-        s = np.array([1, 1, 0, 0])
-        assert disparate_impact_ratio(p, s) == 1.0
-
-    def test_eighty_percent_rule_value(self):
-        p = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
-        s = np.array([1] * 5 + [0] * 5)
-        assert disparate_impact_ratio(p, s) == 0.0
-
-    def test_zero_privileged_rate(self):
-        p = np.array([0, 0, 1, 1])
-        s = np.array([1, 1, 0, 0])
-        assert disparate_impact_ratio(p, s) == float("inf")
